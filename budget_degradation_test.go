@@ -143,6 +143,41 @@ func TestBudgetDegradesSoundly(t *testing.T) {
 	})
 }
 
+// TestGuardRefinementChargesPageBudget: the guard refinement materialized
+// in phase-1 lowering runs the Figure 7 intersection of the guarded value's
+// grammar with the pattern DFA — here ~29k work items against a walk of a
+// few steps. That construction must meter against the page budget, so a
+// step limit the walk alone fits in degrades the page instead of letting
+// lowering run unbounded.
+func TestGuardRefinementChargesPageBudget(t *testing.T) {
+	const query = `mysql_query("SELECT * FROM t WHERE name='$x'");`
+	sources := map[string]string{
+		"guarded.php": "<?php $x = $_GET['q'];\nif (preg_match('/^[a-z0-9_]{1,24}$/', $x)) {\n" + query + "\n}\n",
+		"plain.php":   "<?php $x = $_GET['q'];\n" + query + "\n",
+	}
+	opts := core.Options{}
+	opts.Budget.MaxSteps = 1000
+
+	// Control: the same page without the guard walks and lowers within the
+	// limit.
+	res, err := core.AnalyzeApp(analysis.NewMapResolver(sources), []string{"plain.php"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedPages != 0 {
+		t.Fatalf("unguarded page degraded under MaxSteps=%d: %+v", opts.Budget.MaxSteps, res.Degradations)
+	}
+
+	res, err = core.AnalyzeApp(analysis.NewMapResolver(sources), []string{"guarded.php"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedPages != 1 {
+		t.Fatalf("DegradedPages = %d, want the guarded page (degradations: %+v)", res.DegradedPages, res.Degradations)
+	}
+	requireDegradedNotVerified(t, res, budget.ReasonSteps)
+}
+
 // explodingPage builds the §5.3 replacement-chain blowup as a fixture: each
 // round of str_replace doublings multiplies the hotspot grammar, so the
 // policy cascade needs millions of work items while phase 1 stays cheap.

@@ -11,16 +11,17 @@ import (
 	"sqlciv/internal/vcache"
 )
 
-// TestCompactionPreservesVerdictsOnCorpus is the tentpole's differential
-// oracle: for every hotspot of every Table 1 subject, the cascade over the
-// compacted slice must produce bit-identical reports to the cascade over
-// the original slice. Compaction is language- and label-preserving, and
+// TestCompactionPreservesVerdictsOnCorpus is compaction's differential
+// oracle: for every hotspot of every Table 1 subject, the default cascade
+// over the compacted slice must produce bit-identical reports to the
+// paper's marker construction, which runs every check over the uncompacted
+// slice. Compaction is language- and label-preserving, and
 // witnesses/derivability always run on the original slice, so any
-// divergence is a compaction bug.
+// divergence is a compaction (or fast-path) bug.
 func TestCompactionPreservesVerdictsOnCorpus(t *testing.T) {
 	on := policy.New()
 	off := policy.New()
-	off.Compact = false
+	off.UseMarkerConstruction = true
 	hotspots := 0
 	for _, app := range corpus.Apps() {
 		resolver := analysis.NewMapResolver(app.Sources)
@@ -34,15 +35,15 @@ func TestCompactionPreservesVerdictsOnCorpus(t *testing.T) {
 				got := on.CheckHotspot(ar.G, h.Root)
 				want := off.CheckHotspot(ar.G, h.Root)
 				if got.Verdict != want.Verdict {
-					t.Errorf("%s %s:%d: verdict %v with compaction, %v without",
+					t.Errorf("%s %s:%d: verdict %v with compaction, %v on the marker reference",
 						app.Name, h.File, h.Line, got.Verdict, want.Verdict)
 				}
 				if !reflect.DeepEqual(got.Reports, want.Reports) {
-					t.Errorf("%s %s:%d: reports diverged\ncompacted:   %+v\nuncompacted: %+v",
+					t.Errorf("%s %s:%d: reports diverged\ncompacted: %+v\nreference: %+v",
 						app.Name, h.File, h.Line, got.Reports, want.Reports)
 				}
 				if got.LabeledNTs != want.LabeledNTs {
-					t.Errorf("%s %s:%d: labeled-NT census %d with compaction, %d without",
+					t.Errorf("%s %s:%d: labeled-NT census %d with compaction, %d on the marker reference",
 						app.Name, h.File, h.Line, got.LabeledNTs, want.LabeledNTs)
 				}
 			}

@@ -251,28 +251,27 @@ func (a *analyzer) appendOutput(e env, val grammar.Sym) {
 
 // Analyze runs the string-taint analysis with entry as the top-level page.
 func Analyze(resolver Resolver, entry string, opts Options) (*Result, error) {
-	return AnalyzeB(resolver, entry, opts, nil)
+	return AnalyzeT(resolver, entry, opts, nil, nil)
 }
 
 // AnalyzeCtx is Analyze under ctx: cancellation or a context deadline makes
 // the walk stop cooperatively and return an error (*budget.Exceeded), so a
 // page stuck in phase 1 cannot outlive the run's deadline.
 func AnalyzeCtx(ctx context.Context, resolver Resolver, entry string, opts Options) (*Result, error) {
-	return AnalyzeB(resolver, entry, opts, budget.New(ctx, budget.Limits{}))
+	return AnalyzeT(resolver, entry, opts, budget.New(ctx, budget.Limits{}), nil)
 }
 
-// AnalyzeB is Analyze metered by b: the statement walk and the lowering
-// fixpoint consume steps and probe cancellation. A budget trip — or any
-// panic inside the analysis, which this boundary isolates per page —
-// surfaces as a *budget.Exceeded error, never a partial Result.
-func AnalyzeB(resolver Resolver, entry string, opts Options, b *budget.Budget) (res *Result, err error) {
-	return AnalyzeT(resolver, entry, opts, b, nil)
-}
-
-// AnalyzeT is AnalyzeB observed by sp (normally the page span the core
-// driver opened): the AST walk and the lowering fixpoint get "phase" child
-// spans, and the emitted grammar's census lands on sp as counters
-// ("grammar.nts", "grammar.prods", "analysis.files", "analysis.lines").
+// AnalyzeT is Analyze metered by b and observed by sp. The statement walk
+// and the lowering fixpoint — including the Figure 7 intersections that
+// guard refinements materialize — consume steps and probe cancellation. A
+// budget trip — or any panic inside the analysis, which this boundary
+// isolates per page — surfaces as a *budget.Exceeded error, never a partial
+// Result. A nil b is unlimited.
+//
+// sp is normally the page span the core driver opened: the AST walk and the
+// lowering fixpoint get "phase" child spans, and the emitted grammar's
+// census lands on sp as counters ("grammar.nts", "grammar.prods",
+// "analysis.files", "analysis.lines").
 // When the analysis degrades mid-phase the open phase span is dropped, not
 // emitted — the surrounding page span carries the degradation. A nil sp
 // traces nothing.

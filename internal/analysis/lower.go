@@ -113,7 +113,9 @@ func (a *analyzer) materialize(sym grammar.Sym, op *opApp) {
 			a.g.TaintIf(root, sym)
 		}
 	case opIntersect:
-		if root, ok := grammar.IntersectInto(a.g, op.arg, op.dfa); ok {
+		// The Figure 7 construction is worst-case O(|R|·|Q|³): meter it
+		// against the page budget, not just the one step the op costs.
+		if root, ok := grammar.IntersectIntoT(a.g, op.arg, op.dfa, a.b, nil); ok {
 			a.g.Add(sym, root)
 			a.g.TaintIf(root, sym)
 		}

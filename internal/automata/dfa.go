@@ -108,70 +108,16 @@ func (d *DFA) Complement() *DFA {
 	return d.Compressed().Complement().Decompress()
 }
 
-// complementDense is the per-symbol reference implementation, kept for the
-// differential tests in this package.
-func (d *DFA) complementDense() *DFA {
-	d.Complete()
-	out := &DFA{start: d.start}
-	out.trans = make([][]int32, len(d.trans))
-	out.accept = make([]bool, len(d.accept))
-	for s := range d.trans {
-		row := make([]int32, AlphabetSize)
-		copy(row, d.trans[s])
-		out.trans[s] = row
-		out.accept[s] = !d.accept[s]
-	}
-	out.total.Store(true)
-	return out
-}
-
 // Intersect returns the product DFA accepting L(d) ∩ L(o). Both automata
 // must be complete. Only the reachable part of the product is built. The
 // product runs on the class-indexed forms; its states are numbered in the
 // same discovery order as the per-symbol construction (see CDFA.Intersect),
-// so the result is byte-identical to intersectDense.
+// so the result is byte-identical to the per-symbol reference in
+// dense_test.go.
 func (d *DFA) Intersect(o *DFA) *DFA {
 	d.Complete()
 	o.Complete()
 	return d.Compressed().Intersect(o.Compressed()).Decompress()
-}
-
-// intersectDense is the per-symbol reference implementation, kept for the
-// differential tests in this package.
-func (d *DFA) intersectDense(o *DFA) *DFA {
-	d.Complete()
-	o.Complete()
-	type pair struct{ a, b int }
-	ids := map[pair]int{}
-	out := NewDFA()
-	get := func(p pair) int {
-		if id, ok := ids[p]; ok {
-			return id
-		}
-		id := out.AddState()
-		ids[p] = id
-		out.accept[id] = d.accept[p.a] && o.accept[p.b]
-		return id
-	}
-	startP := pair{d.start, o.start}
-	out.start = get(startP)
-	work := []pair{startP}
-	done := map[pair]bool{startP: true}
-	for len(work) > 0 {
-		p := work[len(work)-1]
-		work = work[:len(work)-1]
-		id := ids[p]
-		for sym := 0; sym < AlphabetSize; sym++ {
-			np := pair{int(d.trans[p.a][sym]), int(o.trans[p.b][sym])}
-			nid := get(np)
-			out.trans[id][sym] = int32(nid)
-			if !done[np] {
-				done[np] = true
-				work = append(work, np)
-			}
-		}
-	}
-	return out
 }
 
 // Accepts reports whether d accepts the symbol sequence.
@@ -198,193 +144,22 @@ func (d *DFA) AcceptsString(str string) bool {
 // IsEmpty reports whether L(d) is empty.
 func (d *DFA) IsEmpty() bool { return d.Compressed().IsEmpty() }
 
-// isEmptyDense is the per-symbol reference implementation, kept for the
-// differential tests in this package.
-func (d *DFA) isEmptyDense() bool {
-	if len(d.trans) == 0 {
-		return true
-	}
-	seen := make([]bool, len(d.trans))
-	work := []int{d.start}
-	seen[d.start] = true
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		if d.accept[s] {
-			return false
-		}
-		for sym := 0; sym < AlphabetSize; sym++ {
-			t := int(d.trans[s][sym])
-			if t >= 0 && !seen[t] {
-				seen[t] = true
-				work = append(work, t)
-			}
-		}
-	}
-	return true
-}
-
 // MinWord returns a shortest accepted symbol sequence, or nil, false if the
 // language is empty. Ties break toward the smallest symbol (the BFS scans
 // classes in ascending-representative order, which visits successors in the
 // same order as an ascending symbol scan).
 func (d *DFA) MinWord() ([]int, bool) { return d.Compressed().MinWord() }
 
-// minWordDense is the per-symbol reference implementation, kept for the
-// differential tests in this package.
-func (d *DFA) minWordDense() ([]int, bool) {
-	if len(d.trans) == 0 {
-		return nil, false
-	}
-	type back struct {
-		prev int
-		sym  int
-	}
-	prev := make([]back, len(d.trans))
-	for i := range prev {
-		prev[i] = back{-1, -1}
-	}
-	seen := make([]bool, len(d.trans))
-	queue := []int{d.start}
-	seen[d.start] = true
-	goal := -1
-	for i := 0; i < len(queue); i++ {
-		s := queue[i]
-		if d.accept[s] {
-			goal = s
-			break
-		}
-		for sym := 0; sym < AlphabetSize; sym++ {
-			t := int(d.trans[s][sym])
-			if t >= 0 && !seen[t] {
-				seen[t] = true
-				prev[t] = back{s, sym}
-				queue = append(queue, t)
-			}
-		}
-	}
-	if goal < 0 {
-		return nil, false
-	}
-	var rev []int
-	for s := goal; s != d.start || len(rev) == 0; {
-		b := prev[s]
-		if b.prev < 0 {
-			break
-		}
-		rev = append(rev, b.sym)
-		s = b.prev
-		if s == d.start {
-			break
-		}
-	}
-	out := make([]int, len(rev))
-	for i, sym := range rev {
-		out[len(rev)-1-i] = sym
-	}
-	return out, true
-}
-
 // Minimize returns an equivalent minimal complete DFA (Moore partition
 // refinement over the reachable states). The refinement runs on the
 // class-indexed form with per-class signatures; state numbering and output
-// rows are byte-identical to minimizeDense (per-class and per-symbol
-// signatures induce the same partition because rows are class-uniform, and
-// reachability discovers states in the same order).
+// rows are byte-identical to the per-symbol reference in dense_test.go
+// (per-class and per-symbol signatures induce the same partition because
+// rows are class-uniform, and reachability discovers states in the same
+// order).
 func (d *DFA) Minimize() *DFA {
 	d.Complete()
 	return d.Compressed().Minimize().Decompress()
-}
-
-// minimizeDense is the per-symbol reference implementation, kept for the
-// differential tests in this package.
-func (d *DFA) minimizeDense() *DFA {
-	d.Complete()
-	// Restrict to reachable states.
-	reach := make([]int, len(d.trans)) // old -> new (compact) or -1
-	for i := range reach {
-		reach[i] = -1
-	}
-	var order []int
-	work := []int{d.start}
-	reach[d.start] = 0
-	order = append(order, d.start)
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		for sym := 0; sym < AlphabetSize; sym++ {
-			t := int(d.trans[s][sym])
-			if reach[t] < 0 {
-				reach[t] = len(order)
-				order = append(order, t)
-				work = append(work, t)
-			}
-		}
-	}
-	n := len(order)
-	// class[i] for compact index i.
-	class := make([]int, n)
-	for i, old := range order {
-		if d.accept[old] {
-			class[i] = 1
-		}
-	}
-	numClasses := 2
-	// If all states agree, there is a single class.
-	allSame := true
-	for i := 1; i < n; i++ {
-		if class[i] != class[0] {
-			allSame = false
-			break
-		}
-	}
-	if allSame {
-		numClasses = 1
-		for i := range class {
-			class[i] = 0
-		}
-	}
-	for {
-		// Signature: (class, class of successor per symbol).
-		type sigKey string
-		next := make([]int, n)
-		ids := map[sigKey]int{}
-		buf := make([]byte, 0, (AlphabetSize+1)*4)
-		for i, old := range order {
-			buf = buf[:0]
-			buf = appendInt(buf, class[i])
-			for sym := 0; sym < AlphabetSize; sym++ {
-				t := reach[int(d.trans[old][sym])]
-				buf = appendInt(buf, class[t])
-			}
-			k := sigKey(buf)
-			id, ok := ids[k]
-			if !ok {
-				id = len(ids)
-				ids[k] = id
-			}
-			next[i] = id
-		}
-		if len(ids) == numClasses {
-			class = next
-			break
-		}
-		numClasses = len(ids)
-		class = next
-	}
-	out := NewDFA()
-	for i := 0; i < numClasses; i++ {
-		out.AddState()
-	}
-	for i, old := range order {
-		c := class[i]
-		out.accept[c] = d.accept[old]
-		for sym := 0; sym < AlphabetSize; sym++ {
-			out.trans[c][sym] = int32(class[reach[int(d.trans[old][sym])]])
-		}
-	}
-	out.start = class[reach[d.start]]
-	return out
 }
 
 func appendInt(b []byte, v int) []byte {

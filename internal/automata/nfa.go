@@ -452,75 +452,6 @@ func (n *NFA) determinizeCappedC(maxStates int) (*CDFA, bool) {
 	return c.coarsen(), true
 }
 
-// determinizeDense is the per-symbol reference implementation, kept for the
-// differential tests in this package.
-func (n *NFA) determinizeDense() *DFA {
-	type key string
-	enc := func(set []int) key {
-		b := make([]byte, 0, len(set)*3)
-		for _, s := range set {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16))
-		}
-		return key(b)
-	}
-	d := &DFA{}
-	dead := d.AddState() // state 0 is the dead state
-	for sym := 0; sym < AlphabetSize; sym++ {
-		d.SetEdge(dead, sym, dead)
-	}
-
-	startSet := n.epsClosure([]int{n.start})
-	ids := map[key]int{enc(startSet): 0}
-	// Reserve: we want start to be its own DFA state distinct from dead.
-	startID := d.AddState()
-	ids[enc(startSet)] = startID
-	d.start = startID
-	sets := map[int][]int{startID: startSet}
-	work := []int{startID}
-
-	anyAccept := func(set []int) bool {
-		for _, s := range set {
-			if n.accept[s] {
-				return true
-			}
-		}
-		return false
-	}
-	d.accept[startID] = anyAccept(startSet)
-
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		set := sets[id]
-		// Gather successor sets per symbol.
-		succ := make(map[int][]int)
-		for _, s := range set {
-			for sym, tos := range n.trans[s] {
-				succ[sym] = append(succ[sym], tos...)
-			}
-		}
-		for sym := 0; sym < AlphabetSize; sym++ {
-			tos, ok := succ[sym]
-			if !ok {
-				d.SetEdge(id, sym, dead)
-				continue
-			}
-			cl := n.epsClosure(tos)
-			k := enc(cl)
-			tid, ok := ids[k]
-			if !ok {
-				tid = d.AddState()
-				ids[k] = tid
-				sets[tid] = cl
-				d.accept[tid] = anyAccept(cl)
-				work = append(work, tid)
-			}
-			d.SetEdge(id, sym, tid)
-		}
-	}
-	return d
-}
-
 // Accepts reports whether the NFA accepts the given symbol sequence.
 func (n *NFA) Accepts(syms []int) bool {
 	cur := n.epsClosure([]int{n.start})

@@ -134,24 +134,21 @@ var scratchPool = sync.Pool{New: func() any { return &earleyScratch{} }}
 // targets (reference nonterminals). It returns the witnessing target when
 // derivable.
 func (c *Checker) Derivable(g *grammar.Grammar, root grammar.Sym, targets []grammar.Sym) (grammar.Sym, bool) {
-	return c.DerivableB(g, root, targets, nil)
+	return c.DerivableT(g, root, targets, nil, nil)
 }
 
-// DerivableB is Derivable metered by b: every Earley run and every item it
-// admits count one step each, so adversarial forms trip the step or
-// deadline budget instead of stalling a worker. The Checker's own
-// MaxParses/MaxFlatten budgets answer "not derivable" (conservative); b
+// DerivableT is Derivable metered by b and observed by sp. Every Earley run
+// and every item it admits count one step each, so adversarial forms trip
+// the step or deadline budget instead of stalling a worker. The Checker's
+// own MaxParses/MaxFlatten budgets answer "not derivable" (conservative); b
 // panics with *budget.Exceeded for the hotspot boundary to turn into an
 // explicit unknown verdict. A nil b is unlimited.
-func (c *Checker) DerivableB(g *grammar.Grammar, root grammar.Sym, targets []grammar.Sym, b *budget.Budget) (grammar.Sym, bool) {
-	return c.DerivableT(g, root, targets, b, nil)
-}
-
-// DerivableT is DerivableB observed by sp: the session's Earley traffic —
-// parses run and items admitted across refinement and search — flushes
-// onto the span when the check finishes, whichever way it exits
-// ("earley.parses", "earley.items"). The per-item cost stays one integer
-// increment next to the existing budget probe. A nil sp records nothing.
+//
+// The session's Earley traffic — parses run and items admitted across
+// refinement and search — flushes onto sp when the check finishes,
+// whichever way it exits ("earley.parses", "earley.items"). The per-item
+// cost stays one integer increment next to the existing budget probe. A nil
+// sp records nothing.
 func (c *Checker) DerivableT(g *grammar.Grammar, root grammar.Sym, targets []grammar.Sym, b *budget.Budget, sp *obs.Span) (grammar.Sym, bool) {
 	s := &session{c: c, b: b, earley: scratchPool.Get().(*earleyScratch)}
 	defer func() {

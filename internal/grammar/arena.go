@@ -5,24 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// Arena-backed grammar storage. In arena mode (ArenaAllocation, the default)
-// a Grammar keeps every right-hand side in one per-grammar append-only
-// symbol slab, and productions are {offset, length} references into it —
-// building a 70k-production page grammar costs a handful of slab
-// reallocations instead of one heap object per production. Pure-terminal
-// runs (string literals, which repeat heavily across pages and hotspots of
-// one app) are additionally interned process-globally: equal content maps to
-// the same region of a shared immutable slab, so index equality is content
-// equality — the same discipline automata.Intern applies to DFAs.
-
-// ArenaAllocation selects the slab-backed production storage for Grammars
-// created after the flag is read (New captures it). The two representations
-// hold identical productions in identical order — every accessor is
-// representation-agnostic — so analyses produce byte-identical findings
-// either way; the flag exists so the differential tests can force the
-// retained slice-backed path and compare whole reports, exactly like
-// AlphabetCompression. Toggle only in tests, before any analysis runs.
-var ArenaAllocation = true
+// Arena-backed grammar storage. A Grammar keeps every right-hand side in one
+// per-grammar append-only symbol slab, and productions are {offset, length}
+// references into it — building a 70k-production page grammar costs a
+// handful of slab reallocations instead of one heap object per production.
+// Pure-terminal runs (string literals, which repeat heavily across pages and
+// hotspots of one app) are additionally interned process-globally: equal
+// content maps to the same region of a shared immutable slab, so index
+// equality is content equality — the same discipline automata.Intern applies
+// to DFAs.
 
 // prodRef locates one production's right-hand side: n symbols at off. A
 // non-negative off indexes the owning grammar's slab; a negative off encodes
@@ -174,23 +165,12 @@ func ArenaStatsSnapshot() ArenaStats {
 }
 
 // SlabBytes reports the grammar's resident production storage in bytes: the
-// symbol slab plus the production reference rows (arena mode), or the sum of
-// the per-production slices (slice mode). Shared interned regions are global
-// and not charged to any one grammar.
+// symbol slab plus the production reference rows. Shared interned regions
+// are global and not charged to any one grammar.
 func (g *Grammar) SlabBytes() int64 {
-	if g.arena {
-		b := int64(cap(g.syms)) * 4
-		for _, row := range g.refs {
-			b += int64(cap(row)) * 8
-		}
-		return b
-	}
-	var b int64
-	for _, rules := range g.prods {
-		b += int64(cap(rules)) * 24
-		for _, rhs := range rules {
-			b += int64(cap(rhs)) * 4
-		}
+	b := int64(cap(g.syms)) * 4
+	for _, row := range g.refs {
+		b += int64(cap(row)) * 8
 	}
 	return b
 }

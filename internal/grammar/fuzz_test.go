@@ -93,7 +93,7 @@ func FuzzIntersect(f *testing.F) {
 				}
 			}
 		}()
-		nr, nonempty := IntersectIntoB(g, root, d, b)
+		nr, nonempty := IntersectIntoT(g, root, d, b, nil)
 		if !nonempty {
 			return
 		}

@@ -83,22 +83,16 @@ func (l Label) String() string {
 // Grammar is a context-free grammar with labeled nonterminals. Nonterminal
 // identifiers are dense and local to one Grammar instance.
 //
-// Productions are stored in one of two representations holding identical
-// content in identical order. In arena mode (the ArenaAllocation default)
-// every right-hand side lives in the flat syms slab (or the process-global
-// interned terminal-run pool) and refs[i] holds {off, len} references; in
-// slice mode prods[i] holds one heap slice per production, the seed layout
-// retained for differential testing. All accessors are representation-
-// agnostic.
+// Every right-hand side lives in the flat syms slab (or the process-global
+// interned terminal-run pool, see arena.go) and refs[i] holds its {off, len}
+// references.
 type Grammar struct {
 	names    []string
 	labels   []Label
-	prods    [][][]Sym   // slice mode: prods[ntIndex][prodIndex] = rhs
-	refs     [][]prodRef // arena mode: refs[ntIndex][prodIndex] -> syms/pool
-	syms     []Sym       // arena mode: flat RHS symbol slab
+	refs     [][]prodRef // refs[ntIndex][prodIndex] -> syms/pool
+	syms     []Sym       // flat RHS symbol slab
 	start    Sym
 	numProds int
-	arena    bool
 	epoch    uint64 // bumped on every mutation; canonicalization memo key
 	keyBuf   []byte // scratch for intern-pool probes (single-writer)
 
@@ -106,18 +100,14 @@ type Grammar struct {
 }
 
 // New returns an empty grammar with no nonterminals and no start symbol.
-func New() *Grammar { return &Grammar{start: -1, arena: ArenaAllocation} }
+func New() *Grammar { return &Grammar{start: -1} }
 
 // NewNT adds a fresh nonterminal. An empty name is allowed; Name fabricates
 // a placeholder when asked.
 func (g *Grammar) NewNT(name string) Sym {
 	g.names = append(g.names, name)
 	g.labels = append(g.labels, 0)
-	if g.arena {
-		g.refs = append(g.refs, nil)
-	} else {
-		g.prods = append(g.prods, nil)
-	}
+	g.refs = append(g.refs, nil)
 	g.epoch++
 	return Sym(NumTerminals + len(g.names) - 1)
 }
@@ -146,22 +136,16 @@ func (g *Grammar) IsNT(s Sym) bool {
 // Add appends the production lhs → rhs.
 func (g *Grammar) Add(lhs Sym, rhs ...Sym) {
 	i := g.ntIndex(lhs)
-	if g.arena {
-		g.refs[i] = append(g.refs[i], g.placeRHS(rhs))
-	} else {
-		cp := make([]Sym, len(rhs))
-		copy(cp, rhs)
-		g.prods[i] = append(g.prods[i], cp)
-	}
+	g.refs[i] = append(g.refs[i], g.placeRHS(rhs))
 	g.numProds++
 	g.epoch++
 }
 
-// AddString appends the production lhs → the terminal sequence of s. In
-// arena mode long strings intern directly against the global pool with no
-// intermediate symbol slice.
+// AddString appends the production lhs → the terminal sequence of s. Long
+// strings intern directly against the global pool with no intermediate
+// symbol slice.
 func (g *Grammar) AddString(lhs Sym, s string) {
-	if g.arena && len(s) >= internMinRun && len(s) < internChunkSize {
+	if len(s) >= internMinRun && len(s) < internChunkSize {
 		i := g.ntIndex(lhs)
 		g.refs[i] = append(g.refs[i], internRun(s))
 		g.numProds++
@@ -210,19 +194,9 @@ func (g *Grammar) NumProdsOf(nt Sym) int { return g.numProdsAt(g.ntIndex(nt)) }
 // not mutate the returned slice; it aliases the grammar's storage.
 func (g *Grammar) Rhs(nt Sym, pi int) []Sym { return g.rhsAt(g.ntIndex(nt), pi) }
 
-func (g *Grammar) numProdsAt(i int) int {
-	if g.arena {
-		return len(g.refs[i])
-	}
-	return len(g.prods[i])
-}
+func (g *Grammar) numProdsAt(i int) int { return len(g.refs[i]) }
 
-func (g *Grammar) rhsAt(i, pi int) []Sym {
-	if g.arena {
-		return g.refSyms(g.refs[i][pi])
-	}
-	return g.prods[i][pi]
-}
+func (g *Grammar) rhsAt(i, pi int) []Sym { return g.refSyms(g.refs[i][pi]) }
 
 // refSyms resolves a production reference to its symbol slice.
 func (g *Grammar) refSyms(r prodRef) []Sym {
@@ -237,11 +211,7 @@ func (g *Grammar) refSyms(r prodRef) []Sym {
 func (g *Grammar) clearProds(nt Sym) {
 	i := g.ntIndex(nt)
 	g.numProds -= g.numProdsAt(i)
-	if g.arena {
-		g.refs[i] = nil
-	} else {
-		g.prods[i] = nil
-	}
+	g.refs[i] = nil
 	g.epoch++
 }
 

@@ -21,7 +21,7 @@ import (
 // The boolean result reports whether the intersection is nonempty; when it
 // is empty the returned symbol is invalid and must not be used.
 func IntersectInto(g *Grammar, root Sym, d *automata.DFA) (Sym, bool) {
-	return IntersectIntoB(g, root, d, nil)
+	return IntersectIntoT(g, root, d, nil, nil)
 }
 
 // intersectItemBytes estimates the footprint of one discovered (X, i, j)
@@ -29,22 +29,18 @@ func IntersectInto(g *Grammar, root Sym, d *automata.DFA) (Sym, bool) {
 // production bookkeeping.
 const intersectItemBytes = 96
 
-// IntersectIntoB is IntersectInto metered by b: the worklist construction
-// is worst-case O(|R|·|Q|³) and b bounds it cooperatively — one step per
-// discovered item and per worklist pop, plus a memory estimate per item.
-// On exhaustion b panics with *budget.Exceeded (recovered at the hotspot
-// boundary); g may then hold a partial construction and must be discarded.
-// A nil b is unlimited.
-func IntersectIntoB(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget) (Sym, bool) {
-	return IntersectIntoT(g, root, d, b, nil)
-}
-
-// IntersectIntoT is IntersectIntoB observed by sp: the discovered-item and
-// normalized-rule totals flush onto the span when the construction
-// finishes (counters "intersect.items", "intersect.rules"). Like the
-// budget probes, the hot loop touches no tracer state — each discovered
-// item is pushed and popped exactly once, so the final item count is the
-// worklist traffic. A nil sp records nothing.
+// IntersectIntoT is IntersectInto metered by b and observed by sp. The
+// worklist construction is worst-case O(|R|·|Q|³) and b bounds it
+// cooperatively — one step per discovered item and per worklist pop, plus a
+// memory estimate per item. On exhaustion b panics with *budget.Exceeded
+// (recovered at the unit boundary); g may then hold a partial construction
+// and must be discarded. A nil b is unlimited.
+//
+// The discovered-item and normalized-rule totals flush onto sp when the
+// construction finishes (counters "intersect.items", "intersect.rules").
+// Like the budget probes, the hot loop touches no tracer state — each
+// discovered item is pushed and popped exactly once, so the final item
+// count is the worklist traffic. A nil sp records nothing.
 func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp *obs.Span) (Sym, bool) {
 	d.Complete()
 	nq := d.NumStates()
@@ -296,41 +292,28 @@ func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp 
 	}
 	// Seed: X -> t gives (X, i, d(i,t)). Terminals in the same byte class
 	// share the same successor column; build each class's q→d(q,t) table
-	// lazily and reuse it for every terminal of the class. The discover
-	// order (t ascending, q ascending) is unchanged, so item and
-	// nonterminal numbering match the per-symbol seeding exactly.
-	var cd *automata.CDFA
-	var classTo [][]int32
-	if AlphabetCompression {
-		cd = d.Compressed()
-		classTo = make([][]int32, cd.NumClasses())
-	}
+	// lazily and reuse it for every terminal of the class. Seeds are
+	// discovered t ascending, q ascending, which fixes item and nonterminal
+	// numbering.
+	cd := d.Compressed()
+	classTo := make([][]int32, cd.NumClasses())
 	for t := 0; t < NumTerminals; t++ {
 		lhss := unitT[t]
 		if len(lhss) == 0 {
 			continue
 		}
-		var col []int32
-		if cd != nil {
-			cls := cd.ClassOf(t)
-			col = classTo[cls]
-			if col == nil {
-				col = make([]int32, nq)
-				for q := 0; q < nq; q++ {
-					col[q] = int32(cd.StepClass(q, cls))
-				}
-				classTo[cls] = col
+		cls := cd.ClassOf(t)
+		col := classTo[cls]
+		if col == nil {
+			col = make([]int32, nq)
+			for q := 0; q < nq; q++ {
+				col[q] = int32(cd.StepClass(q, cls))
 			}
+			classTo[cls] = col
 		}
 		for q := 0; q < nq; q++ {
-			var to int32
-			if col != nil {
-				to = col[q]
-			} else {
-				to = int32(d.Step(q, t))
-			}
 			for _, lhs := range lhss {
-				discover(lhs, int32(q), to, Sym(t), -1, 1)
+				discover(lhs, int32(q), col[q], Sym(t), -1, 1)
 			}
 		}
 	}
@@ -398,15 +381,10 @@ func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp 
 // the constructed grammar (it still runs the Figure 7 worklist on a scratch
 // copy so g is left unchanged).
 func IntersectEmpty(g *Grammar, root Sym, d *automata.DFA) bool {
-	return IntersectEmptyB(g, root, d, nil)
+	return IntersectEmptyT(g, root, d, nil, nil)
 }
 
-// IntersectEmptyB is IntersectEmpty metered by b.
-func IntersectEmptyB(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget) bool {
-	return IntersectEmptyT(g, root, d, b, nil)
-}
-
-// IntersectEmptyT is IntersectEmptyB observed by sp.
+// IntersectEmptyT is IntersectEmpty metered by b and observed by sp.
 func IntersectEmptyT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp *obs.Span) bool {
 	scratch, remap := g.Extract(root)
 	_, ok := IntersectIntoT(scratch, remap[root], d, b, sp)
@@ -415,15 +393,10 @@ func IntersectEmptyT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp
 
 // IntersectWitness returns a shortest string in L(root) ∩ L(d), if any.
 func IntersectWitness(g *Grammar, root Sym, d *automata.DFA) (string, bool) {
-	return IntersectWitnessB(g, root, d, nil)
+	return IntersectWitnessT(g, root, d, nil, nil)
 }
 
-// IntersectWitnessB is IntersectWitness metered by b.
-func IntersectWitnessB(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget) (string, bool) {
-	return IntersectWitnessT(g, root, d, b, nil)
-}
-
-// IntersectWitnessT is IntersectWitnessB observed by sp.
+// IntersectWitnessT is IntersectWitness metered by b and observed by sp.
 func IntersectWitnessT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp *obs.Span) (string, bool) {
 	scratch, remap := g.Extract(root)
 	nr, ok := IntersectIntoT(scratch, remap[root], d, b, sp)

@@ -225,22 +225,15 @@ func (g *Grammar) Extract(root Sym) (*Grammar, map[Sym]Sym) {
 			continue
 		}
 		nlhs := remap[Sym(NumTerminals+i)]
-		if g.arena && out.arena {
-			// Interned regions are pure-terminal, hence invariant under
-			// nonterminal remapping: share them by reference instead of
-			// copying the run into the new slab.
-			for _, r := range g.refs[i] {
-				if r.off < 0 {
-					out.addRef(nlhs, r)
-					continue
-				}
-				buf = remapRHS(buf[:0], g.refSyms(r), remap)
-				out.Add(nlhs, buf...)
+		// Interned regions are pure-terminal, hence invariant under
+		// nonterminal remapping: share them by reference instead of copying
+		// the run into the new slab.
+		for _, r := range g.refs[i] {
+			if r.off < 0 {
+				out.addRef(nlhs, r)
+				continue
 			}
-			continue
-		}
-		for pi := 0; pi < g.numProdsAt(i); pi++ {
-			buf = remapRHS(buf[:0], g.rhsAt(i, pi), remap)
+			buf = remapRHS(buf[:0], g.refSyms(r), remap)
 			out.Add(nlhs, buf...)
 		}
 	}
@@ -272,54 +265,33 @@ func (g *Grammar) ReplaceWithMarker(root, x Sym) *Grammar {
 		return sub // x not reachable: nothing to replace
 	}
 	sub.clearProds(nx)
-	if sub.arena {
-		// Interned regions are pure-terminal and cannot contain nx; only
-		// slab-resident rows can need rewriting. The replacement run is
-		// appended to the slab and the row repointed.
-		for i := range sub.refs {
-			for ri, r := range sub.refs[i] {
-				if r.off < 0 {
-					continue
-				}
-				rhs := sub.refSyms(r)
-				hit := false
-				for _, s := range rhs {
-					if s == nx {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					continue
-				}
-				off := len(sub.syms)
-				for _, s := range rhs {
-					if s == nx {
-						s = MarkerSym
-					}
-					sub.syms = append(sub.syms, s)
-				}
-				sub.refs[i][ri] = prodRef{off: int32(off), n: r.n}
+	// Interned regions are pure-terminal and cannot contain nx; only
+	// slab-resident rows can need rewriting. The replacement run is appended
+	// to the slab and the row repointed.
+	for i := range sub.refs {
+		for ri, r := range sub.refs[i] {
+			if r.off < 0 {
+				continue
 			}
-		}
-		sub.epoch++
-		return sub
-	}
-	for i, rules := range sub.prods {
-		for ri, rhs := range rules {
-			for k, s := range rhs {
+			rhs := sub.refSyms(r)
+			hit := false
+			for _, s := range rhs {
 				if s == nx {
-					nr := make([]Sym, len(rhs))
-					copy(nr, rhs)
-					for k2 := k; k2 < len(nr); k2++ {
-						if nr[k2] == nx {
-							nr[k2] = MarkerSym
-						}
-					}
-					sub.prods[i][ri] = nr
+					hit = true
 					break
 				}
 			}
+			if !hit {
+				continue
+			}
+			off := len(sub.syms)
+			for _, s := range rhs {
+				if s == nx {
+					s = MarkerSym
+				}
+				sub.syms = append(sub.syms, s)
+			}
+			sub.refs[i][ri] = prodRef{off: int32(off), n: r.n}
 		}
 	}
 	sub.epoch++

@@ -10,16 +10,6 @@ import (
 	"sqlciv/internal/obs"
 )
 
-// AlphabetCompression selects the byte-class execution paths in the
-// relation fixpoints and the intersection seeding: terminal runs are
-// translated byte→class once per partition and composed on the class-indexed
-// transition slab, with runs that collapse to the same class sequence
-// sharing one composed state map. The two paths produce byte-identical
-// results (the class-indexed DFA is a lossless re-indexing); the flag exists
-// so the differential tests can force the dense path and compare whole
-// reports. Toggle only in tests, before any analysis runs.
-var AlphabetCompression = true
-
 // relMemo counts RelsT's class-string memo traffic across the process:
 // a hit means a terminal run's composed state map was copied from another
 // run with the same class sequence instead of being recomposed.
@@ -47,33 +37,11 @@ const MaxRelStates = 32
 
 // Rels returns rels[nt][p] = bitmask of states q such that some string of
 // L(nt) drives d from p to q. Unproductive nonterminals have empty
-// relations. Returns nil when d has more than MaxRelStates states.
+// relations. Returns nil when d has more than MaxRelStates states. Callers
+// running several fixpoints over one grammar build one RelPlan and call
+// RelsT per DFA instead.
 func Rels(g *Grammar, d *automata.DFA) [][]uint32 {
-	return RelsMin(g, d, g.MinLens())
-}
-
-// RelsMin is Rels with the emptiness fixpoint (MinLens) supplied by the
-// caller, so one computation can be shared across the several relation
-// fixpoints the policy cascade runs over the same grammar. The fixpoint is
-// a production worklist: a production is re-evaluated only when the
-// relation of one of its right-hand-side nonterminals grew.
-func RelsMin(g *Grammar, d *automata.DFA, minLens []int64) [][]uint32 {
-	return RelsMinB(g, d, minLens, nil)
-}
-
-// RelsMinB is RelsMin metered by b (one step per worklist pop). A nil b is
-// unlimited.
-func RelsMinB(g *Grammar, d *automata.DFA, minLens []int64, b *budget.Budget) [][]uint32 {
-	return RelsMinT(g, d, minLens, b, nil)
-}
-
-// RelsMinT is RelsMinB observed by sp: the fixpoint's worklist traffic
-// (counter "rels.pops" — every production re-evaluation) and the snapshot
-// size ("rels.prods") flush onto the span when the fixpoint converges.
-// The queue only ever grows, so its final length is the pop count and the
-// hot loop stays tracer-free. A nil sp records nothing.
-func RelsMinT(g *Grammar, d *automata.DFA, minLens []int64, b *budget.Budget, sp *obs.Span) [][]uint32 {
-	return NewRelPlan(g, minLens, b).RelsT(d, b, sp)
+	return NewRelPlan(g, g.MinLens(), nil).RelsT(d, nil, nil)
 }
 
 // A RelPlan is the DFA-independent half of the relation fixpoint over one
@@ -206,11 +174,22 @@ func (p *RelPlan) prodSegs(pp planProd) []planSeg {
 	return p.segs[pp.off : pp.off+pp.n]
 }
 
-// RelsT runs the relation fixpoint for d over the plan's grammar. Each
+// RelsT runs the relation fixpoint for d over the plan's grammar, metered by
+// b (one step per run composition and per worklist pop; nil is unlimited).
+// The fixpoint is a production worklist: a production is re-evaluated only
+// when the relation of one of its right-hand-side nonterminals grew. Each
 // distinct terminal run is composed through d into a state map once up
-// front, so re-evaluating a production costs one bitset pass per segment
-// regardless of how many terminals the run packs (compacted slices carry
-// long byte runs). See RelsMinT for the counters flushed onto sp.
+// front, on the class-indexed transition slab: runs are translated
+// byte→class once per partition (cached on the plan), and runs that collapse
+// to the same class sequence under d's partition share one composed state
+// map via the class-string memo. Re-evaluating a production then costs one
+// bitset pass per segment regardless of how many terminals the run packs
+// (compacted slices carry long byte runs).
+//
+// The worklist traffic (counter "rels.pops" — every production
+// re-evaluation) and the snapshot size ("rels.prods") flush onto sp when the
+// fixpoint converges. The queue only ever grows, so its final length is the
+// pop count and the hot loop stays tracer-free. A nil sp records nothing.
 func (p *RelPlan) RelsT(d *automata.DFA, b *budget.Budget, sp *obs.Span) [][]uint32 {
 	d.Complete()
 	nq := d.NumStates()
@@ -223,52 +202,33 @@ func (p *RelPlan) RelsT(d *automata.DFA, b *budget.Budget, sp *obs.Span) [][]uin
 		rel[i] = flat[i*nq : (i+1)*nq : (i+1)*nq]
 	}
 	runMaps := make([]uint8, len(p.runs)*nq)
-	if AlphabetCompression {
-		// Compose each run on the class-indexed slab, translating byte→class
-		// once per partition (cached on the plan). Runs that collapse to the
-		// same class sequence under this DFA's partition share one composed
-		// state map via the class-string memo.
-		cd := d.Compressed()
-		cr := p.classRunsFor(cd.Classes())
-		memo := make(map[string]int32, len(p.runs))
-		var hits, misses int64
-		for ri := range p.runs {
-			b.Step(1)
-			rm := runMaps[ri*nq : (ri+1)*nq]
-			if src, ok := memo[cr.keys[ri]]; ok {
-				copy(rm, runMaps[int(src)*nq:(int(src)+1)*nq])
-				hits++
-				continue
-			}
-			memo[cr.keys[ri]] = int32(ri)
-			misses++
-			for q := 0; q < nq; q++ {
-				rm[q] = uint8(q)
-			}
-			for _, c := range cr.runs[ri] {
-				for q := 0; q < nq; q++ {
-					rm[q] = uint8(cd.StepClass(int(rm[q]), int(c)))
-				}
-			}
+	cd := d.Compressed()
+	cr := p.classRunsFor(cd.Classes())
+	memo := make(map[string]int32, len(p.runs))
+	var hits, misses int64
+	for ri := range p.runs {
+		b.Step(1)
+		rm := runMaps[ri*nq : (ri+1)*nq]
+		if src, ok := memo[cr.keys[ri]]; ok {
+			copy(rm, runMaps[int(src)*nq:(int(src)+1)*nq])
+			hits++
+			continue
 		}
-		relMemo.hits.Add(hits)
-		relMemo.misses.Add(misses)
-		sp.Count("rels.runmemo.hits", hits)
-		sp.Count("rels.runmemo.misses", misses)
-	} else {
-		for ri, run := range p.runs {
-			b.Step(1)
-			rm := runMaps[ri*nq : (ri+1)*nq]
+		memo[cr.keys[ri]] = int32(ri)
+		misses++
+		for q := 0; q < nq; q++ {
+			rm[q] = uint8(q)
+		}
+		for _, c := range cr.runs[ri] {
 			for q := 0; q < nq; q++ {
-				rm[q] = uint8(q)
-			}
-			for _, s := range run {
-				for q := 0; q < nq; q++ {
-					rm[q] = uint8(d.Step(int(rm[q]), int(s)))
-				}
+				rm[q] = uint8(cd.StepClass(int(rm[q]), int(c)))
 			}
 		}
 	}
+	relMemo.hits.Add(hits)
+	relMemo.misses.Add(misses)
+	sp.Count("rels.runmemo.hits", hits)
+	sp.Count("rels.runmemo.misses", misses)
 
 	cur := make([]uint32, nq)
 	next := make([]uint32, nq)
@@ -364,7 +324,7 @@ func RelNonempty(rels [][]uint32, d *automata.DFA, g *Grammar, nt Sym) bool {
 // metered by b.
 func RelNonemptyB(rels [][]uint32, d *automata.DFA, g *Grammar, nt Sym, b *budget.Budget) bool {
 	if rels == nil {
-		return !IntersectEmptyB(g, nt, d, b)
+		return !IntersectEmptyT(g, nt, d, b, nil)
 	}
 	row := rels[int(nt)-NumTerminals]
 	m := row[d.Start()]
@@ -383,23 +343,14 @@ func RelNonemptyB(rels [][]uint32, d *automata.DFA, g *Grammar, nt Sym, b *budge
 // derivation from root (0 = the nonterminal never occurs in a complete
 // derivation). rels must come from Rels(g, d).
 func Contexts(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32) []uint32 {
-	return ContextsMin(g, root, d, rels, g.MinLens())
+	return ContextsMinT(g, root, d, rels, g.MinLens(), nil, nil)
 }
 
-// ContextsMin is Contexts with the MinLens fixpoint supplied by the caller.
-func ContextsMin(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32, minLens []int64) []uint32 {
-	return ContextsMinB(g, root, d, rels, minLens, nil)
-}
-
-// ContextsMinB is ContextsMin metered by b (one step per production
-// evaluation). A nil b is unlimited.
-func ContextsMinB(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32, minLens []int64, b *budget.Budget) []uint32 {
-	return ContextsMinT(g, root, d, rels, minLens, b, nil)
-}
-
-// ContextsMinT is ContextsMinB observed by sp: the number of passes the
-// round-robin fixpoint needed flushes onto the span as "contexts.passes".
-// A nil sp records nothing.
+// ContextsMinT is Contexts with the MinLens fixpoint supplied by the
+// caller, metered by b (one step per production evaluation; nil is
+// unlimited) and observed by sp: the number of passes the round-robin
+// fixpoint needed flushes onto the span as "contexts.passes". A nil sp
+// records nothing.
 func ContextsMinT(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32, minLens []int64, b *budget.Budget, sp *obs.Span) []uint32 {
 	n := g.NumNTs()
 	ctx := make([]uint32, n)
@@ -410,10 +361,7 @@ func ContextsMinT(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32, minLen
 	if minLens[ri] >= 0 {
 		ctx[ri] = 1 << uint(d.Start())
 	}
-	var cd *automata.CDFA
-	if AlphabetCompression {
-		cd = d.Compressed()
-	}
+	cd := d.Compressed()
 	passes := int64(0)
 	changed := true
 	for changed {
@@ -435,19 +383,11 @@ func ContextsMinT(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32, minLen
 				if IsTerminal(s) {
 					var next uint32
 					m := states
-					if cd != nil {
-						cls := cd.ClassOf(int(s))
-						for m != 0 {
-							p := bits.TrailingZeros32(m)
-							m &= m - 1
-							next |= 1 << uint(cd.StepClass(p, cls))
-						}
-					} else {
-						for m != 0 {
-							p := bits.TrailingZeros32(m)
-							m &= m - 1
-							next |= 1 << uint(d.Step(p, int(s)))
-						}
+					cls := cd.ClassOf(int(s))
+					for m != 0 {
+						p := bits.TrailingZeros32(m)
+						m &= m - 1
+						next |= 1 << uint(cd.StepClass(p, cls))
 					}
 					states = next
 					continue

@@ -205,7 +205,7 @@ func TestDegradedVerdictNotPersisted(t *testing.T) {
 	c := New()
 	c.Disk = openStore(t, dir)
 	b := budget.New(context.Background(), budget.Limits{MaxSteps: 1})
-	res := c.CheckHotspotB(g, root, b)
+	res := c.CheckHotspotT(g, root, b, nil)
 	if res.Verdict != VerdictUnknown {
 		t.Fatalf("tiny budget must degrade the check, got %v", res.Verdict)
 	}

@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sqlciv/internal/grammar"
@@ -111,8 +112,10 @@ func randomQueryGrammar(r *rand.Rand) (*grammar.Grammar, grammar.Sym) {
 }
 
 // TestContextPassMatchesMarkerConstruction differentially tests the fast
-// relation-based cascade against the paper's reference constructions: the
-// two checkers must agree on every report.
+// relation-based cascade over the compacted slice against the paper's
+// reference constructions over the uncompacted one: the two checkers must
+// agree on the verdict, the labeled-NT census, and every report field,
+// witnesses included.
 func TestContextPassMatchesMarkerConstruction(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	fast := New()
@@ -122,15 +125,13 @@ func TestContextPassMatchesMarkerConstruction(t *testing.T) {
 		g, q := randomQueryGrammar(r)
 		rf := fast.CheckHotspot(g, q)
 		rs := slow.CheckHotspot(g, q)
-		if rf.Verified != rs.Verified || len(rf.Reports) != len(rs.Reports) {
-			t.Fatalf("trial %d: fast %v/%d reports, slow %v/%d reports\n%s",
-				trial, rf.Verified, len(rf.Reports), rs.Verified, len(rs.Reports), g.String())
+		if rf.Verdict != rs.Verdict || rf.LabeledNTs != rs.LabeledNTs {
+			t.Fatalf("trial %d: fast %v/%d labeled NTs, slow %v/%d labeled NTs\n%s",
+				trial, rf.Verdict, rf.LabeledNTs, rs.Verdict, rs.LabeledNTs, g.String())
 		}
-		for i := range rf.Reports {
-			if rf.Reports[i].NT != rs.Reports[i].NT || rf.Reports[i].Check != rs.Reports[i].Check {
-				t.Fatalf("trial %d report %d: fast %v@%v, slow %v@%v",
-					trial, i, rf.Reports[i].Check, rf.Reports[i].NT, rs.Reports[i].Check, rs.Reports[i].NT)
-			}
+		if !reflect.DeepEqual(rf.Reports, rs.Reports) {
+			t.Fatalf("trial %d: reports diverged\nfast: %+v\nslow: %+v\n%s",
+				trial, rf.Reports, rs.Reports, g.String())
 		}
 	}
 }

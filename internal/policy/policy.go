@@ -146,7 +146,7 @@ type Result struct {
 	BudgetMemHigh int64 // memory high-water estimate in bytes
 	// Slice compaction census: the extracted slice's |V| / |R| and the
 	// compacted grammar the cascade fixpoints actually ran over. All zero
-	// when compaction was off (marker-construction mode, Compact=false).
+	// in marker-construction mode, which runs on the uncompacted slice.
 	SliceNTs, SliceProds     int
 	CompactNTs, CompactProds int
 }
@@ -162,8 +162,11 @@ type Checker struct {
 	// UseMarkerConstruction selects the paper's original check-2 mechanism
 	// (replace the nonterminal with a marker terminal, intersect with a
 	// context automaton) instead of the equivalent one-pass quote-parity
-	// dataflow. The two are differentially tested; the dataflow is the
-	// default because it handles all labeled nonterminals in one pass.
+	// dataflow. The marker mode runs checks 1–4 as per-nonterminal
+	// intersections over the uncompacted slice, so it is also the reference
+	// the compacted cascade is differentially tested against; the dataflow
+	// over the compacted slice is the default because it handles all
+	// labeled nonterminals in one pass.
 	UseMarkerConstruction bool
 
 	// Memoize enables the fingerprint-keyed verdict cache: hotspots whose
@@ -173,20 +176,12 @@ type Checker struct {
 	// measure the cascade, not the cache; core.AnalyzeApp turns it on.
 	Memoize bool
 
-	// Compact (on by default via New) runs grammar.CompactSlice on each
-	// hotspot slice and evaluates the cascade's relation/context fixpoints
-	// — language- and label-level properties, exactly preserved by
-	// compaction — over the much smaller compacted grammar. Witness
-	// extraction and the structural derivability check stay on the original
-	// slice, so reports are byte-identical with Compact off; the flag exists
-	// for differential tests and A/B benchmarks.
-	Compact bool
-
 	// Disk, when set, persists verdicts across runs, keyed by the
 	// fingerprint of the compacted slice plus CacheVersion. Only complete
 	// (non-degraded) verdicts are stored; entries become visible to later
 	// runs when the owner calls Disk.Flush (core never flushes mid-run, so
-	// cold results stay schedule-independent). Requires Compact.
+	// cold results stay schedule-independent). Marker-construction mode
+	// never compacts and so never consults it.
 	Disk *vcache.Store
 
 	verdicts    sync.Map // grammar.Fingerprint -> *Result
@@ -336,7 +331,6 @@ func New() *Checker {
 	sql := sqlgram.Get()
 	return &Checker{
 		sql:         sql,
-		Compact:     true,
 		deriv:       deriv.New(sql.G),
 		oddQuotes:   prebuilt.oddQuotes,
 		unescQuote:  prebuilt.unescQuote,
@@ -463,7 +457,7 @@ func buildEvenContextDFA() *automata.DFA {
 // fingerprint; a hit returns a Result sharing the cached Reports slice
 // (callers must treat it as read-only) with only CheckTime fresh.
 func (c *Checker) CheckHotspot(g *grammar.Grammar, root grammar.Sym) *Result {
-	return c.CheckHotspotB(g, root, nil)
+	return c.CheckHotspotT(g, root, nil, nil)
 }
 
 // DegradedResult builds the VerdictUnknown Result for a recovered panic
@@ -486,21 +480,19 @@ func DegradedResult(r any, b *budget.Budget) *Result {
 	return res
 }
 
-// CheckHotspotB is CheckHotspot metered by b. Budget trips and panics
-// anywhere in the cascade are recovered here and degrade the hotspot to a
-// VerdictUnknown Result — reported, never silently passed — so one
-// pathological or poisoned hotspot cannot take down the run. Degraded
-// results are not cached: they depend on timing and remaining budget, and a
-// retry with a larger budget could succeed.
-func (c *Checker) CheckHotspotB(g *grammar.Grammar, root grammar.Sym, b *budget.Budget) (res *Result) {
-	return c.CheckHotspotT(g, root, b, nil)
-}
-
-// CheckHotspotT is CheckHotspotB observed by sp (normally the hotspot span
-// the core driver opened): each cascade stage and the derivability session
-// get child spans carrying their fixpoint counters, and the verdict-cache
-// outcome lands on sp itself (attr "verdict-cache", counters
-// "verdict.cache.hits"/"verdict.cache.misses"). A nil sp traces nothing.
+// CheckHotspotT is CheckHotspot metered by b and observed by sp. Budget
+// trips and panics anywhere in the cascade are recovered here and degrade
+// the hotspot to a VerdictUnknown Result — reported, never silently passed —
+// so one pathological or poisoned hotspot cannot take down the run.
+// Degraded results are not cached: they depend on timing and remaining
+// budget, and a retry with a larger budget could succeed. A nil b is
+// unlimited.
+//
+// sp is normally the hotspot span the core driver opened: each cascade
+// stage and the derivability session get child spans carrying their
+// fixpoint counters, and the verdict-cache outcome lands on sp itself (attr
+// "verdict-cache", counters "verdict.cache.hits"/"verdict.cache.misses"). A
+// nil sp traces nothing.
 //
 // The check itself is PrepareSlice followed by CheckSlice; callers that want
 // to drive the two stages separately (the core analyzer does, so slicing is
@@ -525,9 +517,8 @@ type Slice struct {
 	hit     *Result          // memoized or persisted verdict; skip the cascade
 	scratch *grammar.Grammar // extracted original slice; nil on a disk hit
 	sroot   grammar.Sym
-	minLens []int64       // scratch.MinLens(); nil on the compacted path
-	vl      []grammar.Sym // labeled productive NTs (scratch syms, canonical order)
-	cg      *grammar.Compacted
+	vl      []grammar.Sym      // labeled productive NTs (scratch syms, canonical order)
+	cg      *grammar.Compacted // nil in marker-construction mode
 	cstats  grammar.CompactStats
 	fp      grammar.Fingerprint // original-slice fingerprint (memo key)
 	haveFP  bool
@@ -600,16 +591,16 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 		return vlAll
 	}
 
-	if c.UseMarkerConstruction || !c.Compact {
+	if c.UseMarkerConstruction {
 		if memoLookup() {
 			return s
 		}
 		scratch, remap := g.Extract(root)
 		s.scratch, s.sroot = scratch, remap[root]
 		// Uncompacted path: filter unproductive labeled NTs by emptiness.
-		s.minLens = scratch.MinLens()
+		minLens := scratch.MinLens()
 		for _, nt := range collectVL(remap) {
-			if s.minLens[int(nt)-grammar.NumTerminals] >= 0 {
+			if minLens[int(nt)-grammar.NumTerminals] >= 0 {
 				s.vl = append(s.vl, nt)
 			}
 		}
@@ -792,10 +783,11 @@ func resultFromEntry(e *vcache.Entry, s *Slice) *Result {
 	return res
 }
 
-// cascadeReference runs checks 1–4 with the paper's original constructions:
-// per-nonterminal regular intersections and the marker-terminal context
-// grammar. Kept for differential testing against the fast path. One child
-// span collects the per-nonterminal intersection traffic.
+// cascadeReference runs checks 1–4 with the paper's original constructions
+// over the uncompacted slice: per-nonterminal regular intersections and the
+// marker-terminal context grammar. It anchors Ablation E and is the
+// reference the compacted fast path is differentially tested against. One
+// child span collects the per-nonterminal intersection traffic.
 func (c *Checker) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, vl []grammar.Sym, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
 	sp := hsp.Child("check", "1-4:marker-reference")
 	defer sp.End()
@@ -849,23 +841,17 @@ func (c *Checker) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, 
 // fixpoint gets its own child span under hsp; witness extraction for a
 // reported nonterminal is traced as a "witness" span naming the check.
 //
-// When the slice carries a compacted grammar, every fixpoint runs over it:
-// the relations and contexts are language-level properties, exactly
-// preserved by compaction, and the compacted grammar is typically an order
-// of magnitude smaller. Witness strings are still extracted from the
-// original slice — the witness tie-break depends on derivation-tree
-// structure, which compaction changes — so reports are byte-for-byte the
-// ones an uncompacted run produces.
+// Every fixpoint runs over the slice's compacted grammar: the relations and
+// contexts are language-level properties, exactly preserved by compaction,
+// and the compacted grammar is typically an order of magnitude smaller.
+// Witness strings are still extracted from the original slice — the witness
+// tie-break depends on derivation-tree structure, which compaction changes —
+// so reports are byte-for-byte the ones the uncompacted marker-construction
+// reference produces.
 func (c *Checker) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
 	scratch := s.scratch
-	relG, relRoot := scratch, s.sroot
-	conv := func(x grammar.Sym) grammar.Sym { return x }
-	minLens := s.minLens
-	if s.cg != nil {
-		relG, relRoot = s.cg.G, s.cg.Root
-		conv = func(x grammar.Sym) grammar.Sym { return s.cg.Fwd[x] }
-		minLens = relG.MinLens()
-	}
+	relG, relRoot := s.cg.G, s.cg.Root
+	minLens := relG.MinLens()
 	// One production snapshot feeds every fixpoint: the cascade runs one
 	// relation computation per check DFA (3 + one per attack pattern) over
 	// the same grammar.
@@ -912,7 +898,7 @@ func (c *Checker) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.
 	var undecided []grammar.Sym
 	for _, x := range s.vl {
 		label := scratch.LabelOf(x)
-		cx := conv(x)
+		cx := s.cg.Fwd[x]
 
 		// Check 1: odd number of unescaped quotes.
 		if nonempty(oddRel, c.oddQuotes, cx) {
