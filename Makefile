@@ -118,17 +118,24 @@ bench-enforce:
 	$(GO) test -run '^$$' -bench 'BenchmarkEnforce' -benchtime 2s -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_enforcement.json
 
-# bench-enforce-diff is the zero-alloc ratchet: re-bench the matcher into
-# BENCH_enforce_new.json (not committed) and diff against the committed
-# BENCH_enforcement.json baseline. allocs/op has a zero baseline, which
-# benchdiff ratchets absolutely — any allocation on the enforcement hot path
-# fails CI regardless of band. queries/s is deliberately not ratcheted
-# (wall-clock noise); ns/op gets the usual loose band.
+# bench-enforce-diff ratchets enforcement against the committed
+# BENCH_enforcement.json baseline with two fresh runs (not committed). The
+# matcher goes to BENCH_enforce_new.json: allocs/op has a zero baseline,
+# which benchdiff ratchets absolutely — any allocation on the enforcement
+# hot path fails CI regardless of band. queries/s is deliberately not
+# ratcheted (wall-clock noise); ns/op gets the usual loose band. Pack
+# compilation goes to BENCH_enforce_compile_new.json and is held to the
+# bench-mem allocation bands on B/op and allocs/op. Each diff sees only its
+# own benchmark, because benchdiff skips benchmarks missing on one side.
 bench-enforce-diff:
 	$(GO) test -run '^$$' -bench 'BenchmarkEnforceMatch' -benchtime 2s -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_enforce_new.json
 	$(GO) run ./cmd/benchdiff -metrics 'ns/op:50,B/op:0,allocs/op:0' -o bench-enforce-diff.json \
 		BENCH_enforcement.json BENCH_enforce_new.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEnforceCompile' -benchtime 2s -benchmem . \
+		| $(GO) run ./cmd/benchjson -o BENCH_enforce_compile_new.json
+	$(GO) run ./cmd/benchdiff -metrics 'B/op:15,allocs/op:10' -o bench-enforce-compile-diff.json \
+		BENCH_enforcement.json BENCH_enforce_compile_new.json
 
 # daemon-smoke is the end-to-end service check: start sqlcheckd on a
 # loopback port with a throwaway verdict-cache dir, submit a corpus subject

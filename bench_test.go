@@ -386,7 +386,7 @@ func BenchmarkFig8_Explode(b *testing.B) {
 		s := g.NewNT("S")
 		g.AddString(s, "a,b,c")
 		g.AddString(s, "x,,y")
-		root, ok := fst.ImageInto(g, s, fst.Substr())
+		root, ok := fst.ImageInto(g, s, fst.Substr(), nil)
 		if !ok {
 			b.Fatal("explode image empty")
 		}
@@ -504,7 +504,7 @@ func BenchmarkAblation_ReplaceChainBlowup(b *testing.B) {
 				patterns := []string{"[b]", ":)", "[i]"}
 				ok := true
 				for d := 0; d < depth; d++ {
-					root, ok = fst.ImageInto(g, root, fst.ReplaceAllString(patterns[d%len(patterns)], []byte("<x>")))
+					root, ok = fst.ImageInto(g, root, fst.ReplaceAllString(patterns[d%len(patterns)], []byte("<x>")), nil)
 					if !ok {
 						b.Fatal("image empty")
 					}

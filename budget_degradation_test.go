@@ -178,6 +178,41 @@ func TestGuardRefinementChargesPageBudget(t *testing.T) {
 	requireDegradedNotVerified(t, res, budget.ReasonSteps)
 }
 
+// TestTransducerImageChargesPageBudget: str_replace lowers to the FST
+// image of the value's grammar, whose item count grows with the square of
+// the transducer's states (one per pattern prefix) — thousands of items for
+// a long pattern against a walk of a few steps. The image must meter
+// against the page budget, so a step limit the page without the call fits
+// in degrades the page instead of letting lowering run unbounded.
+func TestTransducerImageChargesPageBudget(t *testing.T) {
+	const query = `mysql_query("SELECT * FROM t WHERE name='$x'");`
+	sources := map[string]string{
+		"replaced.php": "<?php $x = $_GET['q'];\n$x = str_replace('" + strings.Repeat("ab", 20) + "', 'c', $x);\n" + query + "\n",
+		"plain.php":    "<?php $x = $_GET['q'];\n" + query + "\n",
+	}
+	opts := core.Options{}
+	opts.Budget.MaxSteps = 1000
+
+	// Control: the same page without the str_replace walks and lowers
+	// within the limit.
+	res, err := core.AnalyzeApp(analysis.NewMapResolver(sources), []string{"plain.php"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedPages != 0 {
+		t.Fatalf("page without str_replace degraded under MaxSteps=%d: %+v", opts.Budget.MaxSteps, res.Degradations)
+	}
+
+	res, err = core.AnalyzeApp(analysis.NewMapResolver(sources), []string{"replaced.php"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedPages != 1 {
+		t.Fatalf("DegradedPages = %d, want the str_replace page (degradations: %+v)", res.DegradedPages, res.Degradations)
+	}
+	requireDegradedNotVerified(t, res, budget.ReasonSteps)
+}
+
 // explodingPage builds the §5.3 replacement-chain blowup as a fixture: each
 // round of str_replace doublings multiplies the hotspot grammar, so the
 // policy cascade needs millions of work items while phase 1 stays cheap.

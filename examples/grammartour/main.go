@@ -54,7 +54,7 @@ func main() {
 		g.DerivesString(refined, "x); DELETE FROM t"))
 
 	// 3. Transduce through addslashes (an FST image, §3.1.2).
-	escaped, ok := fst.ImageInto(g, refined, fst.AddSlashes())
+	escaped, ok := fst.ImageInto(g, refined, fst.AddSlashes(), nil)
 	if !ok {
 		log.Fatal("image unexpectedly empty")
 	}

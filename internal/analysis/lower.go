@@ -108,7 +108,7 @@ func (a *analyzer) opReady(arg, self grammar.Sym) bool {
 func (a *analyzer) materialize(sym grammar.Sym, op *opApp) {
 	switch op.kind {
 	case opFST:
-		if root, ok := fst.ImageInto(a.g, op.arg, op.t); ok {
+		if root, ok := fst.ImageInto(a.g, op.arg, op.t, a.b); ok {
 			a.g.Add(sym, root)
 			a.g.TaintIf(root, sym)
 		}

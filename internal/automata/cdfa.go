@@ -149,28 +149,53 @@ func (c *CDFA) Decompress() *DFA {
 // merges slab columns accordingly. Construction over a finer-than-necessary
 // partition (subset construction over NFA classes, products over merged
 // classes, minimization) calls this so the published CDFA is canonical.
+// Two classes merge iff their slab columns are equal; merged classes are
+// numbered by their smallest old class, which is their smallest member.
 func (c *CDFA) coarsen() *CDFA {
-	n := c.NumStates()
-	p := newPartition()
-	var sig [AlphabetSize]int32
-	for s := 0; s < n && p.n < c.nc; s++ {
-		row := c.trans[s*c.nc : (s+1)*c.nc]
-		for sym := 0; sym < AlphabetSize; sym++ {
-			sig[sym] = row[c.bc.class[sym]]
-		}
-		p.refine(sig[:])
+	n, nc := c.NumStates(), c.nc
+	hash := make([]uint64, nc)
+	for k := range hash {
+		hash[k] = 1469598103934665603
 	}
-	bc := p.finish()
-	if bc == c.bc {
+	for s := 0; s < n; s++ {
+		for k, t := range c.trans[s*nc : (s+1)*nc] {
+			hash[k] = (hash[k] ^ uint64(uint32(t))) * 1099511628211
+		}
+	}
+	sameColumn := func(a, b int) bool {
+		for s := 0; s < n; s++ {
+			if c.trans[s*nc+a] != c.trans[s*nc+b] {
+				return false
+			}
+		}
+		return true
+	}
+	merged := make([]uint16, nc) // old class -> new class
+	var reps []int               // new class -> smallest old class
+	for k := 0; k < nc; k++ {
+		j := 0
+		for j < len(reps) && (hash[reps[j]] != hash[k] || !sameColumn(reps[j], k)) {
+			j++
+		}
+		if j == len(reps) {
+			reps = append(reps, k)
+		}
+		merged[k] = uint16(j)
+	}
+	if len(reps) == nc {
 		return c
 	}
-	nc := bc.NumClasses()
-	out := &CDFA{bc: bc, nc: nc, trans: make([]int32, n*nc), accept: c.accept, start: c.start}
+	p := partition{n: len(reps)}
+	for sym := range p.class {
+		p.class[sym] = merged[c.bc.class[sym]]
+	}
+	bc := p.finish()
+	out := &CDFA{bc: bc, nc: len(reps), trans: make([]int32, n*len(reps)), accept: c.accept, start: c.start}
 	for s := 0; s < n; s++ {
-		src := c.trans[s*c.nc : (s+1)*c.nc]
-		dst := out.trans[s*nc : (s+1)*nc]
-		for cls := 0; cls < nc; cls++ {
-			dst[cls] = src[c.bc.class[bc.reps[cls]]]
+		src := c.trans[s*nc : (s+1)*nc]
+		dst := out.trans[s*out.nc : (s+1)*out.nc]
+		for j, k := range reps {
+			dst[j] = src[k]
 		}
 	}
 	return out
@@ -335,93 +360,172 @@ func (c *CDFA) Intersect(o *CDFA) *CDFA {
 	return out.coarsen()
 }
 
-// Minimize returns an equivalent minimal complete CDFA (Moore partition
-// refinement over the reachable states, exactly the dense algorithm with
-// per-class instead of per-symbol signatures). c must be complete.
+// Minimize returns an equivalent minimal complete CDFA: Hopcroft partition
+// refinement over the reachable states, splitting on class-indexed inverse
+// transitions. c must be complete. The coarsest stable partition is
+// unique, and its blocks are numbered by first occurrence in the same
+// reachability order the per-symbol Moore reference uses, so the output is
+// bit-identical to it.
 func (c *CDFA) Minimize() *CDFA {
 	nc := c.nc
 	// Restrict to reachable states. Iterating classes in ascending-
 	// representative order visits targets in the same first-occurrence
 	// order as the dense symbol scan, so `order` matches it exactly.
-	reach := make([]int, c.NumStates()) // old -> compact index or -1
+	reach := make([]int32, c.NumStates()) // old -> compact index or -1
 	for i := range reach {
 		reach[i] = -1
 	}
-	var order []int
-	work := []int{int(c.start)}
+	var order []int32
+	work := []int32{c.start}
 	reach[c.start] = 0
-	order = append(order, int(c.start))
+	order = append(order, c.start)
 	for len(work) > 0 {
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
-		row := c.trans[s*nc : (s+1)*nc]
-		for _, t32 := range row {
-			t := int(t32)
+		for _, t := range c.trans[int(s)*nc : (int(s)+1)*nc] {
 			if reach[t] < 0 {
-				reach[t] = len(order)
+				reach[t] = int32(len(order))
 				order = append(order, t)
 				work = append(work, t)
 			}
 		}
 	}
 	n := len(order)
-	class := make([]int, n)
+
+	// Inverse transitions over compact indices: the predecessors of t on
+	// class cls are pred[off[t*nc+cls]:off[t*nc+cls+1]].
+	off := make([]int32, n*nc+1)
+	for _, old := range order {
+		for cls, t := range c.trans[int(old)*nc : (int(old)+1)*nc] {
+			off[int(reach[t])*nc+cls+1]++
+		}
+	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	pred := make([]int32, n*nc)
+	fill := append([]int32(nil), off[:n*nc]...)
 	for i, old := range order {
-		if c.accept[old] {
-			class[i] = 1
+		for cls, t := range c.trans[int(old)*nc : (int(old)+1)*nc] {
+			k := int(reach[t])*nc + cls
+			pred[fill[k]] = int32(i)
+			fill[k]++
 		}
 	}
-	numClasses := 2
-	allSame := true
-	for i := 1; i < n; i++ {
-		if class[i] != class[0] {
-			allSame = false
-			break
-		}
-	}
-	if allSame {
-		numClasses = 1
-		for i := range class {
-			class[i] = 0
-		}
-	}
-	for {
-		next := make([]int, n)
-		ids := map[string]int{}
-		buf := make([]byte, 0, (nc+1)*4)
+
+	// The partition: elems lists states grouped by block, block b owning
+	// elems[first[b]:end[b]]; loc inverts elems. A splitter pass moves the
+	// states it marks to the front of their block.
+	elems := make([]int32, 0, n)
+	loc := make([]int32, n)
+	blk := make([]int32, n)
+	var first, end, marked []int32
+	for _, acc := range []bool{false, true} {
+		lo := int32(len(elems))
 		for i, old := range order {
-			buf = buf[:0]
-			buf = appendInt(buf, class[i])
-			row := c.trans[old*nc : (old+1)*nc]
-			for _, t32 := range row {
-				buf = appendInt(buf, class[reach[int(t32)]])
+			if c.accept[old] == acc {
+				loc[i] = int32(len(elems))
+				blk[i] = int32(len(first))
+				elems = append(elems, int32(i))
 			}
-			k := string(buf)
-			id, ok := ids[k]
-			if !ok {
-				id = len(ids)
-				ids[k] = id
-			}
-			next[i] = id
 		}
-		if len(ids) == numClasses {
-			class = next
-			break
+		if hi := int32(len(elems)); hi > lo {
+			first, end, marked = append(first, lo), append(end, hi), append(marked, 0)
 		}
-		numClasses = len(ids)
-		class = next
 	}
-	out := &CDFA{bc: c.bc, nc: nc, trans: make([]int32, numClasses*nc), accept: make([]bool, numClasses)}
-	for i, old := range order {
-		sc := class[i]
-		out.accept[sc] = c.accept[old]
-		row := c.trans[old*nc : (old+1)*nc]
-		dst := out.trans[sc*nc : (sc+1)*nc]
+	// Pending splitters (block, class); inW[b*nc+cls] tracks membership.
+	type splitter struct{ b, cls int32 }
+	var pending []splitter
+	inW := make([]bool, len(first)*nc)
+	push := func(b int32, cls int) {
+		inW[int(b)*nc+cls] = true
+		pending = append(pending, splitter{b, int32(cls)})
+	}
+	if len(first) == 2 {
+		small := int32(0)
+		if end[1]-first[1] < end[0]-first[0] {
+			small = 1
+		}
 		for cls := 0; cls < nc; cls++ {
-			dst[cls] = int32(class[reach[int(row[cls])]])
+			push(small, cls)
 		}
 	}
-	out.start = int32(class[reach[int(c.start)]])
+	var snap, hit []int32
+	for len(pending) > 0 {
+		sp := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		inW[int(sp.b)*nc+int(sp.cls)] = false
+		// Snapshot the splitter: marking reorders elems, its own block too.
+		snap = append(snap[:0], elems[first[sp.b]:end[sp.b]]...)
+		hit = hit[:0]
+		for _, t := range snap {
+			k := int(t)*nc + int(sp.cls)
+			for _, s := range pred[off[k]:off[k+1]] {
+				y := blk[s]
+				m := first[y] + marked[y]
+				if loc[s] < m {
+					continue // already marked
+				}
+				o := elems[m]
+				elems[m], elems[loc[s]] = s, o
+				loc[o], loc[s] = loc[s], m
+				if marked[y] == 0 {
+					hit = append(hit, y)
+				}
+				marked[y]++
+			}
+		}
+		for _, y := range hit {
+			m := marked[y]
+			marked[y] = 0
+			if first[y]+m == end[y] {
+				continue // wholly inside the preimage: no split
+			}
+			// The marked front of y becomes block z.
+			z := int32(len(first))
+			first, end, marked = append(first, first[y]), append(end, first[y]+m), append(marked, 0)
+			first[y] += m
+			for _, s := range elems[first[z]:end[z]] {
+				blk[s] = z
+			}
+			inW = append(inW, make([]bool, nc)...)
+			smaller := z
+			if end[y]-first[y] < m {
+				smaller = y
+			}
+			for cls := 0; cls < nc; cls++ {
+				if inW[int(y)*nc+cls] {
+					push(z, cls)
+				} else {
+					push(smaller, cls)
+				}
+			}
+		}
+	}
+
+	// Number blocks by first occurrence in order. Members of a block have
+	// the same row up to block numbers, so writing each member's is safe.
+	num := make([]int32, len(first))
+	for i := range num {
+		num[i] = -1
+	}
+	var k int32
+	for i := 0; i < n; i++ {
+		if num[blk[i]] < 0 {
+			num[blk[i]] = k
+			k++
+		}
+	}
+	out := &CDFA{bc: c.bc, nc: nc, trans: make([]int32, int(k)*nc), accept: make([]bool, k)}
+	for i, old := range order {
+		sc := num[blk[i]]
+		out.accept[sc] = c.accept[old]
+		dst := out.trans[int(sc)*nc : (int(sc)+1)*nc]
+		for cls, t := range c.trans[int(old)*nc : (int(old)+1)*nc] {
+			dst[cls] = num[blk[reach[t]]]
+		}
+	}
+	out.start = num[blk[0]]
 	return out.coarsen()
 }
 

@@ -1,6 +1,9 @@
 package automata
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // Byte-equivalence-class alphabet compression (the RE2 technique). The
 // check automata the policy cascade runs — unescaped-quote, string-literal
@@ -132,54 +135,74 @@ func classesOfDFA(d *DFA) *ByteClasses {
 // every state they reach the same target set. Subset construction over
 // these classes is exact — symbols in one class are indistinguishable to
 // every reachable subset.
+//
+// It takes one pass over the edges: at each state, every symbol with an
+// edge there moves to the block keyed by its current block and its target
+// set, and every other symbol stays put, so a state costs its own edges
+// rather than a scan of the alphabet. The coarsest partition is unique,
+// and finish numbers it by smallest member.
 func classesOfNFA(n *NFA) *ByteClasses {
-	p := newPartition()
-	var sig [AlphabetSize]int32
-	setIDs := make(map[string]int32)
+	var block [AlphabetSize]int32
+	next := int32(1)
+	type key struct{ block, set int32 }
+	moved := map[key]int32{}
+	setIDs := map[string]int32{}
+	var scratch []int
 	var enc []byte
 	for _, m := range n.trans {
 		if len(m) == 0 {
-			continue // uniform signature: refines nothing
-		}
-		if p.n >= AlphabetSize {
-			break
-		}
-		for i := range sig {
-			sig[i] = 0 // 0 = no edge
+			continue
 		}
 		for sym, tos := range m {
-			sig[sym] = canonTargetSetID(tos, setIDs, &enc)
+			k := key{block[sym], targetSetID(tos, setIDs, &scratch, &enc)}
+			id, ok := moved[k]
+			if !ok {
+				id = next
+				next++
+				moved[k] = id
+			}
+			block[sym] = id
 		}
-		p.refine(sig[:])
+		clear(moved)
+	}
+	var p partition
+	ids := make(map[int32]uint16)
+	for s, b := range block {
+		id, ok := ids[b]
+		if !ok {
+			id = uint16(p.n)
+			p.n++
+			ids[b] = id
+		}
+		p.class[s] = id
 	}
 	return p.finish()
 }
 
-// canonTargetSetID maps the set of states in tos to a dense id ≥ 1 (order-
-// and duplicate-insensitive). ids persist across states so equal target
-// sets at different states share a signature value — only equality matters
-// to refine, so any consistent numbering works.
-func canonTargetSetID(tos []int, setIDs map[string]int32, enc *[]byte) int32 {
-	set := append([]int(nil), tos...)
-	// insertion sort: target lists are tiny
-	for i := 1; i < len(set); i++ {
-		for j := i; j > 0 && set[j] < set[j-1]; j-- {
-			set[j], set[j-1] = set[j-1], set[j]
-		}
+// targetSetID names the set of states in tos (order- and duplicate-
+// insensitive): a single state names itself, and a larger set gets a
+// negative id from setIDs, which persists across calls.
+func targetSetID(tos []int, setIDs map[string]int32, scratch *[]int, enc *[]byte) int32 {
+	if len(tos) == 1 {
+		return int32(tos[0])
 	}
+	set := append((*scratch)[:0], tos...)
+	*scratch = set
+	sort.Ints(set)
 	b := (*enc)[:0]
-	prev := -1
-	for _, t := range set {
-		if t == prev {
+	for i, t := range set {
+		if i > 0 && t == set[i-1] {
 			continue
 		}
-		prev = t
 		b = append(b, byte(t), byte(t>>8), byte(t>>16), byte(t>>24))
 	}
 	*enc = b
+	if len(b) == 4 {
+		return int32(set[0])
+	}
 	id, ok := setIDs[string(b)]
 	if !ok {
-		id = int32(len(setIDs)) + 1
+		id = -int32(len(setIDs)) - 1
 		setIDs[string(b)] = id
 	}
 	return id

@@ -2,6 +2,7 @@ package automata
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -121,6 +122,181 @@ func TestClassOpsMatchDenseOnRandomDFAs(t *testing.T) {
 			}
 		}
 		prev = d
+	}
+}
+
+// classesOfNFARefine is the reference for classesOfNFA: it refines a
+// 257-entry partition at every state that has a symbol edge, by each
+// symbol's target set there.
+func classesOfNFARefine(n *NFA) *ByteClasses {
+	p := newPartition()
+	var sig [AlphabetSize]int32
+	setIDs := make(map[string]int32)
+	var enc []byte
+	for _, m := range n.trans {
+		if len(m) == 0 {
+			continue // uniform signature: refines nothing
+		}
+		if p.n >= AlphabetSize {
+			break
+		}
+		for i := range sig {
+			sig[i] = 0 // 0 = no edge
+		}
+		for sym, tos := range m {
+			sig[sym] = canonTargetSetID(tos, setIDs, &enc)
+		}
+		p.refine(sig[:])
+	}
+	return p.finish()
+}
+
+// canonTargetSetID maps the set of states in tos to a dense id ≥ 1 (order-
+// and duplicate-insensitive). ids persist across states so equal target
+// sets at different states share a signature value — only equality matters
+// to refine, so any consistent numbering works.
+func canonTargetSetID(tos []int, setIDs map[string]int32, enc *[]byte) int32 {
+	set := append([]int(nil), tos...)
+	// insertion sort: target lists are tiny
+	for i := 1; i < len(set); i++ {
+		for j := i; j > 0 && set[j] < set[j-1]; j-- {
+			set[j], set[j-1] = set[j-1], set[j]
+		}
+	}
+	b := (*enc)[:0]
+	prev := -1
+	for _, t := range set {
+		if t == prev {
+			continue
+		}
+		prev = t
+		b = append(b, byte(t), byte(t>>8), byte(t>>16), byte(t>>24))
+	}
+	*enc = b
+	id, ok := setIDs[string(b)]
+	if !ok {
+		id = int32(len(setIDs)) + 1
+		setIDs[string(b)] = id
+	}
+	return id
+}
+
+// TestClassesOfNFAMatchesRefinement: the one-pass partition is the
+// refining reference's, down to the interned pointer.
+func TestClassesOfNFAMatchesRefinement(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for i := 0; i < 2000; i++ {
+		n := randNFA(r)
+		if got, want := classesOfNFA(n), classesOfNFARefine(n); got != want {
+			t.Fatalf("iter %d: one-pass partition %v differs from refinement %v", i, got.class, want.class)
+		}
+	}
+}
+
+// canonicalForm relabels c's states in BFS order from the start over
+// ascending classes and lists, per state in that order, its acceptance and
+// its successors' labels. It reports false if some state is unreachable.
+func canonicalForm(c *CDFA) ([]int32, bool) {
+	label := make([]int32, c.NumStates())
+	for i := range label {
+		label[i] = -1
+	}
+	queue := []int32{c.start}
+	label[c.start] = 0
+	var out []int32
+	for i := 0; i < len(queue); i++ {
+		s := int(queue[i])
+		if c.accept[s] {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
+		}
+		for _, t := range c.trans[s*c.nc : (s+1)*c.nc] {
+			if t >= 0 && label[t] < 0 {
+				label[t] = int32(len(queue))
+				queue = append(queue, t)
+			}
+			if t >= 0 {
+				t = label[t]
+			}
+			out = append(out, t)
+		}
+	}
+	return out, len(queue) == c.NumStates()
+}
+
+// isomorphic reports whether a and b are one automaton up to state
+// numbering.
+func isomorphic(a, b *CDFA) bool {
+	fa, oka := canonicalForm(a)
+	fb, okb := canonicalForm(b)
+	return a.bc == b.bc && oka && okb && slices.Equal(fa, fb)
+}
+
+// checkImportantSubsets holds the important-state construction to its
+// contract against the full one on n: never more states, the NFA's verdict
+// on every word, and after Minimize an automaton isomorphic to
+// DeterminizeC().Minimize(). Bit-identity is not required: off the corpus
+// the minimized numbering can differ.
+func checkImportantSubsets(tb testing.TB, n *NFA, words [][]int) {
+	tb.Helper()
+	full := n.DeterminizeC()
+	imp, ok := n.DeterminizeCappedC(0)
+	if !ok {
+		tb.Fatal("DeterminizeCappedC(0) aborted")
+	}
+	if imp.NumStates() > full.NumStates() {
+		tb.Fatalf("important-state DFA has %d states, full construction %d", imp.NumStates(), full.NumStates())
+	}
+	for _, w := range words {
+		if got, want := imp.Accepts(w), n.Accepts(w); got != want {
+			tb.Fatalf("important-state DFA says %v on %v, NFA says %v", got, w, want)
+		}
+	}
+	if !isomorphic(imp.Minimize(), full.Minimize()) {
+		tb.Fatal("minimized important-state DFA is not isomorphic to the minimized full construction")
+	}
+}
+
+// TestImportantSubsetsOnRandomNFAs runs the important-state contract on
+// random NFAs.
+func TestImportantSubsetsOnRandomNFAs(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		n := randNFA(r)
+		words := make([][]int, 20)
+		for j := range words {
+			words[j] = randWord(r)
+		}
+		checkImportantSubsets(t, n, words)
+	}
+}
+
+// TestCloserWalkMatchesRows: the graph-walk closure the subset
+// construction falls back to past cloBudget sets the same columns as the
+// precomputed rows, in both column maps.
+func TestCloserWalkMatchesRows(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for i := 0; i < 500; i++ {
+		n := randNFA(r)
+		for _, important := range []bool{false, true} {
+			col, state := n.subsetColumns(important)
+			words := (len(state) + 63) / 64
+			rows := &closer{n: n, col: col, words: words, rows: n.closureRows(col, words)}
+			walk := &closer{n: n, col: col, words: words, mark: make([]uint32, n.NumStates())}
+			for j := 0; j < 10; j++ {
+				var targets []int32
+				for k := r.Intn(4); k >= 0; k-- {
+					targets = append(targets, int32(r.Intn(n.NumStates())))
+				}
+				got, want := make([]uint64, words), make([]uint64, words)
+				walk.close(got, targets)
+				rows.close(want, targets)
+				if !slices.Equal(got, want) {
+					t.Fatalf("iter %d important=%v targets %v: walk %x, rows %x", i, important, targets, got, want)
+				}
+			}
+		}
 	}
 }
 

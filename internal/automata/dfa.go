@@ -150,12 +150,11 @@ func (d *DFA) IsEmpty() bool { return d.Compressed().IsEmpty() }
 // same order as an ascending symbol scan).
 func (d *DFA) MinWord() ([]int, bool) { return d.Compressed().MinWord() }
 
-// Minimize returns an equivalent minimal complete DFA (Moore partition
-// refinement over the reachable states). The refinement runs on the
-// class-indexed form with per-class signatures; state numbering and output
-// rows are byte-identical to the per-symbol reference in dense_test.go
-// (per-class and per-symbol signatures induce the same partition because
-// rows are class-uniform, and reachability discovers states in the same
+// Minimize returns an equivalent minimal complete DFA. The refinement is
+// Hopcroft's, run on the class-indexed form (see CDFA.Minimize); state
+// numbering and output rows are byte-identical to the per-symbol Moore
+// reference in dense_test.go (the coarsest stable partition is unique, and
+// both number its blocks by first occurrence in the same reachability
 // order).
 func (d *DFA) Minimize() *DFA {
 	d.Complete()

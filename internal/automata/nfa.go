@@ -138,27 +138,55 @@ func (n *NFA) Determinize() *DFA {
 // class scan, which coincides with the ascending symbol scan because each
 // class is ordered by its smallest member.
 func (n *NFA) DeterminizeC() *CDFA {
-	c, _ := n.determinizeCappedC(0)
+	c, _ := n.determinize(false, 0)
 	return c
 }
 
-// DeterminizeCappedC is DeterminizeC with a bound on subset-construction
-// states: if the construction would exceed maxStates (0 means unlimited) it
-// aborts and returns (nil, false). Callers turning whole-grammar
-// over-approximations into enforcement automata use the cap to keep
-// pathological grammars from blowing up pack compilation; an aborted
-// hotspot is recorded as unavailable and fails closed at runtime.
+// DeterminizeCappedC is the subset construction the enforcement compiler
+// runs on whole-grammar over-approximations, with a bound on DFA states: if
+// the construction would exceed maxStates (0 means unlimited) it aborts and
+// returns (nil, false), and the caller records the hotspot as unavailable
+// (it fails closed at runtime).
+//
+// Unlike DeterminizeC it identifies each subset by its important states
+// only: states with a symbol edge, and accepting states (Dragon book
+// §3.9.5). Two ε-closed subsets with the same important states move alike
+// on every symbol and agree on acceptance, so they are one DFA state; a
+// successor with no important state is the dead state. Flattened grammars
+// are mostly ε-only states, so the bitsets shrink to the few important
+// columns and the result is a quotient of DeterminizeC's: the same
+// language, never more states, and isomorphic to it after Minimize. The
+// minimized numbering can still differ on some inputs, because Minimize
+// numbers blocks in the order its traversal of the (different) input
+// discovers them.
 func (n *NFA) DeterminizeCappedC(maxStates int) (*CDFA, bool) {
-	return n.determinizeCappedC(maxStates)
+	return n.determinize(true, maxStates)
+}
+
+// subsetColumns maps NFA states to the bitset columns that identify a
+// subset: col[s] is s's column or -1, state[j] the state in column j. The
+// full construction gives every state a column; the important-state one
+// only states with a symbol edge or an accepting flag.
+func (n *NFA) subsetColumns(important bool) (col, state []int32) {
+	col = make([]int32, len(n.trans))
+	for s := range n.trans {
+		if important && len(n.trans[s]) == 0 && !n.accept[s] {
+			col[s] = -1
+			continue
+		}
+		col[s] = int32(len(state))
+		state = append(state, int32(s))
+	}
+	return col, state
 }
 
 // closureRows precomputes the ε-closure of every state as a dense bitset
-// (words uint64s per state, row s at clo[s*words:]) in one pass: iterative
-// Tarjan over the ε graph, finalizing each SCC as it pops. Tarjan pops an
-// SCC only after every SCC it can reach, so a popped SCC's closure is its
-// member bits unioned with the (already final) rows of its cross-SCC
-// successors, and every member shares that row.
-func (n *NFA) closureRows(words int) []uint64 {
+// over columns (words uint64s per state, row s at clo[s*words:]) in one
+// pass: iterative Tarjan over the ε graph, finalizing each SCC as it pops.
+// Tarjan pops an SCC only after every SCC it can reach, so a popped SCC's
+// closure is its members' columns unioned with the (already final) rows of
+// its cross-SCC successors, and every member shares that row.
+func (n *NFA) closureRows(col []int32, words int) []uint64 {
 	N := len(n.trans)
 	clo := make([]uint64, N*words)
 	index := make([]int32, N) // 0 = unvisited, else DFS index+1
@@ -218,7 +246,9 @@ func (n *NFA) closureRows(words int) []uint64 {
 				tmp[w] = 0
 			}
 			for _, m := range members {
-				tmp[m>>6] |= 1 << (uint(m) & 63)
+				if j := col[m]; j >= 0 {
+					tmp[j>>6] |= 1 << (uint(j) & 63)
+				}
 			}
 			for _, m := range members {
 				for _, t := range n.eps[m] {
@@ -241,26 +271,85 @@ func (n *NFA) closureRows(words int) []uint64 {
 	return clo
 }
 
-// cloBudget bounds the transient ε-closure table: past this many bytes the
-// subset construction closes each subset by graph walk instead of ORing
-// precomputed rows (slower per subset, but no quadratic table). 192MB
-// covers NFAs to ~37k states — comfortably past the largest whole-grammar
-// over-approximations the enforcement compiler feeds through here.
+// cloBudget bounds the transient ε-closure table (one row of column bits
+// per NFA state): past this many bytes the subset construction closes each
+// subset by graph walk instead of ORing precomputed rows (slower per
+// subset, but no quadratic table). 192MB covers the full construction of
+// NFAs to ~37k states; the important-state construction's rows are
+// |important|/64 words, so flattened grammars far past the NFA cap fit.
 const cloBudget = 192 << 20
 
-func (n *NFA) determinizeCappedC(maxStates int) (*CDFA, bool) {
+// closer ORs ε-closures, projected onto subset columns, into bitsets.
+type closer struct {
+	n     *NFA
+	col   []int32
+	words int
+	rows  []uint64 // closureRows, or nil past cloBudget
+	mark  []uint32 // graph walk: mark[s] == stamp once s is visited
+	stamp uint32
+	stack []int32
+}
+
+// close sets in buf the columns of the ε-closure of targets. Closure
+// transitivity makes it incremental: a target whose column is already set
+// contributes nothing new (its closure is inside whichever row set it).
+func (c *closer) close(buf []uint64, targets []int32) {
+	if c.rows != nil {
+		for _, t := range targets {
+			if j := c.col[t]; j >= 0 && buf[j>>6]&(1<<(uint(j)&63)) != 0 {
+				continue
+			}
+			row := c.rows[int(t)*c.words : (int(t)+1)*c.words]
+			for w := range buf {
+				buf[w] |= row[w]
+			}
+		}
+		return
+	}
+	if c.stamp++; c.stamp == 0 {
+		clear(c.mark)
+		c.stamp = 1
+	}
+	stk := c.stack[:0]
+	for _, t := range targets {
+		if c.mark[t] != c.stamp {
+			c.mark[t] = c.stamp
+			stk = append(stk, t)
+		}
+	}
+	for len(stk) > 0 {
+		s := stk[len(stk)-1]
+		stk = stk[:len(stk)-1]
+		if j := c.col[s]; j >= 0 {
+			buf[j>>6] |= 1 << (uint(j) & 63)
+		}
+		for _, t := range c.n.eps[s] {
+			if c.mark[t] != c.stamp {
+				c.mark[t] = c.stamp
+				stk = append(stk, int32(t))
+			}
+		}
+	}
+	c.stack = stk
+}
+
+// determinize is the subset construction behind DeterminizeC (every state
+// is a column) and DeterminizeCappedC (important states only).
+func (n *NFA) determinize(important bool, maxStates int) (*CDFA, bool) {
 	bc := classesOfNFA(n)
 	nc := bc.NumClasses()
 	N := len(n.trans)
-	words := (N + 63) / 64
+	col, colState := n.subsetColumns(important)
+	words := (len(colState) + 63) / 64
 
 	// Sparse per-state transition rows grouped by byte class: rowCls[s]
 	// lists the classes with outgoing edges at s, rowTgt[s][k] the raw
 	// target states for rowCls[s][k]. Within a class every symbol has the
-	// same targets at every state (that is what classesOfNFA refines on),
-	// so the union over the class's symbols is what any one symbol sees.
+	// same targets at every state (that is what classesOfNFA partitions
+	// on), so the union over the class's symbols is what any one symbol
+	// sees.
 	rowCls := make([][]int32, N)
-	rowTgt := make([][][]int, N)
+	rowTgt := make([][][]int32, N)
 	var clsIdx [AlphabetSize]int32
 	for i := range clsIdx {
 		clsIdx[i] = -1
@@ -279,25 +368,25 @@ func (n *NFA) determinizeCappedC(maxStates int) (*CDFA, bool) {
 				rowCls[s] = append(rowCls[s], cls)
 				rowTgt[s] = append(rowTgt[s], nil)
 			}
-			rowTgt[s][k] = append(rowTgt[s][k], tos...)
+			for _, t := range tos {
+				rowTgt[s][k] = append(rowTgt[s][k], int32(t))
+			}
 		}
 		for _, cls := range rowCls[s] {
 			clsIdx[cls] = -1
 		}
 	}
 
-	// Precomputed per-state closure rows when the table fits the budget;
-	// closure transitivity makes the subset step incremental either way: a
-	// state whose bit is already set contributes nothing new (its closure
-	// is a subset of whichever closure set the bit).
-	var clo []uint64
+	cl := &closer{n: n, col: col, words: words}
 	if N*words*8 <= cloBudget {
-		clo = n.closureRows(words)
+		cl.rows = n.closureRows(col, words)
+	} else {
+		cl.mark = make([]uint32, N)
 	}
 	accBits := make([]uint64, words)
 	for s, a := range n.accept {
-		if a {
-			accBits[s>>6] |= 1 << (uint(s) & 63)
+		if j := col[s]; a && j >= 0 {
+			accBits[j>>6] |= 1 << (uint(j) & 63)
 		}
 	}
 	anyAccept := func(set []uint64) bool {
@@ -307,34 +396,6 @@ func (n *NFA) determinizeCappedC(maxStates int) (*CDFA, bool) {
 			}
 		}
 		return false
-	}
-	// addInto sets state t (and its ε-closure) in buf, returning the stack
-	// with t pushed when closures are walked lazily.
-	addInto := func(buf []uint64, stack []int32, t int) []int32 {
-		if buf[t>>6]&(1<<(uint(t)&63)) != 0 {
-			return stack
-		}
-		if clo != nil {
-			row := clo[t*words : (t+1)*words]
-			for w := range buf {
-				buf[w] |= row[w]
-			}
-			return stack
-		}
-		buf[t>>6] |= 1 << (uint(t) & 63)
-		return append(stack, int32(t))
-	}
-	closeInto := func(buf []uint64, stack []int32) {
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, t := range n.eps[s] {
-				if buf[t>>6]&(1<<(uint(t)&63)) == 0 {
-					buf[t>>6] |= 1 << (uint(t) & 63)
-					stack = append(stack, int32(t))
-				}
-			}
-		}
 	}
 	// Subsets are interned by FNV-1a over their bitset words with exact
 	// comparison against the stored set on bucket hits — closed sets run to
@@ -364,54 +425,46 @@ func (n *NFA) determinizeCappedC(maxStates int) (*CDFA, bool) {
 		c.accept = append(c.accept, false)
 		return id
 	}
-	dead := addState() // state 0 is the dead state
+	// State 0 is the dead state, the empty subset: interning it makes a
+	// successor with no important state land there. The full construction
+	// never meets an empty successor (it contains its targets).
+	dead := addState()
 	for cls := 0; cls < nc; cls++ {
 		c.trans[int(dead)*nc+cls] = dead
 	}
+	deadSet := make([]uint64, words)
+	ids := map[uint64][]int32{hashWords(deadSet): {dead}}
 
 	startSet := make([]uint64, words)
-	closeInto(startSet, addInto(startSet, nil, n.start))
+	cl.close(startSet, []int32{int32(n.start)})
 	startID := addState()
-	ids := map[uint64][]int32{hashWords(startSet): {startID}}
+	ids[hashWords(startSet)] = append(ids[hashWords(startSet)], startID)
 	c.start = startID
-	sets := [][]uint64{nil, startSet} // indexed by DFA state id; dead is nil
+	sets := [][]uint64{deadSet, startSet} // indexed by DFA state id
 	work := []int32{startID}
 	c.accept[startID] = anyAccept(startSet)
 
-	accBuf := make([][]uint64, nc)
-	accStk := make([][]int32, nc)
+	tgts := make([][]int32, nc)
+	buf := make([]uint64, words)
 	var touched []int32
 	var seenCls [AlphabetSize]bool
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
 		set := sets[id]
-		// Gather the ε-closed successor set per class across the subset's
-		// members.
+		// Gather the raw targets per class across the subset's members.
 		touched = touched[:0]
 		for w, word := range set {
 			for word != 0 {
-				s := w<<6 + bits.TrailingZeros64(word)
+				s := colState[w<<6+bits.TrailingZeros64(word)]
 				word &= word - 1
 				for k, cls := range rowCls[s] {
-					buf := accBuf[cls]
 					if !seenCls[cls] {
 						seenCls[cls] = true
 						touched = append(touched, cls)
-						if buf == nil {
-							buf = make([]uint64, words)
-							accBuf[cls] = buf
-						} else {
-							for w := range buf {
-								buf[w] = 0
-							}
-						}
+						tgts[cls] = tgts[cls][:0]
 					}
-					stk := accStk[cls]
-					for _, t := range rowTgt[s][k] {
-						stk = addInto(buf, stk, t)
-					}
-					accStk[cls] = stk
+					tgts[cls] = append(tgts[cls], rowTgt[s][k]...)
 				}
 			}
 		}
@@ -422,9 +475,8 @@ func (n *NFA) determinizeCappedC(maxStates int) (*CDFA, bool) {
 		row := c.trans[int(id)*nc : (int(id)+1)*nc]
 		for _, cls := range touched {
 			seenCls[cls] = false
-			buf := accBuf[cls]
-			closeInto(buf, accStk[cls])
-			accStk[cls] = accStk[cls][:0]
+			clear(buf)
+			cl.close(buf, tgts[cls])
 			h := hashWords(buf)
 			tid := int32(-1)
 			for _, cand := range ids[h] {
@@ -439,9 +491,9 @@ func (n *NFA) determinizeCappedC(maxStates int) (*CDFA, bool) {
 					return nil, false
 				}
 				ids[h] = append(ids[h], tid)
-				cl := append([]uint64(nil), buf...)
-				sets = append(sets, cl)
-				c.accept[tid] = anyAccept(cl)
+				kept := append([]uint64(nil), buf...)
+				sets = append(sets, kept)
+				c.accept[tid] = anyAccept(kept)
 				work = append(work, tid)
 				row = c.trans[int(id)*nc : (int(id)+1)*nc]
 			}

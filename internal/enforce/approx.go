@@ -25,13 +25,17 @@ type ApproxCaps struct {
 	// MaxNFAStates caps the flattened grammar NFA (roughly two states per
 	// nonterminal plus one per RHS symbol occurrence).
 	MaxNFAStates int
-	// MaxDFAStates caps the subset construction.
+	// MaxDFAStates caps the subset construction. It counts subsets of
+	// important NFA states (see automata.NFA.DeterminizeCappedC), which are
+	// never more than the full subsets an earlier construction counted, so
+	// no hotspot that compiled under the full count fails this cap.
 	MaxDFAStates int
 }
 
 // Defaults for ApproxCaps: generous enough for every Table 1 subject
 // (whose hotspot automata land in the tens of states) while keeping a
-// pathological grammar from stalling pack compilation.
+// pathological grammar from stalling pack compilation. The DFA cap counts
+// important-state subsets, as MaxDFAStates describes.
 const (
 	DefaultMaxNFAStates = 50000
 	DefaultMaxDFAStates = 20000
@@ -111,7 +115,9 @@ func ApproximateNFA(g *grammar.Grammar, root grammar.Sym, maxStates int) (*autom
 
 // BuildAutomaton compiles the union of the slices' languages into one
 // minimized complete CDFA that over-approximates every slice: determinize
-// the union of the flattened NFAs under caps, then minimize. Returns
+// the union of the flattened NFAs under caps, identifying subsets by their
+// important states only (flattened grammars are mostly ε-only states),
+// then minimize. Returns
 // (nil, false) if any cap is exceeded or the class partition cannot be
 // represented in the pack's one-byte class table — callers record such
 // hotspots as unavailable (fail closed).

@@ -135,7 +135,7 @@ func TestSurroundApprox(t *testing.T) {
 	g := grammar.New()
 	s := g.NewNT("S")
 	g.AddString(s, "ab")
-	root, ok := ImageInto(g, s, SurroundApprox([]byte("-")))
+	root, ok := ImageInto(g, s, SurroundApprox([]byte("-")), nil)
 	if !ok {
 		t.Fatal("image empty")
 	}

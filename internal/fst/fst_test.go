@@ -173,7 +173,7 @@ func TestPregReplaceGeneralContainsExact(t *testing.T) {
 	g := grammar.New()
 	s := g.NewNT("S")
 	g.AddString(s, "a01b")
-	root, ok := ImageInto(g, s, f)
+	root, ok := ImageInto(g, s, f, nil)
 	if !ok {
 		t.Fatal("image empty")
 	}
@@ -244,7 +244,7 @@ func TestImageSimple(t *testing.T) {
 	g := grammar.New()
 	s := g.NewNT("S")
 	g.AddString(s, "a'b")
-	root, ok := ImageInto(g, s, AddSlashes())
+	root, ok := ImageInto(g, s, AddSlashes(), nil)
 	if !ok {
 		t.Fatal("image empty")
 	}
@@ -266,7 +266,7 @@ func TestImageRecursiveGrammar(t *testing.T) {
 	s := g.NewNT("S")
 	g.Add(s, grammar.T('\''), s)
 	g.Add(s)
-	root, ok := ImageInto(g, s, EscapeQuotes())
+	root, ok := ImageInto(g, s, EscapeQuotes(), nil)
 	if !ok {
 		t.Fatal("image empty")
 	}
@@ -290,7 +290,7 @@ func TestImageTaintPropagation(t *testing.T) {
 	g.AddLabel(u, grammar.Direct)
 	g.Add(s, append(grammar.TermString("x="), u)...)
 	g.AddString(u, "a'b")
-	root, ok := ImageInto(g, s, AddSlashes())
+	root, ok := ImageInto(g, s, AddSlashes(), nil)
 	if !ok {
 		t.Fatal("image empty")
 	}
@@ -320,7 +320,7 @@ func TestImageFinalOutput(t *testing.T) {
 	s := g.NewNT("S")
 	g.AddString(s, "a")
 	g.AddString(s, "ab")
-	root, ok := ImageInto(g, s, ReplaceAllString("ab", []byte("Z")))
+	root, ok := ImageInto(g, s, ReplaceAllString("ab", []byte("Z")), nil)
 	if !ok {
 		t.Fatal("image empty")
 	}
@@ -338,7 +338,7 @@ func TestImageEmptyWhenNoAcceptingRun(t *testing.T) {
 	g := grammar.New()
 	s := g.NewNT("S")
 	g.AddString(s, "x")
-	if _, ok := ImageInto(g, s, f); ok {
+	if _, ok := ImageInto(g, s, f, nil); ok {
 		t.Fatal("image of empty transduction should be empty")
 	}
 }
@@ -347,7 +347,7 @@ func TestImageOfEmptyString(t *testing.T) {
 	g := grammar.New()
 	s := g.NewNT("S")
 	g.Add(s) // epsilon only
-	root, ok := ImageInto(g, s, AddSlashes())
+	root, ok := ImageInto(g, s, AddSlashes(), nil)
 	if !ok {
 		t.Fatal("image empty")
 	}
@@ -362,7 +362,7 @@ func TestImageLongRHSNormalization(t *testing.T) {
 	a := g.NewNT("A")
 	g.Add(s, a, grammar.T('\''), a, grammar.T('\''), a)
 	g.AddString(a, "q")
-	root, ok := ImageInto(g, s, EscapeQuotes())
+	root, ok := ImageInto(g, s, EscapeQuotes(), nil)
 	if !ok {
 		t.Fatal("image empty")
 	}

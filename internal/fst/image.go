@@ -1,6 +1,14 @@
 package fst
 
-import "sqlciv/internal/grammar"
+import (
+	"sqlciv/internal/budget"
+	"sqlciv/internal/grammar"
+)
+
+// imageItemBytes estimates the footprint of one discovered (x, p, q) item:
+// the record, its index-list entries, the fresh nonterminal, and its
+// production bookkeeping.
+const imageItemBytes = 96
 
 // ImageInto computes the image of the context-free language rooted at root
 // under the transducer t, materializing the result into g and returning its
@@ -12,12 +20,18 @@ import "sqlciv/internal/grammar"
 //
 // The boolean result reports whether the image is nonempty.
 //
+// The worklist construction is superlinear in the transducer's states and
+// b meters it cooperatively: one step per discovered item and per worklist
+// pop, plus a memory estimate per item. On exhaustion b panics with
+// *budget.Exceeded (recovered at the unit boundary); g may then hold a
+// partial construction and must be discarded. A nil b is unlimited.
+//
 // The construction is the dominant allocator of phase 1, so all of its
 // bookkeeping is flat: rules are fixed-width records indexed by CSR buckets,
 // item membership is insertion-ordered index lists per (local, state), and
 // per-item production dedup runs over chains through one shared symbol slab
 // instead of a map of byte-string keys per item.
-func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST) (grammar.Sym, bool) {
+func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST, b *budget.Budget) (grammar.Sym, bool) {
 	nq := t.NumStates()
 
 	// ---- input-epsilon reachability and Eps-path nonterminals -----------
@@ -57,8 +71,8 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST) (grammar.Sym, bool)
 		for _, e := range t.edges[p] {
 			if e.In == EpsIn && epsReach[e.To*nq+q] {
 				rhs := make([]grammar.Sym, 0, len(e.Out)+1)
-				for _, b := range e.Out {
-					rhs = append(rhs, grammar.T(b))
+				for _, c := range e.Out {
+					rhs = append(rhs, grammar.T(c))
 				}
 				rhs = append(rhs, epsNT(e.To, q))
 				g.Add(nt, rhs...)
@@ -271,6 +285,8 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST) (grammar.Sym, bool)
 	discover := func(x, p, q int32, rhs []grammar.Sym) {
 		idx := findItem(x, p, q)
 		if idx < 0 {
+			b.Step(1)
+			b.Grow(imageItemBytes)
 			name := ""
 			orig := localSyms[x]
 			if orig >= 0 {
@@ -337,8 +353,8 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST) (grammar.Sym, bool)
 				}
 				rhsBuf = rhsBuf[:0]
 				rhsBuf = append(rhsBuf, epsNT(p, src))
-				for _, b := range e.Out {
-					rhsBuf = append(rhsBuf, grammar.T(b))
+				for _, c := range e.Out {
+					rhsBuf = append(rhsBuf, grammar.T(c))
 				}
 				for _, lhs := range lhss {
 					discover(lhs, int32(p), int32(e.To), rhsBuf)
@@ -349,6 +365,7 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST) (grammar.Sym, bool)
 
 	var pair [2]grammar.Sym
 	for len(work) > 0 {
+		b.Step(1)
 		idx := work[len(work)-1]
 		work = work[:len(work)-1]
 		it := items[idx]
@@ -397,8 +414,8 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST) (grammar.Sym, bool)
 					g.TaintIf(root, newRoot)
 				}
 				rhs := []grammar.Sym{items[ridx].nt, epsNT(int(q), f)}
-				for _, b := range t.finalOut[f] {
-					rhs = append(rhs, grammar.T(b))
+				for _, c := range t.finalOut[f] {
+					rhs = append(rhs, grammar.T(c))
 				}
 				g.Add(newRoot, rhs...)
 			}

@@ -58,7 +58,7 @@ func TestImageMatchesPointwiseApplication(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g, s := randomGrammar(r)
 		words := g.Enumerate(s, 4, 200)
-		root, ok := ImageInto(g, s, AddSlashes())
+		root, ok := ImageInto(g, s, AddSlashes(), nil)
 		if !ok {
 			t.Fatalf("image of nonempty language empty:\n%s", g.String())
 		}
@@ -101,7 +101,7 @@ func TestReplaceImageMatchesStrings(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g, s := randomGrammar(r)
 		words := g.Enumerate(s, 5, 200)
-		root, ok := ImageInto(g, s, f)
+		root, ok := ImageInto(g, s, f, nil)
 		if !ok {
 			t.Fatal("image empty")
 		}
@@ -126,7 +126,7 @@ func TestRangeContainsImage(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g, s := randomGrammar(r)
 		f := transducers[trial%len(transducers)]
-		root, ok := ImageInto(g, s, f)
+		root, ok := ImageInto(g, s, f, nil)
 		if !ok {
 			continue
 		}
