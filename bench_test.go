@@ -210,9 +210,11 @@ func BenchmarkIncrementalCold_Tiger(b *testing.B)  { benchIncrementalCold(b, cor
 func BenchmarkIncrementalCold_Utopia(b *testing.B) { benchIncrementalCold(b, corpus.Utopia()) }
 func BenchmarkIncrementalCold_Warp(b *testing.B)   { benchIncrementalCold(b, corpus.Warp()) }
 
-func BenchmarkIncrementalEdit_E107(b *testing.B)   { benchIncrementalEdit(b, corpus.E107(), "") }
-func BenchmarkIncrementalEdit_EVE(b *testing.B)    { benchIncrementalEdit(b, corpus.EVE(), "") }
-func BenchmarkIncrementalEdit_Tiger(b *testing.B)  { benchIncrementalEdit(b, corpus.Tiger(), "static0.php") }
+func BenchmarkIncrementalEdit_E107(b *testing.B) { benchIncrementalEdit(b, corpus.E107(), "") }
+func BenchmarkIncrementalEdit_EVE(b *testing.B)  { benchIncrementalEdit(b, corpus.EVE(), "") }
+func BenchmarkIncrementalEdit_Tiger(b *testing.B) {
+	benchIncrementalEdit(b, corpus.Tiger(), "static0.php")
+}
 func BenchmarkIncrementalEdit_Utopia(b *testing.B) { benchIncrementalEdit(b, corpus.Utopia(), "") }
 func BenchmarkIncrementalEdit_Warp(b *testing.B)   { benchIncrementalEdit(b, corpus.Warp(), "") }
 
@@ -542,6 +544,43 @@ func BenchmarkScaling_CheckVsGrammarSize(b *testing.B) {
 				res := checker.CheckHotspot(g, q)
 				if !res.Verified {
 					b.Fatal("literal values should verify")
+				}
+			}
+			b.ReportMetric(float64(g.NumProds()), "grammar-R")
+		})
+	}
+}
+
+// BenchmarkScaling_WitnessVsAlternatives times witness extraction — the
+// Figure 7 intersection plus the shortest-witness walk — from a labeled
+// nonterminal with k alternatives inside a quoted query. Every alternative
+// meets the odd-quotes automaton, so each intersection item collects about
+// k productions and per-item production dedup decides the growth in k.
+// Not part of `make bench` (it runs BenchmarkTable1 only).
+func BenchmarkScaling_WitnessVsAlternatives(b *testing.B) {
+	var odd *automata.DFA
+	for _, ca := range policy.CheckAutomata() {
+		if ca.Name == "odd-quotes" {
+			odd = ca.DFA
+		}
+	}
+	for _, k := range []int{64, 256, 1024, 4096} {
+		b.Run(fmt.Sprintf("alts=%d", k), func(b *testing.B) {
+			g := grammar.New()
+			q := g.NewNT("query")
+			x := g.NewNT("X")
+			g.AddLabel(x, grammar.Direct)
+			for i := 0; i < k; i++ {
+				g.AddString(x, fmt.Sprintf("v'%04d", i))
+			}
+			rhs := grammar.TermString("SELECT * FROM t WHERE a='")
+			rhs = append(rhs, x, grammar.T('\''))
+			g.Add(q, rhs...)
+			g.SetStart(q)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if w, ok := grammar.IntersectWitness(g, x, odd); !ok || w != "v'0000" {
+					b.Fatalf("witness %q, %t; want \"v'0000\"", w, ok)
 				}
 			}
 			b.ReportMetric(float64(g.NumProds()), "grammar-R")

@@ -29,8 +29,8 @@ const imageItemBytes = 96
 // The construction is the dominant allocator of phase 1, so all of its
 // bookkeeping is flat: rules are fixed-width records indexed by CSR buckets,
 // item membership is insertion-ordered index lists per (local, state), and
-// per-item production dedup runs over chains through one shared symbol slab
-// instead of a map of byte-string keys per item.
+// every production is deduplicated through one exact grammar.ProdSet keyed
+// by (item, rhs), in time independent of the item's production count.
 func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST, b *budget.Budget) (grammar.Sym, bool) {
 	nq := t.NumStates()
 
@@ -248,14 +248,7 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST, b *budget.Budget) (
 	var items []itemRec
 	byStart := make([][][]int32, nLocal) // x -> p -> item indices
 	byEnd := make([][][]int32, nLocal)   // x -> q -> item indices
-	// Per-item production dedup: chains of (off, n) runs over one Sym slab.
-	type prodRun struct {
-		off, n int32
-		next   int32
-	}
-	var prodRuns []prodRun
-	var prodHead []int32
-	var rhsSlab []grammar.Sym
+	prods := grammar.NewProdSet(g)       // every production added to an item
 
 	findItem := func(x, p, q int32) int32 {
 		rows := byStart[x]
@@ -268,17 +261,6 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST, b *budget.Budget) (
 			}
 		}
 		return -1
-	}
-	sameRun := func(off, n int32, rhs []grammar.Sym) bool {
-		if int(n) != len(rhs) {
-			return false
-		}
-		for i, s := range rhs {
-			if rhsSlab[off+int32(i)] != s {
-				return false
-			}
-		}
-		return true
 	}
 
 	var work []int32
@@ -298,7 +280,6 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST, b *budget.Budget) (
 			}
 			idx = int32(len(items))
 			items = append(items, itemRec{x: x, p: p, q: q, nt: nt})
-			prodHead = append(prodHead, -1)
 			if byStart[x] == nil {
 				byStart[x] = make([][]int32, nq)
 				byEnd[x] = make([][]int32, nq)
@@ -307,16 +288,7 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST, b *budget.Budget) (
 			byEnd[x][q] = append(byEnd[x][q], idx)
 			work = append(work, idx)
 		}
-		for pk := prodHead[idx]; pk >= 0; pk = prodRuns[pk].next {
-			if sameRun(prodRuns[pk].off, prodRuns[pk].n, rhs) {
-				return
-			}
-		}
-		off := int32(len(rhsSlab))
-		rhsSlab = append(rhsSlab, rhs...)
-		prodRuns = append(prodRuns, prodRun{off: off, n: int32(len(rhs)), next: prodHead[idx]})
-		prodHead[idx] = int32(len(prodRuns) - 1)
-		g.Add(items[idx].nt, rhs...)
+		prods.Add(items[idx].nt, rhs)
 	}
 
 	// Seed epsilon rules.
@@ -397,6 +369,8 @@ func ImageInto(g *grammar.Grammar, root grammar.Sym, t *FST, b *budget.Budget) (
 			}
 		}
 	}
+
+	prods.Release()
 
 	// ---- root: right-edge epsilon closure to accepting states -----------
 	rootLocal := localOf[int(root)-grammar.NumTerminals]

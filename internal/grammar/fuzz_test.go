@@ -69,7 +69,8 @@ func fuzzDFA(data []byte) *automata.DFA {
 
 // FuzzIntersect runs the Figure 7 CFG×FSA intersection on arbitrary small
 // grammars and automata under a step budget. It must never panic with
-// anything but *budget.Exceeded, and a nonempty result must yield a witness
+// anything but *budget.Exceeded; no nonterminal the construction creates may
+// have two identical productions; and a nonempty result must yield a witness
 // accepted by both the automaton and the original grammar.
 func FuzzIntersect(f *testing.F) {
 	f.Add([]byte{0, 2, 'a', 'b', 1, 1, 'c', 0x0f, 0, 'a', 1, 1, 'b', 0})
@@ -93,7 +94,18 @@ func FuzzIntersect(f *testing.F) {
 				}
 			}
 		}()
+		n0 := g.NumNTs()
 		nr, nonempty := IntersectIntoT(g, root, d, b, nil)
+		for i := n0; i < g.NumNTs(); i++ {
+			seen := map[string]bool{}
+			for pi := 0; pi < g.numProdsAt(i); pi++ {
+				key := fmt.Sprint(g.rhsAt(i, pi))
+				if seen[key] {
+					t.Fatalf("N%d has the production %s twice:\n%s", i, key, g.String())
+				}
+				seen[key] = true
+			}
+		}
 		if !nonempty {
 			return
 		}

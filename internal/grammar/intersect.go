@@ -13,10 +13,11 @@ import (
 // over normalized (|rhs| ≤ 2) rules, with TAINTIF propagating the direct and
 // indirect labels from each original nonterminal X onto every X_{ij}.
 //
-// All bookkeeping is slice-indexed: local nonterminal ids are dense, and the
-// discovered items (X, i, j) live in one flat record array reached through
-// per-(X, i) and per-(X, j) index lists, so the hot worklist loop performs
-// no map operations at all.
+// All bookkeeping is flat: local nonterminal ids are dense, the discovered
+// items (X, i, j) live in one record array reached through per-(X, i) and
+// per-(X, j) index lists, and every production the construction adds is
+// deduplicated through one exact ProdSet keyed by (item, rhs), so an item's
+// cost does not grow with the number of productions it already has.
 //
 // The boolean result reports whether the intersection is nonempty; when it
 // is empty the returned symbol is invalid and must not be used.
@@ -223,15 +224,7 @@ func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp 
 	var items []itemRec
 	spanIdx := make([][][]int32, nLocal) // x -> i -> item indices
 	endIdx := make([][][]int32, nLocal)  // x -> j -> item indices
-	// Per-item added-production keys as chains through one flat slab
-	// (replaces one heap slice per item; chain order is irrelevant — it
-	// only answers membership).
-	type prodKey struct {
-		a, c Sym
-		next int32
-	}
-	var prodKeys []prodKey
-	var prodHead []int32
+	prods := NewProdSet(g)               // every production added to an item
 
 	findItem := func(x, i, j int32) int32 {
 		rows := spanIdx[x]
@@ -264,7 +257,6 @@ func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp 
 			}
 			idx = int32(len(items))
 			items = append(items, itemRec{x: x, i: i, j: j, nt: nt})
-			prodHead = append(prodHead, -1)
 			if spanIdx[x] == nil {
 				spanIdx[x] = make([][]int32, nq)
 				endIdx[x] = make([][]int32, nq)
@@ -273,15 +265,8 @@ func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp 
 			endIdx[x][j] = append(endIdx[x][j], idx)
 			work = append(work, idx)
 		}
-		for pk := prodHead[idx]; pk >= 0; pk = prodKeys[pk].next {
-			if prodKeys[pk].a == s0 && prodKeys[pk].c == s1 {
-				return
-			}
-		}
-		prodKeys = append(prodKeys, prodKey{a: s0, c: s1, next: prodHead[idx]})
-		prodHead[idx] = int32(len(prodKeys) - 1)
 		addBuf[0], addBuf[1] = s0, s1
-		g.Add(items[idx].nt, addBuf[:nsyms]...)
+		prods.Add(items[idx].nt, addBuf[:nsyms])
 	}
 
 	// Seed: X -> eps gives (X,i,i) for all i.
@@ -352,6 +337,7 @@ func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp 
 		}
 	}
 
+	prods.Release()
 	sp.Count("intersect.items", int64(len(items)))
 	sp.Count("intersect.rules", int64(len(rules)))
 

@@ -1,6 +1,11 @@
 package grammar
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"strings"
+)
 
 // MinLens computes, for every nonterminal, the length of a shortest terminal
 // string it derives, or -1 when its language is empty. A worklist fixpoint
@@ -53,7 +58,45 @@ func (g *Grammar) Empty(nt Sym) bool {
 // whose expansion is lexicographically smallest, so the witness is a
 // function of the grammar's language structure alone — α-renaming
 // nonterminals or permuting production order cannot change it.
+//
+// Memory is linear in the grammar plus the witness: only each nonterminal's
+// chosen production is memoized, tied candidates are compared by walking
+// their expansions lazily, and the witness is written in one walk into one
+// buffer of its exact length.
 func (g *Grammar) Witness(nt Sym) ([]Sym, bool) {
+	w, n, ok := g.shortestDerivation(nt)
+	if !ok {
+		return nil, false
+	}
+	out := make([]Sym, 0, n)
+	for s := w.next(); s >= 0; s = w.next() {
+		out = append(out, s)
+	}
+	return out, true
+}
+
+// WitnessString is Witness rendered as a string (marker as "•").
+func (g *Grammar) WitnessString(nt Sym) (string, bool) {
+	w, n, ok := g.shortestDerivation(nt)
+	if !ok {
+		return "", false
+	}
+	var b strings.Builder
+	b.Grow(int(n))
+	for s := w.next(); s >= 0; s = w.next() {
+		if s == MarkerSym {
+			b.WriteString("•")
+		} else {
+			b.WriteByte(byte(s))
+		}
+	}
+	return b.String(), true
+}
+
+// shortestDerivation fixes, for every nonterminal the witness of nt can
+// reach, the production Witness expands it by, and returns a walk over the
+// witness's terminals together with the witness length.
+func (g *Grammar) shortestDerivation(nt Sym) (*derivWalk, int64, bool) {
 	n := g.NumNTs()
 	// cost = length*sizeWeight + treeSize; treeSize bounds recursion.
 	const sizeWeight = 1 << 20
@@ -61,113 +104,162 @@ func (g *Grammar) Witness(nt Sym) ([]Sym, bool) {
 	for i := range cost {
 		cost[i] = math.MaxInt64
 	}
+	// prodCost is the cost of expanding rhs once, or MaxInt64 when some
+	// nonterminal of rhs derives nothing (yet).
+	prodCost := func(rhs []Sym) int64 {
+		total := int64(1) // production application
+		for _, s := range rhs {
+			if IsTerminal(s) {
+				total += sizeWeight
+				continue
+			}
+			c := cost[g.ntIndex(s)]
+			if c == math.MaxInt64 {
+				return math.MaxInt64
+			}
+			total += c
+		}
+		return total
+	}
 	changed := true
 	for changed {
 		changed = false
 		for i := 0; i < n; i++ {
 			for pi := 0; pi < g.numProdsAt(i); pi++ {
-				rhs := g.rhsAt(i, pi)
-				total := int64(1) // production application
-				ok := true
-				for _, s := range rhs {
-					if IsTerminal(s) {
-						total += sizeWeight
-						continue
-					}
-					c := cost[g.ntIndex(s)]
-					if c == math.MaxInt64 {
-						ok = false
-						break
-					}
-					total += c
-				}
-				if ok && total < cost[i] {
+				if total := prodCost(g.rhsAt(i, pi)); total < cost[i] {
 					cost[i] = total
 					changed = true
 				}
 			}
 		}
 	}
-	if cost[g.ntIndex(nt)] == math.MaxInt64 {
-		return nil, false
+	root := g.ntIndex(nt)
+	if cost[root] == math.MaxInt64 {
+		return nil, 0, false
 	}
-	// Reconstruct bottom-up with memoization: canonical(i) is the
-	// lexicographically smallest expansion among i's minimal-cost
-	// productions. Recursion terminates because every nonterminal of a
-	// minimal-cost production has strictly smaller cost than its LHS (the
-	// production itself contributes +1).
-	memo := make([][]Sym, n)
-	var canonical func(i int) []Sym
-	expandRHS := func(rhs []Sym) []Sym {
-		var out []Sym
-		for _, x := range rhs {
-			if IsTerminal(x) {
-				out = append(out, x)
-			} else {
-				out = append(out, canonical(g.ntIndex(x))...)
-			}
-		}
-		return out
+
+	// Every nonterminal of an exactly-minimal production costs strictly less
+	// than its LHS (the production itself contributes +1), so deciding the
+	// reachable nonterminals in ascending cost order decides each one's
+	// constituents first.
+	choice := make([]int32, n)
+	for i := range choice {
+		choice[i] = -1
 	}
-	canonical = func(i int) []Sym {
-		if memo[i] != nil {
-			return memo[i]
-		}
-		var bestExp []Sym
-		haveBest := false
+	order := []int32{int32(root)}
+	choice[root] = 0 // reached; decided below
+	for k := 0; k < len(order); k++ {
+		i := int(order[k])
 		for pi := 0; pi < g.numProdsAt(i); pi++ {
 			rhs := g.rhsAt(i, pi)
-			total := int64(1)
-			ok := true
-			for _, x := range rhs {
-				if IsTerminal(x) {
-					total += sizeWeight
-					continue
-				}
-				c := cost[g.ntIndex(x)]
-				if c == math.MaxInt64 {
-					ok = false
-					break
-				}
-				total += c
-			}
-			// Expand only exactly-minimal productions: their constituents
-			// all have cost < cost[i], so the recursion strictly descends.
-			if !ok || total != cost[i] {
+			if prodCost(rhs) != cost[i] {
 				continue
 			}
-			exp := expandRHS(rhs)
-			if !haveBest || symsLess(exp, bestExp) {
-				bestExp = exp
-				haveBest = true
+			for _, s := range rhs {
+				if j := int(s) - NumTerminals; j >= 0 && choice[j] < 0 {
+					choice[j] = 0
+					order = append(order, int32(j))
+				}
 			}
 		}
-		if bestExp == nil {
-			bestExp = []Sym{} // ε production: non-nil marks the memo entry
-		}
-		memo[i] = bestExp
-		return bestExp
 	}
-	return canonical(g.ntIndex(nt)), true
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(cost[a], cost[b]) })
+
+	// Among i's exactly-minimal productions the first in production order
+	// wins unless a later one's expansion is lexicographically smaller (a
+	// proper prefix is smaller).
+	wa, wb := &derivWalk{g: g, choice: choice}, &derivWalk{g: g, choice: choice}
+	less := func(i, pa, pb int) bool {
+		wa.start(i, pa)
+		wb.start(i, pb)
+		for {
+			a, b := wa.next(), wb.next()
+			if a != b || a < 0 {
+				return a < b
+			}
+		}
+	}
+	for _, i32 := range order {
+		i, best := int(i32), -1
+		for pi := 0; pi < g.numProdsAt(i); pi++ {
+			if prodCost(g.rhsAt(i, pi)) != cost[i] {
+				continue
+			}
+			if best < 0 || less(i, pi, best) {
+				best = pi
+			}
+		}
+		choice[i] = int32(best)
+	}
+
+	// The costs are spent: reuse the slots for witness lengths, again
+	// constituents first.
+	for _, i32 := range order {
+		i := int(i32)
+		l := int64(0)
+		for _, s := range g.rhsAt(i, int(choice[i])) {
+			if IsTerminal(s) {
+				l++
+			} else {
+				l += cost[g.ntIndex(s)]
+			}
+		}
+		cost[i] = l
+	}
+	wa.start(root, int(choice[root]))
+	return wa, cost[root], true
 }
 
-// symsLess compares two symbol sequences lexicographically.
-func symsLess(a, b []Sym) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+// derivWalk yields, one terminal at a time, the expansion of a production
+// in which every nonterminal expands by its chosen production. The stack
+// holds one frame per pending non-final nonterminal; a nonterminal in final
+// position replaces its parent's frame, so right-linear chains walk in
+// constant space.
+type derivWalk struct {
+	g      *Grammar
+	choice []int32
+	stack  []derivFrame
+	rhs    []Sym // right-hand side of the top frame
 }
 
-// WitnessString is Witness rendered as a string (marker as "•").
-func (g *Grammar) WitnessString(nt Sym) (string, bool) {
-	w, ok := g.Witness(nt)
-	if !ok {
-		return "", false
+type derivFrame struct {
+	nt, prod, pos int32
+}
+
+// start positions the walk at the beginning of nonterminal index i's
+// production pi.
+func (w *derivWalk) start(i, pi int) {
+	w.stack = append(w.stack[:0], derivFrame{nt: int32(i), prod: int32(pi)})
+	w.rhs = w.g.rhsAt(i, pi)
+}
+
+// next returns the walk's next terminal, or -1 when it is exhausted.
+func (w *derivWalk) next() Sym {
+	for len(w.stack) > 0 {
+		f := &w.stack[len(w.stack)-1]
+		if int(f.pos) == len(w.rhs) {
+			w.stack = w.stack[:len(w.stack)-1]
+			if len(w.stack) > 0 {
+				top := w.stack[len(w.stack)-1]
+				w.rhs = w.g.rhsAt(int(top.nt), int(top.prod))
+			}
+			continue
+		}
+		s := w.rhs[f.pos]
+		f.pos++
+		if IsTerminal(s) {
+			return s
+		}
+		j := w.g.ntIndex(s)
+		child := derivFrame{nt: int32(j), prod: w.choice[j]}
+		if int(f.pos) == len(w.rhs) {
+			*f = child
+		} else {
+			w.stack = append(w.stack, child)
+		}
+		w.rhs = w.g.rhsAt(j, int(child.prod))
 	}
-	return TermsToString(w), true
+	return -1
 }
 
 // Reachable returns the set of nonterminals reachable from root (including
