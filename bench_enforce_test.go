@@ -34,13 +34,13 @@ type hotspotLang struct {
 // the direct (in-process) automata, the serialized pack, and the loaded
 // matcher view of the same bytes.
 type enforceSubject struct {
-	app     *corpus.App
-	res     *core.AppResult
-	byKey   map[string]*automata.CDFA // nil value = unavailable hotspot
-	langs   []hotspotLang
-	data    []byte
-	stats   core.PackStats
-	pack    *enforce.Pack
+	app   *corpus.App
+	res   *core.AppResult
+	byKey map[string]*automata.DFA // nil value = unavailable hotspot
+	langs []hotspotLang
+	data  []byte
+	stats core.PackStats
+	pack  *enforce.Pack
 }
 
 // Subjects are analysis-heavy to build and immutable once built, so one
@@ -74,7 +74,7 @@ func buildEnforceSubject(tb testing.TB, app *corpus.App) *enforceSubject {
 		tb.Fatalf("Load(%s): %v", app.Name, err)
 	}
 	s := &enforceSubject{app: app, res: res, data: data, stats: stats, pack: pack,
-		byKey: make(map[string]*automata.CDFA, len(entries))}
+		byKey: make(map[string]*automata.DFA, len(entries))}
 	for _, e := range entries {
 		s.byKey[e.Key] = e.Automaton
 	}
@@ -153,7 +153,7 @@ func mutate(q string) []string {
 
 // TestEnforceRoundTrip: for every Table-1 subject and every available
 // hotspot, the pack matcher's verdict is bit-identical to the in-process
-// CDFA it serialized — over in-language queries, adversarial mutations, and
+// DFA it serialized — over in-language queries, adversarial mutations, and
 // the empty string.
 func TestEnforceRoundTrip(t *testing.T) {
 	for _, app := range corpus.Apps() {
@@ -185,7 +185,7 @@ func TestEnforceRoundTrip(t *testing.T) {
 				for _, q := range queries {
 					got, want := m.MatchString(q), c.AcceptsString(q)
 					if got != want {
-						t.Errorf("%s: matcher(%q)=%v but CDFA says %v", l.key, q, got, want)
+						t.Errorf("%s: matcher(%q)=%v but the DFA says %v", l.key, q, got, want)
 					}
 					if bg := m.Match([]byte(q)); bg != got {
 						t.Errorf("%s: Match/MatchString disagree on %q", l.key, q)

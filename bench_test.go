@@ -79,16 +79,6 @@ func benchAppOpts(b *testing.B, app *corpus.App, opts core.Options) {
 	if total := last.VerdictCacheMisses + hits; total > 0 {
 		b.ReportMetric(100*float64(hits)/float64(total), "verdict-cache-hit-pct")
 	}
-	// Automaton census: cumulative process-wide totals for every DFA that
-	// entered the class-indexed representation (Compress or Decompress).
-	// The absolutes let bench-diff ratchet compression regressions — a
-	// check DFA that suddenly needs more byte classes shows up as a jump in
-	// dfa-classes and slab-B long before it costs wall-clock time.
-	census := automata.CensusSnapshot()
-	b.ReportMetric(float64(census.DFAs), "dfas")
-	b.ReportMetric(float64(census.States), "dfa-states")
-	b.ReportMetric(float64(census.Classes), "dfa-classes")
-	b.ReportMetric(float64(census.SlabBytes), "slab-B")
 	// Class-string memo effectiveness inside the relation fixpoints:
 	// terminal runs collapsing to an already-composed class sequence.
 	memoHits, memoMisses := grammar.RelMemoStats()

@@ -37,8 +37,8 @@
 // (-trace-format jsonl, the default) or the Chrome trace-event format
 // (-trace-format chrome, loadable in Perfetto / chrome://tracing with one
 // lane per worker); -progress paints a live status line on stderr; and
-// -debug-addr HOST:PORT serves /debug/progress, /debug/vars, and
-// /debug/pprof for a run in flight.
+// -debug-addr HOST:PORT serves /debug/progress and /debug/pprof for a run
+// in flight.
 //
 // Resource budgets: -timeout bounds the whole run, -hotspot-timeout,
 // -max-steps and -max-mem bound each analysis unit (one page analysis or
@@ -84,7 +84,7 @@ func run() int {
 	traceFile := flag.String("trace", "", "record a span trace of the run to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace file format: jsonl or chrome (Perfetto-loadable)")
 	progress := flag.Bool("progress", false, "paint a live progress line on stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/progress, /debug/vars, and /debug/pprof on this address (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/progress and /debug/pprof on this address (e.g. localhost:6060)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")

@@ -23,7 +23,7 @@
 //	GET  /debug/flight   flight recorder: recent request summaries plus
 //	                     the retained span traces of degraded/errored/
 //	                     SLO-breaching requests (?id= for one full trace)
-//	GET  /debug/...      expvar, pprof
+//	GET  /debug/pprof/   the standard pprof handlers
 //
 // Observability: -slo-ms sets the latency objective (breaches are counted
 // in sqlcheckd_slo_breaches_total and promote the request's trace into the
@@ -75,7 +75,6 @@ import (
 
 	"sqlciv"
 	"sqlciv/internal/corpus"
-	"sqlciv/internal/obs"
 	"sqlciv/internal/obs/metrics"
 	"sqlciv/internal/server"
 	"sqlciv/internal/vcache"
@@ -123,7 +122,6 @@ func run() int {
 		DefaultTenant: server.Tenant{
 			MaxInFlight: *tenantInflight,
 		},
-		Tracer: obs.New(),
 	}
 	if *accessLog != "" {
 		if *accessLog == "-" {

@@ -21,8 +21,8 @@ type checkDFA struct {
 }
 
 // byteImage returns the d-states reachable from the state set from by
-// reading some string of L(rhs), stepping terminals through d's dense
-// per-symbol rows and nonterminals through rels.
+// reading some string of L(rhs), stepping terminals one symbol at a time
+// (d.Step) and nonterminals through rels.
 func byteImage(d *automata.DFA, rels [][]uint32, rhs []grammar.Sym, from uint32) uint32 {
 	for _, s := range rhs {
 		var next uint32
@@ -147,8 +147,8 @@ func compareIntersectionWithBytes(t *testing.T, where string, g *grammar.Grammar
 // witness (the check behind every corpus finding) from a Fig. 7
 // intersection of the extracted slice with the odd-quotes DFA, seeded by
 // byte class. For every hotspot of every Table 1 subject those answers must
-// equal per-byte references that step every terminal through the DFA's
-// dense rows: the relations and contexts for every policy check DFA, and
+// equal per-byte references that step every terminal through the DFA one
+// symbol at a time: the relations and contexts for every policy check DFA, and
 // the odd-quotes intersection from the hotspot root. The class partition is
 // a lossless re-indexing, so any divergence is a compression bug.
 func TestCompressionPreservesFindingsOnCorpus(t *testing.T) {

@@ -28,7 +28,7 @@ func testPack(t *testing.T) *Pack {
 	}
 	data, _, err := ienforce.Compile([]ienforce.BuildEntry{
 		{Key: "shop.php:42", Automaton: c, Verified: true},
-		{Key: "legacy.php:9", Automaton: (*automata.CDFA)(nil)},
+		{Key: "legacy.php:9", Automaton: (*automata.DFA)(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)

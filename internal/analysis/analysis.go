@@ -12,7 +12,6 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -252,13 +251,6 @@ func (a *analyzer) appendOutput(e env, val grammar.Sym) {
 // Analyze runs the string-taint analysis with entry as the top-level page.
 func Analyze(resolver Resolver, entry string, opts Options) (*Result, error) {
 	return AnalyzeT(resolver, entry, opts, nil, nil)
-}
-
-// AnalyzeCtx is Analyze under ctx: cancellation or a context deadline makes
-// the walk stop cooperatively and return an error (*budget.Exceeded), so a
-// page stuck in phase 1 cannot outlive the run's deadline.
-func AnalyzeCtx(ctx context.Context, resolver Resolver, entry string, opts Options) (*Result, error) {
-	return AnalyzeT(resolver, entry, opts, budget.New(ctx, budget.Limits{}), nil)
 }
 
 // AnalyzeT is Analyze metered by b and observed by sp. The statement walk

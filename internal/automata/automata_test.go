@@ -259,16 +259,3 @@ func TestMarkerTransitions(t *testing.T) {
 		t.Fatal("byte accepted instead of marker")
 	}
 }
-
-func TestCompleteIdempotent(t *testing.T) {
-	d := NewDFA()
-	s := d.AddState()
-	d.SetStart(s)
-	d.SetAccept(s, true)
-	d.Complete()
-	n1 := d.NumStates()
-	d.Complete()
-	if d.NumStates() != n1 {
-		t.Fatal("Complete added states twice")
-	}
-}

@@ -8,12 +8,12 @@ import (
 // Byte-equivalence-class alphabet compression (the RE2 technique). The
 // check automata the policy cascade runs — unescaped-quote, string-literal
 // context, numeric-literal, attack-fragment — distinguish only a handful of
-// byte classes (quote, backslash, digit, everything else), yet the dense
-// DFA representation scans all 257 symbols per state. A ByteClasses value
-// partitions the alphabet into the coarsest classes an automaton's edge
-// structure cannot tell apart, so every per-symbol loop downstream
-// (determinization, minimization, product, relation composition) runs over
-// a few classes instead of 257 raw symbols.
+// byte classes (quote, backslash, digit, everything else) out of 257
+// symbols. A ByteClasses value partitions the alphabet into the coarsest
+// classes an automaton's edge structure cannot tell apart, so every loop
+// over a state's successors (determinization, minimization, product,
+// relation composition) runs over a few classes instead of 257 raw
+// symbols.
 
 // ByteClasses is a partition of the AlphabetSize symbols into equivalence
 // classes. Class ids are canonical: classes are numbered by their smallest
@@ -113,21 +113,6 @@ func (p *partition) finish() *ByteClasses {
 		bc.reps[p.class[s]] = int32(s)
 	}
 	return internClasses(bc)
-}
-
-// classesOfDFA computes the coarsest partition under which d's transition
-// function is class-uniform: two symbols land in the same class iff every
-// state sends them to the same target (unset transitions count as a
-// distinct target).
-func classesOfDFA(d *DFA) *ByteClasses {
-	p := newPartition()
-	for _, row := range d.trans {
-		if p.n >= AlphabetSize {
-			break
-		}
-		p.refine(row)
-	}
-	return p.finish()
 }
 
 // classesOfNFA computes the coarsest partition under which n's edge

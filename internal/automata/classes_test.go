@@ -48,18 +48,18 @@ func randWord(r *rand.Rand) []int {
 	return w
 }
 
-// dfaEqual reports bit-identity of two DFAs: same state count and numbering,
-// same start, acceptance, and every transition.
-func dfaEqual(a, b *DFA) bool {
-	if a.NumStates() != b.NumStates() || a.Start() != b.Start() {
+// dfaEqual reports bit-identity of a DFA and a per-symbol reference: same
+// state count and numbering, same start, acceptance, and every transition.
+func dfaEqual(a *DFA, b *denseDFA) bool {
+	if a.NumStates() != len(b.trans) || a.Start() != b.start {
 		return false
 	}
 	for s := 0; s < a.NumStates(); s++ {
-		if a.IsAccept(s) != b.IsAccept(s) {
+		if a.IsAccept(s) != b.accept[s] {
 			return false
 		}
 		for sym := 0; sym < AlphabetSize; sym++ {
-			if a.Step(s, sym) != b.Step(s, sym) {
+			if a.Step(s, sym) != int(b.trans[s][sym]) {
 				return false
 			}
 		}
@@ -95,19 +95,24 @@ func TestDeterminizeMatchesDenseOnRandomNFAs(t *testing.T) {
 func TestClassOpsMatchDenseOnRandomDFAs(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	var prev *DFA
+	var prevDense *denseDFA
 	for i := 0; i < 60; i++ {
-		d := randNFA(r).determinizeDense()
-		if got, want := d.Minimize(), d.minimizeDense(); !dfaEqual(got, want) {
+		dd := randNFA(r).determinizeDense()
+		d := dd.packed()
+		if !dfaEqual(d, dd) {
+			t.Fatalf("iter %d: FromFunc did not reproduce the dense automaton", i)
+		}
+		if got, want := d.Minimize(), dd.minimizeDense(); !dfaEqual(got, want) {
 			t.Fatalf("iter %d: Minimize diverged from dense", i)
 		}
-		if got, want := d.Complement(), d.complementDense(); !dfaEqual(got, want) {
+		if got, want := d.Complement(), dd.complementDense(); !dfaEqual(got, want) {
 			t.Fatalf("iter %d: Complement diverged from dense", i)
 		}
-		if got, want := d.IsEmpty(), d.isEmptyDense(); got != want {
+		if got, want := d.IsEmpty(), dd.isEmptyDense(); got != want {
 			t.Fatalf("iter %d: IsEmpty %v, dense %v", i, got, want)
 		}
 		gw, gok := d.MinWord()
-		ww, wok := d.minWordDense()
+		ww, wok := dd.minWordDense()
 		if gok != wok || len(gw) != len(ww) {
 			t.Fatalf("iter %d: MinWord (%v,%v) vs dense (%v,%v)", i, gw, gok, ww, wok)
 		}
@@ -117,11 +122,11 @@ func TestClassOpsMatchDenseOnRandomDFAs(t *testing.T) {
 			}
 		}
 		if prev != nil {
-			if got, want := prev.Intersect(d), prev.intersectDense(d); !dfaEqual(got, want) {
+			if got, want := prev.Intersect(d), prevDense.intersectDense(dd); !dfaEqual(got, want) {
 				t.Fatalf("iter %d: Intersect diverged from dense", i)
 			}
 		}
-		prev = d
+		prev, prevDense = d, dd
 	}
 }
 
@@ -196,7 +201,7 @@ func TestClassesOfNFAMatchesRefinement(t *testing.T) {
 // canonicalForm relabels c's states in BFS order from the start over
 // ascending classes and lists, per state in that order, its acceptance and
 // its successors' labels. It reports false if some state is unreachable.
-func canonicalForm(c *CDFA) ([]int32, bool) {
+func canonicalForm(c *DFA) ([]int32, bool) {
 	label := make([]int32, c.NumStates())
 	for i := range label {
 		label[i] = -1
@@ -212,14 +217,11 @@ func canonicalForm(c *CDFA) ([]int32, bool) {
 			out = append(out, 0)
 		}
 		for _, t := range c.trans[s*c.nc : (s+1)*c.nc] {
-			if t >= 0 && label[t] < 0 {
+			if label[t] < 0 {
 				label[t] = int32(len(queue))
 				queue = append(queue, t)
 			}
-			if t >= 0 {
-				t = label[t]
-			}
-			out = append(out, t)
+			out = append(out, label[t])
 		}
 	}
 	return out, len(queue) == c.NumStates()
@@ -227,7 +229,7 @@ func canonicalForm(c *CDFA) ([]int32, bool) {
 
 // isomorphic reports whether a and b are one automaton up to state
 // numbering.
-func isomorphic(a, b *CDFA) bool {
+func isomorphic(a, b *DFA) bool {
 	fa, oka := canonicalForm(a)
 	fb, okb := canonicalForm(b)
 	return a.bc == b.bc && oka && okb && slices.Equal(fa, fb)
@@ -236,14 +238,14 @@ func isomorphic(a, b *CDFA) bool {
 // checkImportantSubsets holds the important-state construction to its
 // contract against the full one on n: never more states, the NFA's verdict
 // on every word, and after Minimize an automaton isomorphic to
-// DeterminizeC().Minimize(). Bit-identity is not required: off the corpus
+// Determinize().Minimize(). Bit-identity is not required: off the corpus
 // the minimized numbering can differ.
 func checkImportantSubsets(tb testing.TB, n *NFA, words [][]int) {
 	tb.Helper()
-	full := n.DeterminizeC()
-	imp, ok := n.DeterminizeCappedC(0)
+	full := n.Determinize()
+	imp, ok := n.DeterminizeCapped(0)
 	if !ok {
-		tb.Fatal("DeterminizeCappedC(0) aborted")
+		tb.Fatal("DeterminizeCapped(0) aborted")
 	}
 	if imp.NumStates() > full.NumStates() {
 		tb.Fatalf("important-state DFA has %d states, full construction %d", imp.NumStates(), full.NumStates())
@@ -300,30 +302,35 @@ func TestCloserWalkMatchesRows(t *testing.T) {
 	}
 }
 
-// TestCompressRoundtrip checks that Compress is lossless on arbitrary
-// (including incomplete) DFAs and that the partition is valid: symbols in
-// one class step identically at every state, and class ids are numbered by
-// ascending smallest member.
-func TestCompressRoundtrip(t *testing.T) {
+// TestFromFuncRoundtrip checks that FromFunc is lossless on arbitrary total
+// transition functions and that its partition is valid and coarsest:
+// symbols in one class step identically at every state, class ids are
+// numbered by ascending smallest member, and any two classes are told apart
+// by some state.
+func TestFromFuncRoundtrip(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
-		d := NewDFA()
+		dd := &denseDFA{}
 		ns := 1 + r.Intn(5)
 		for s := 0; s < ns; s++ {
-			d.AddState()
+			dd.addState()
 		}
 		for s := 0; s < ns; s++ {
-			for e, k := 0, r.Intn(40); e < k; e++ {
-				d.SetEdge(s, r.Intn(AlphabetSize), r.Intn(ns))
+			def := int32(r.Intn(ns))
+			for sym := range dd.trans[s] {
+				dd.trans[s][sym] = def
 			}
-			d.SetAccept(s, r.Intn(2) == 0)
+			for e, k := 0, r.Intn(40); e < k; e++ {
+				dd.trans[s][r.Intn(AlphabetSize)] = int32(r.Intn(ns))
+			}
+			dd.accept[s] = r.Intn(2) == 0
 		}
-		d.SetStart(r.Intn(ns))
-		c := d.Compress()
-		if !dfaEqual(c.Decompress(), d) {
-			t.Fatalf("iter %d: Compress/Decompress not lossless", i)
+		dd.start = r.Intn(ns)
+		d := dd.packed()
+		if !dfaEqual(d, dd) {
+			t.Fatalf("iter %d: FromFunc not lossless", i)
 		}
-		bc := c.Classes()
+		bc := d.Classes()
 		prevRep := -1
 		for cls := 0; cls < bc.NumClasses(); cls++ {
 			rep := bc.Rep(cls)
@@ -340,9 +347,20 @@ func TestCompressRoundtrip(t *testing.T) {
 			if rep > sym {
 				t.Fatalf("iter %d: class rep %d larger than member %d", i, rep, sym)
 			}
-			for s := 0; s < d.NumStates(); s++ {
-				if d.Step(s, sym) != d.Step(s, rep) {
+			for s := 0; s < ns; s++ {
+				if dd.trans[s][sym] != dd.trans[s][rep] {
 					t.Fatalf("iter %d: state %d distinguishes symbol %d from its class rep %d", i, s, sym, rep)
+				}
+			}
+		}
+		for a := 0; a < bc.NumClasses(); a++ {
+			for b := a + 1; b < bc.NumClasses(); b++ {
+				split := false
+				for s := 0; s < ns && !split; s++ {
+					split = d.StepClass(s, a) != d.StepClass(s, b)
+				}
+				if !split {
+					t.Fatalf("iter %d: classes %d and %d step alike at every state: partition not coarsest", i, a, b)
 				}
 			}
 		}
@@ -353,8 +371,8 @@ func TestCompressRoundtrip(t *testing.T) {
 // partitions from independent automata intern to one pointer (the relation
 // plans key translation caches on it).
 func TestClassesShareInternedPartition(t *testing.T) {
-	a := FromString("x'y").Determinize().Compressed().Classes()
-	b := FromString("x'y").Determinize().Compressed().Classes()
+	a := FromString("x'y").Determinize().Classes()
+	b := FromString("x'y").Determinize().Classes()
 	if a != b {
 		t.Fatal("equal partitions did not intern to one pointer")
 	}
@@ -371,41 +389,5 @@ func TestInternDedups(t *testing.T) {
 	c := Intern(FromString("abd").Determinize().Minimize())
 	if c == a {
 		t.Fatal("distinct DFAs interned to one pointer")
-	}
-}
-
-// TestMutationInvalidatesCaches checks that mutating a DFA drops both the
-// compressed snapshot and the completeness flag.
-func TestMutationInvalidatesCaches(t *testing.T) {
-	d := NewDFA()
-	s0, s1 := d.AddState(), d.AddState()
-	for sym := 0; sym < AlphabetSize; sym++ {
-		d.SetEdge(s0, sym, s0)
-		d.SetEdge(s1, sym, s1)
-	}
-	d.SetStart(s0)
-	d.SetAccept(s1, true)
-	c1 := d.Compressed()
-	if c1.NumClasses() != 1 {
-		t.Fatalf("uniform DFA should have 1 class, got %d", c1.NumClasses())
-	}
-	d.Complete() // already total: must not add a dead state
-	if d.NumStates() != 2 {
-		t.Fatalf("Complete added a state to a total DFA: %d states", d.NumStates())
-	}
-	d.SetEdge(s0, 'x', s1)
-	c2 := d.Compressed()
-	if c2 == c1 {
-		t.Fatal("Compressed cache survived SetEdge")
-	}
-	if c2.Step(s0, 'x') != s1 || c2.NumClasses() != 2 {
-		t.Fatalf("recompressed form stale: step=%d classes=%d", c2.Step(s0, 'x'), c2.NumClasses())
-	}
-	// A fresh state reopens completeness: Complete must fill its row even
-	// though the DFA was previously marked total.
-	s2 := d.AddState()
-	d.Complete()
-	if d.Step(s2, 'a') < 0 {
-		t.Fatal("Complete skipped a DFA whose total flag should have been invalidated")
 	}
 }

@@ -1,13 +1,45 @@
 package automata
 
 // The per-symbol ("dense") reference constructions. Production code runs
-// every construction on the class-indexed form (classes.go, cdfa.go) and
+// every construction on the class-indexed DFA (classes.go, dfa.go) and
 // promises byte-identical output; classes_test.go holds it to that promise
 // by running these originals side by side on random automata.
 
+// denseDFA is the per-symbol row form the reference constructions run on:
+// trans[s][sym] is the successor of state s on symbol sym. Every denseDFA
+// built here is complete.
+type denseDFA struct {
+	trans  [][]int32
+	accept []bool
+	start  int
+}
+
+// addState adds a non-accepting state with every transition unset (-1) and
+// returns its index.
+func (d *denseDFA) addState() int {
+	row := make([]int32, AlphabetSize)
+	for i := range row {
+		row[i] = -1
+	}
+	d.trans = append(d.trans, row)
+	d.accept = append(d.accept, false)
+	return len(d.trans) - 1
+}
+
+// packed returns d as a DFA, through FromFunc.
+func (d *denseDFA) packed() *DFA {
+	return FromFunc(len(d.trans), d.start,
+		func(s int) bool { return d.accept[s] },
+		func(s, sym int) int { return int(d.trans[s][sym]) })
+}
+
+func appendInt(b []byte, v int) []byte {
+	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
 // determinizeDense is the per-symbol reference implementation, the oracle the
 // class-indexed construction is differentially tested against.
-func (n *NFA) determinizeDense() *DFA {
+func (n *NFA) determinizeDense() *denseDFA {
 	type key string
 	enc := func(set []int) key {
 		b := make([]byte, 0, len(set)*3)
@@ -16,16 +48,16 @@ func (n *NFA) determinizeDense() *DFA {
 		}
 		return key(b)
 	}
-	d := &DFA{}
-	dead := d.AddState() // state 0 is the dead state
+	d := &denseDFA{}
+	dead := d.addState() // state 0 is the dead state
 	for sym := 0; sym < AlphabetSize; sym++ {
-		d.SetEdge(dead, sym, dead)
+		d.trans[dead][sym] = int32(dead)
 	}
 
 	startSet := n.epsClosure([]int{n.start})
 	ids := map[key]int{enc(startSet): 0}
 	// Reserve: we want start to be its own DFA state distinct from dead.
-	startID := d.AddState()
+	startID := d.addState()
 	ids[enc(startSet)] = startID
 	d.start = startID
 	sets := map[int][]int{startID: startSet}
@@ -55,20 +87,20 @@ func (n *NFA) determinizeDense() *DFA {
 		for sym := 0; sym < AlphabetSize; sym++ {
 			tos, ok := succ[sym]
 			if !ok {
-				d.SetEdge(id, sym, dead)
+				d.trans[id][sym] = int32(dead)
 				continue
 			}
 			cl := n.epsClosure(tos)
 			k := enc(cl)
 			tid, ok := ids[k]
 			if !ok {
-				tid = d.AddState()
+				tid = d.addState()
 				ids[k] = tid
 				sets[tid] = cl
 				d.accept[tid] = anyAccept(cl)
 				work = append(work, tid)
 			}
-			d.SetEdge(id, sym, tid)
+			d.trans[id][sym] = int32(tid)
 		}
 	}
 	return d
@@ -76,9 +108,8 @@ func (n *NFA) determinizeDense() *DFA {
 
 // complementDense is the per-symbol reference implementation, the oracle the
 // class-indexed construction is differentially tested against.
-func (d *DFA) complementDense() *DFA {
-	d.Complete()
-	out := &DFA{start: d.start}
+func (d *denseDFA) complementDense() *denseDFA {
+	out := &denseDFA{start: d.start}
 	out.trans = make([][]int32, len(d.trans))
 	out.accept = make([]bool, len(d.accept))
 	for s := range d.trans {
@@ -87,23 +118,20 @@ func (d *DFA) complementDense() *DFA {
 		out.trans[s] = row
 		out.accept[s] = !d.accept[s]
 	}
-	out.total.Store(true)
 	return out
 }
 
 // intersectDense is the per-symbol reference implementation, the oracle the
 // class-indexed construction is differentially tested against.
-func (d *DFA) intersectDense(o *DFA) *DFA {
-	d.Complete()
-	o.Complete()
+func (d *denseDFA) intersectDense(o *denseDFA) *denseDFA {
 	type pair struct{ a, b int }
 	ids := map[pair]int{}
-	out := NewDFA()
+	out := &denseDFA{}
 	get := func(p pair) int {
 		if id, ok := ids[p]; ok {
 			return id
 		}
-		id := out.AddState()
+		id := out.addState()
 		ids[p] = id
 		out.accept[id] = d.accept[p.a] && o.accept[p.b]
 		return id
@@ -131,7 +159,7 @@ func (d *DFA) intersectDense(o *DFA) *DFA {
 
 // isEmptyDense is the per-symbol reference implementation, the oracle the
 // class-indexed construction is differentially tested against.
-func (d *DFA) isEmptyDense() bool {
+func (d *denseDFA) isEmptyDense() bool {
 	if len(d.trans) == 0 {
 		return true
 	}
@@ -157,7 +185,7 @@ func (d *DFA) isEmptyDense() bool {
 
 // minWordDense is the per-symbol reference implementation, the oracle the
 // class-indexed construction is differentially tested against.
-func (d *DFA) minWordDense() ([]int, bool) {
+func (d *denseDFA) minWordDense() ([]int, bool) {
 	if len(d.trans) == 0 {
 		return nil, false
 	}
@@ -212,8 +240,7 @@ func (d *DFA) minWordDense() ([]int, bool) {
 
 // minimizeDense is the per-symbol reference implementation, the oracle the
 // class-indexed construction is differentially tested against.
-func (d *DFA) minimizeDense() *DFA {
-	d.Complete()
+func (d *denseDFA) minimizeDense() *denseDFA {
 	// Restrict to reachable states.
 	reach := make([]int, len(d.trans)) // old -> new (compact) or -1
 	for i := range reach {
@@ -286,9 +313,9 @@ func (d *DFA) minimizeDense() *DFA {
 		numClasses = len(ids)
 		class = next
 	}
-	out := NewDFA()
+	out := &denseDFA{}
 	for i := 0; i < numClasses; i++ {
-		out.AddState()
+		out.addState()
 	}
 	for i, old := range order {
 		c := class[i]

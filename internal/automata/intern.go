@@ -2,21 +2,17 @@ package automata
 
 import "sync"
 
-// dfaInterner deduplicates finalized DFAs by the canonical fingerprint of
-// their class-indexed form. Identical check automata built independently —
-// the same guard regex compiled on different pages, the same attack
-// fragment in different policies — collapse to one shared *DFA (and one
-// shared CDFA slab), so downstream per-DFA memos (relation-plan run
-// translations, verdict caches) hit across call sites.
+// dfaInterner deduplicates DFAs by their canonical fingerprint. Identical
+// automata built independently — the same guard regex compiled on
+// different pages, the same substring filter in different analyses —
+// collapse to one shared *DFA and one transition slab.
 var dfaInterner sync.Map // string -> *DFA
 
-// Intern returns the canonical shared DFA structurally equal to d. d must
-// be finalized (no further mutation); the returned automaton may be d
-// itself or an earlier automaton with identical states, transitions,
-// acceptance, and start. Safe for concurrent use.
+// Intern returns the canonical shared DFA structurally equal to d: d itself
+// or an earlier automaton with identical states, transitions, acceptance,
+// and start. Safe for concurrent use.
 func Intern(d *DFA) *DFA {
-	c := d.Compressed()
-	key := c.fingerprint()
+	key := d.fingerprint()
 	if v, ok := dfaInterner.Load(key); ok {
 		return v.(*DFA)
 	}
@@ -24,24 +20,24 @@ func Intern(d *DFA) *DFA {
 	return v.(*DFA)
 }
 
-// fingerprint returns the canonical byte encoding of c. Every published
-// CDFA carries the coarsest partition of its dense expansion, so two dense
-// DFAs are structurally equal iff their fingerprints are equal.
-func (c *CDFA) fingerprint() string {
-	b := make([]byte, 0, 2*AlphabetSize+4*len(c.trans)+len(c.accept)+8)
-	for _, cl := range c.bc.class {
+// fingerprint returns the canonical byte encoding of d. Every DFA carries
+// the coarsest partition of its transition function, so two DFAs are
+// structurally equal iff their fingerprints are equal.
+func (d *DFA) fingerprint() string {
+	b := make([]byte, 0, 2*AlphabetSize+4*len(d.trans)+len(d.accept)+4)
+	for _, cl := range d.bc.class {
 		b = append(b, byte(cl), byte(cl>>8))
 	}
-	for _, t := range c.trans {
+	for _, t := range d.trans {
 		b = append(b, byte(t), byte(t>>8), byte(t>>16), byte(t>>24))
 	}
-	for _, a := range c.accept {
+	for _, a := range d.accept {
 		if a {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
 		}
 	}
-	b = appendInt(b, int(c.start))
+	b = append(b, byte(d.start), byte(d.start>>8), byte(d.start>>16), byte(d.start>>24))
 	return string(b)
 }

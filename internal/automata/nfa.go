@@ -1,8 +1,8 @@
 // Package automata implements nondeterministic and deterministic finite
 // automata over the analysis alphabet: the 256 byte values plus one reserved
 // context-marker symbol. It provides the standard constructions the string
-// analysis needs — subset construction, completion, complement, product
-// intersection, minimization, emptiness, and shortest-witness extraction.
+// analysis needs — subset construction, complement, product intersection,
+// minimization, emptiness, and shortest-witness extraction.
 package automata
 
 import (
@@ -121,45 +121,38 @@ func (n *NFA) epsClosure(set []int) []int {
 	return out
 }
 
-// Determinize converts the NFA to an equivalent complete DFA via the subset
-// construction. The result always has a dead state, so every transition is
-// defined. The construction runs over byte classes (DeterminizeC) and
-// expands; the result is byte-identical to the per-symbol construction.
-func (n *NFA) Determinize() *DFA {
-	return n.DeterminizeC().Decompress()
-}
-
-// DeterminizeC runs the subset construction over the NFA's byte classes and
-// returns the class-indexed DFA directly. Classes are computed on the NFA
+// Determinize converts the NFA to an equivalent DFA via the subset
+// construction over the NFA's byte classes. Classes are computed on the NFA
 // first, so the exponential step scans a handful of classes per subset
-// instead of all 257 symbols. State numbering matches the per-symbol
-// construction exactly: state 0 is the dead state, state 1 the start set,
-// and subsets are numbered in first-discovery order under an ascending
-// class scan, which coincides with the ascending symbol scan because each
-// class is ordered by its smallest member.
-func (n *NFA) DeterminizeC() *CDFA {
-	c, _ := n.determinize(false, 0)
-	return c
+// instead of all 257 symbols. State 0 is the dead state, so every
+// transition is defined. State numbering matches the per-symbol
+// construction exactly: state 1 is the start set, and subsets are numbered
+// in first-discovery order under an ascending class scan, which coincides
+// with the ascending symbol scan because each class is ordered by its
+// smallest member.
+func (n *NFA) Determinize() *DFA {
+	d, _ := n.determinize(false, 0)
+	return d
 }
 
-// DeterminizeCappedC is the subset construction the enforcement compiler
+// DeterminizeCapped is the subset construction the enforcement compiler
 // runs on whole-grammar over-approximations, with a bound on DFA states: if
 // the construction would exceed maxStates (0 means unlimited) it aborts and
 // returns (nil, false), and the caller records the hotspot as unavailable
 // (it fails closed at runtime).
 //
-// Unlike DeterminizeC it identifies each subset by its important states
+// Unlike Determinize it identifies each subset by its important states
 // only: states with a symbol edge, and accepting states (Dragon book
 // §3.9.5). Two ε-closed subsets with the same important states move alike
 // on every symbol and agree on acceptance, so they are one DFA state; a
 // successor with no important state is the dead state. Flattened grammars
 // are mostly ε-only states, so the bitsets shrink to the few important
-// columns and the result is a quotient of DeterminizeC's: the same
+// columns and the result is a quotient of Determinize's: the same
 // language, never more states, and isomorphic to it after Minimize. The
 // minimized numbering can still differ on some inputs, because Minimize
 // numbers blocks in the order its traversal of the (different) input
 // discovers them.
-func (n *NFA) DeterminizeCappedC(maxStates int) (*CDFA, bool) {
+func (n *NFA) DeterminizeCapped(maxStates int) (*DFA, bool) {
 	return n.determinize(true, maxStates)
 }
 
@@ -333,9 +326,9 @@ func (c *closer) close(buf []uint64, targets []int32) {
 	c.stack = stk
 }
 
-// determinize is the subset construction behind DeterminizeC (every state
-// is a column) and DeterminizeCappedC (important states only).
-func (n *NFA) determinize(important bool, maxStates int) (*CDFA, bool) {
+// determinize is the subset construction behind Determinize (every state
+// is a column) and DeterminizeCapped (important states only).
+func (n *NFA) determinize(important bool, maxStates int) (*DFA, bool) {
 	bc := classesOfNFA(n)
 	nc := bc.NumClasses()
 	N := len(n.trans)
@@ -418,7 +411,7 @@ func (n *NFA) determinize(important bool, maxStates int) (*CDFA, bool) {
 		return true
 	}
 
-	c := &CDFA{bc: bc, nc: nc}
+	c := &DFA{bc: bc, nc: nc}
 	addState := func() int32 {
 		id := int32(len(c.accept))
 		c.trans = append(c.trans, make([]int32, nc)...)
@@ -606,17 +599,6 @@ func FromString(s string) *NFA {
 		cur = next
 	}
 	n.SetAccept(cur, true)
-	return n
-}
-
-// FromBytes returns an NFA accepting any single byte in set.
-func FromBytes(set []byte) *NFA {
-	n := NewNFA()
-	acc := n.AddState()
-	n.SetAccept(acc, true)
-	for _, b := range set {
-		n.AddEdge(n.start, int(b), acc)
-	}
 	return n
 }
 

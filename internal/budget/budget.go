@@ -85,11 +85,6 @@ type Limits struct {
 	MaxMemBytes int64
 }
 
-// Unlimited reports whether the limits impose no bound at all.
-func (l Limits) Unlimited() bool {
-	return l.Timeout == 0 && l.HotspotTimeout == 0 && l.MaxSteps == 0 && l.MaxMemBytes == 0
-}
-
 // checkEvery is how many steps pass between wall-clock/context probes; it
 // keeps time.Now out of the per-item cost.
 const checkEvery = 4096

@@ -26,7 +26,7 @@ type ApproxCaps struct {
 	// nonterminal plus one per RHS symbol occurrence).
 	MaxNFAStates int
 	// MaxDFAStates caps the subset construction. It counts subsets of
-	// important NFA states (see automata.NFA.DeterminizeCappedC), which are
+	// important NFA states (see automata.NFA.DeterminizeCapped), which are
 	// never more than the full subsets an earlier construction counted, so
 	// no hotspot that compiled under the full count fails this cap.
 	MaxDFAStates int
@@ -114,14 +114,13 @@ func ApproximateNFA(g *grammar.Grammar, root grammar.Sym, maxStates int) (*autom
 }
 
 // BuildAutomaton compiles the union of the slices' languages into one
-// minimized complete CDFA that over-approximates every slice: determinize
-// the union of the flattened NFAs under caps, identifying subsets by their
-// important states only (flattened grammars are mostly ε-only states),
-// then minimize. Returns
-// (nil, false) if any cap is exceeded or the class partition cannot be
-// represented in the pack's one-byte class table — callers record such
+// minimized DFA that over-approximates every slice: determinize the union
+// of the flattened NFAs under caps, identifying subsets by their important
+// states only (flattened grammars are mostly ε-only states), then minimize.
+// Returns (nil, false) if any cap is exceeded or the class partition cannot
+// be represented in the pack's one-byte class table — callers record such
 // hotspots as unavailable (fail closed).
-func BuildAutomaton(slices []GrammarSlice, caps ApproxCaps) (*automata.CDFA, bool) {
+func BuildAutomaton(slices []GrammarSlice, caps ApproxCaps) (*automata.DFA, bool) {
 	caps = caps.withDefaults()
 	var u *automata.NFA
 	for _, sl := range slices {
@@ -144,7 +143,7 @@ func BuildAutomaton(slices []GrammarSlice, caps ApproxCaps) (*automata.CDFA, boo
 	if u == nil {
 		return nil, false
 	}
-	c, ok := u.DeterminizeCappedC(caps.MaxDFAStates)
+	c, ok := u.DeterminizeCapped(caps.MaxDFAStates)
 	if !ok {
 		return nil, false
 	}

@@ -31,7 +31,7 @@ import (
 //	sections (keys, 256-byte class tables, accept bitmaps, 4-byte-aligned
 //	int32 transition slabs), all offsets absolute from file start
 //
-// The slab is the CDFA's numStates × numClasses transition matrix
+// The slab is the DFA's numStates × numClasses transition matrix
 // (trans[s*numClasses+cls] = target). Automata are complete, so every
 // stored target is a valid state id in [0, numStates); the loader verifies
 // that, which is what lets the matcher walk the slab with no per-step
@@ -63,7 +63,7 @@ const (
 type BuildEntry struct {
 	// Key identifies the hotspot; the analyzer uses "file:line".
 	Key       string
-	Automaton *automata.CDFA
+	Automaton *automata.DFA
 	Verified  bool
 }
 

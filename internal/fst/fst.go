@@ -64,9 +64,6 @@ func (t *FST) SetAccept(s int, out []byte) {
 // IsAccept reports whether s accepts.
 func (t *FST) IsAccept(s int) bool { return t.accept[s] }
 
-// FinalOut returns the final output of s.
-func (t *FST) FinalOut(s int) []byte { return t.finalOut[s] }
-
 // AddEdge adds a transition.
 func (t *FST) AddEdge(from, in int, out []byte, to int) {
 	if in != EpsIn && (in < 0 || in > 255) {
@@ -74,9 +71,6 @@ func (t *FST) AddEdge(from, in int, out []byte, to int) {
 	}
 	t.edges[from] = append(t.edges[from], Edge{In: in, Out: out, To: to})
 }
-
-// EdgesFrom returns the transitions leaving s. Callers must not mutate.
-func (t *FST) EdgesFrom(s int) []Edge { return t.edges[s] }
 
 // ApplyAll returns up to limit distinct output strings the transducer can
 // produce for input, in sorted order. It explores the nondeterministic

@@ -39,30 +39,3 @@ func forEachEps(n *automata.NFA, s int, f func(t int)) {
 		f(t)
 	}
 }
-
-// FromDFAInto materializes a right-linear grammar equivalent to the DFA into
-// g and returns its root nonterminal, labeling created nonterminals with
-// label. Dead states (from which no accepting state is reachable) still get
-// nonterminals but those are simply unproductive.
-func FromDFAInto(g *Grammar, d *automata.DFA, label Label) Sym {
-	nts := make([]Sym, d.NumStates())
-	for s := range nts {
-		nt := g.NewNT("")
-		if label != 0 {
-			g.AddLabel(nt, label)
-		}
-		nts[s] = nt
-	}
-	for s := 0; s < d.NumStates(); s++ {
-		if d.IsAccept(s) {
-			g.Add(nts[s])
-		}
-		for sym := 0; sym < automata.AlphabetSize; sym++ {
-			t := d.Step(s, sym)
-			if t >= 0 {
-				g.Add(nts[s], Sym(sym), nts[t])
-			}
-		}
-	}
-	return nts[d.Start()]
-}

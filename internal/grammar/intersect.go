@@ -43,7 +43,6 @@ const intersectItemBytes = 96
 // discovered item is pushed and popped exactly once, so the final item
 // count is the worklist traffic. A nil sp records nothing.
 func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp *obs.Span) (Sym, bool) {
-	d.Complete()
 	nq := d.NumStates()
 
 	// ---- snapshot + NORMALIZE ----------------------------------------
@@ -280,19 +279,18 @@ func IntersectIntoT(g *Grammar, root Sym, d *automata.DFA, b *budget.Budget, sp 
 	// lazily and reuse it for every terminal of the class. Seeds are
 	// discovered t ascending, q ascending, which fixes item and nonterminal
 	// numbering.
-	cd := d.Compressed()
-	classTo := make([][]int32, cd.NumClasses())
+	classTo := make([][]int32, d.NumClasses())
 	for t := 0; t < NumTerminals; t++ {
 		lhss := unitT[t]
 		if len(lhss) == 0 {
 			continue
 		}
-		cls := cd.ClassOf(t)
+		cls := d.ClassOf(t)
 		col := classTo[cls]
 		if col == nil {
 			col = make([]int32, nq)
 			for q := 0; q < nq; q++ {
-				col[q] = int32(cd.StepClass(q, cls))
+				col[q] = int32(d.StepClass(q, cls))
 			}
 			classTo[cls] = col
 		}

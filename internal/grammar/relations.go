@@ -191,7 +191,6 @@ func (p *RelPlan) prodSegs(pp planProd) []planSeg {
 // fixpoint converges. The queue only ever grows, so its final length is the
 // pop count and the hot loop stays tracer-free. A nil sp records nothing.
 func (p *RelPlan) RelsT(d *automata.DFA, b *budget.Budget, sp *obs.Span) [][]uint32 {
-	d.Complete()
 	nq := d.NumStates()
 	if nq > MaxRelStates {
 		return nil
@@ -202,8 +201,7 @@ func (p *RelPlan) RelsT(d *automata.DFA, b *budget.Budget, sp *obs.Span) [][]uin
 		rel[i] = flat[i*nq : (i+1)*nq : (i+1)*nq]
 	}
 	runMaps := make([]uint8, len(p.runs)*nq)
-	cd := d.Compressed()
-	cr := p.classRunsFor(cd.Classes())
+	cr := p.classRunsFor(d.Classes())
 	memo := make(map[string]int32, len(p.runs))
 	var hits, misses int64
 	for ri := range p.runs {
@@ -221,7 +219,7 @@ func (p *RelPlan) RelsT(d *automata.DFA, b *budget.Budget, sp *obs.Span) [][]uin
 		}
 		for _, c := range cr.runs[ri] {
 			for q := 0; q < nq; q++ {
-				rm[q] = uint8(cd.StepClass(int(rm[q]), int(c)))
+				rm[q] = uint8(d.StepClass(int(rm[q]), int(c)))
 			}
 		}
 	}
@@ -361,7 +359,6 @@ func ContextsMinT(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32, minLen
 	if minLens[ri] >= 0 {
 		ctx[ri] = 1 << uint(d.Start())
 	}
-	cd := d.Compressed()
 	passes := int64(0)
 	changed := true
 	for changed {
@@ -383,11 +380,11 @@ func ContextsMinT(g *Grammar, root Sym, d *automata.DFA, rels [][]uint32, minLen
 				if IsTerminal(s) {
 					var next uint32
 					m := states
-					cls := cd.ClassOf(int(s))
+					cls := d.ClassOf(int(s))
 					for m != 0 {
 						p := bits.TrailingZeros32(m)
 						m &= m - 1
-						next |= 1 << uint(cd.StepClass(p, cls))
+						next |= 1 << uint(d.StepClass(p, cls))
 					}
 					states = next
 					continue

@@ -115,17 +115,9 @@ func TestContextsBasic(t *testing.T) {
 func TestRelsTooLargeDFA(t *testing.T) {
 	// A DFA over 40 states exceeds the representation: Rels returns nil and
 	// RelNonempty falls back to the intersection construction.
-	d := automata.NewDFA()
-	for i := 0; i < 40; i++ {
-		d.AddState()
-	}
-	for i := 0; i < 40; i++ {
-		for s := 0; s < automata.AlphabetSize; s++ {
-			d.SetEdge(i, s, (i+1)%40)
-		}
-	}
-	d.SetStart(0)
-	d.SetAccept(1, true)
+	d := automata.FromFunc(40, 0,
+		func(s int) bool { return s == 1 },
+		func(s, sym int) int { return (s + 1) % 40 })
 	g := New()
 	x := g.NewNT("x")
 	g.AddString(x, "a")

@@ -2,131 +2,20 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"sync"
 )
 
-// The debug endpoint serves three things for a run in flight:
+// The debug endpoint serves two things for a run in flight:
 //
 //	/debug/progress   live JSON Snapshot (pages/hotspots done, degraded,
 //	                  findings, counter totals)
-//	/debug/vars       expvar, including every published tracer's counters
-//	                  and progress under "sqlciv"
 //	/debug/pprof/     the standard pprof handlers
-//
-// The process-global expvar namespace admits each name once, but a process
-// can run many tracers at once (the daemon gives every job its own). The
-// "sqlciv" export therefore carries ALL currently published tracers: an
-// aggregate view merging their counters and progress, plus each tracer's
-// own snapshot keyed by a stable registration id — never a last-writer-wins
-// single slot.
 
-var (
-	expvarOnce   sync.Once
-	debugMu      sync.Mutex
-	debugNextID  int
-	debugTracers = map[*Tracer]int{}
-)
-
-// ExpvarSnapshot is the shape of the "sqlciv" expvar: the merged view of
-// every published tracer plus each tracer's own snapshot.
-type ExpvarSnapshot struct {
-	Tracers   int                 `json:"tracers"`
-	Aggregate Snapshot            `json:"aggregate"`
-	PerTracer map[string]Snapshot `json:"per_tracer,omitempty"`
-}
-
-// PublishExpvar registers t with the process-wide "sqlciv" expvar export.
-// Concurrent publishers (daemon jobs, parallel servers in one test binary)
-// each appear under their own key and all contribute to the aggregate, so
-// none can steal the export from another. Registering the same tracer again
-// is a no-op. The returned release func unregisters t; callers whose tracer
-// lives for the whole process may ignore it.
-func PublishExpvar(t *Tracer) (release func()) {
-	if t == nil {
-		return func() {}
-	}
-	debugMu.Lock()
-	if _, ok := debugTracers[t]; !ok {
-		debugNextID++
-		debugTracers[t] = debugNextID
-	}
-	debugMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("sqlciv", expvar.Func(func() any { return expvarSnapshot() }))
-	})
-	return func() {
-		debugMu.Lock()
-		delete(debugTracers, t)
-		debugMu.Unlock()
-	}
-}
-
-// expvarSnapshot renders every published tracer. The aggregate sums the
-// progress gauges and merges counter totals; ElapsedMS is the maximum (the
-// oldest live tracer's age).
-func expvarSnapshot() ExpvarSnapshot {
-	debugMu.Lock()
-	tracers := make(map[*Tracer]int, len(debugTracers))
-	for t, id := range debugTracers {
-		tracers[t] = id
-	}
-	debugMu.Unlock()
-	out := ExpvarSnapshot{Tracers: len(tracers)}
-	if len(tracers) > 0 {
-		out.PerTracer = make(map[string]Snapshot, len(tracers))
-	}
-	agg := Snapshot{Counters: map[string]int64{}}
-	// Deterministic iteration: by registration id.
-	ids := make([]int, 0, len(tracers))
-	byID := make(map[int]*Tracer, len(tracers))
-	for t, id := range tracers {
-		ids = append(ids, id)
-		byID[id] = t
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		snap := byID[id].Progress()
-		out.PerTracer[fmt.Sprintf("tracer-%d", id)] = snap
-		if snap.ElapsedMS > agg.ElapsedMS {
-			agg.ElapsedMS = snap.ElapsedMS
-		}
-		agg.PagesDone += snap.PagesDone
-		agg.PagesTotal += snap.PagesTotal
-		agg.PagesDegraded += snap.PagesDegraded
-		agg.HotspotsDone += snap.HotspotsDone
-		agg.HotspotsTotal += snap.HotspotsTotal
-		agg.HotspotsDegraded += snap.HotspotsDegraded
-		agg.Findings += snap.Findings
-		for k, v := range snap.Counters {
-			agg.Counters[k] += v
-		}
-	}
-	if len(agg.Counters) == 0 {
-		agg.Counters = nil
-	}
-	out.Aggregate = agg
-	return out
-}
-
-// DebugHandler returns the debug mux for t. It also publishes t's expvar
-// export (never released — the handler keeps t reachable anyway; callers
-// needing a bounded lifetime should PublishExpvar themselves and release).
+// DebugHandler returns the debug mux for t: the two endpoints above plus
+// an index at /. Any other path is 404.
 func DebugHandler(t *Tracer) http.Handler {
-	return DebugHandlerMetrics(t, nil)
-}
-
-// DebugHandlerMetrics is DebugHandler with an optional Prometheus-style
-// exposition handler mounted at /metrics (nil mounts nothing). The metrics
-// registry lives in obs/metrics; taking an http.Handler keeps this package
-// decoupled from it.
-func DebugHandlerMetrics(t *Tracer, metrics http.Handler) http.Handler {
-	PublishExpvar(t)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/progress", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -134,20 +23,14 @@ func DebugHandlerMetrics(t *Tracer, metrics http.Handler) http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(t.Progress())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	index := "sqlciv debug endpoint\n\n/debug/progress\n/debug/vars\n/debug/pprof/\n"
-	if metrics != nil {
-		mux.Handle("/metrics", metrics)
-		index += "/metrics\n"
-	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/{$}", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(index))
+		w.Write([]byte("sqlciv debug endpoint\n\n/debug/progress\n/debug/pprof/\n"))
 	})
 	return mux
 }

@@ -37,6 +37,8 @@ func TestDebugProgressEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugVarsAndIndex: the index lists the progress and pprof endpoints,
+// and the expvar export /debug/vars is not served.
 func TestDebugVarsAndIndex(t *testing.T) {
 	tr := New()
 	tr.AddPagesTotal(2)
@@ -47,19 +49,19 @@ func TestDebugVarsAndIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), `"sqlciv"`) {
-		t.Fatalf("expvar missing sqlciv export: %s", body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars: status %d, want 404", resp.StatusCode)
 	}
 
 	resp, err = http.Get(srv.URL + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "/debug/progress") {
+	if !strings.Contains(string(body), "/debug/progress") || !strings.Contains(string(body), "/debug/pprof/") ||
+		strings.Contains(string(body), "/debug/vars") {
 		t.Fatalf("index page wrong: %s", body)
 	}
 }
@@ -78,65 +80,6 @@ func TestServeDebug(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-// TestPublishExpvarAggregate proves the fix for the single-slot export:
-// two concurrently published tracers both appear, the aggregate sums them,
-// and releasing one removes only that one.
-func TestPublishExpvarAggregate(t *testing.T) {
-	t1, t2 := New(), New()
-	t1.AddPagesTotal(3)
-	t1.PageDone(false)
-	t1.AddFindings(2)
-	t2.AddPagesTotal(5)
-	t2.PageDone(true)
-	t2.AddFindings(1)
-
-	rel1 := PublishExpvar(t1)
-	rel2 := PublishExpvar(t2)
-	defer rel1()
-	defer rel2()
-
-	snap := expvarSnapshot()
-	if snap.Tracers < 2 {
-		t.Fatalf("tracers = %d, want >= 2", snap.Tracers)
-	}
-	// Aggregate must include both tracers' contributions (other tests in the
-	// binary may have published long-lived tracers, so use >=).
-	if snap.Aggregate.PagesTotal < 8 {
-		t.Errorf("aggregate pages total = %d, want >= 8", snap.Aggregate.PagesTotal)
-	}
-	if snap.Aggregate.Findings < 3 {
-		t.Errorf("aggregate findings = %d, want >= 3", snap.Aggregate.Findings)
-	}
-	if snap.Aggregate.PagesDegraded < 1 {
-		t.Errorf("aggregate degraded = %d, want >= 1", snap.Aggregate.PagesDegraded)
-	}
-	// Each tracer's own snapshot is present under its own key.
-	var saw3, saw5 bool
-	for _, s := range snap.PerTracer {
-		if s.PagesTotal == 3 && s.Findings == 2 {
-			saw3 = true
-		}
-		if s.PagesTotal == 5 && s.Findings == 1 {
-			saw5 = true
-		}
-	}
-	if !saw3 || !saw5 {
-		t.Errorf("per-tracer snapshots missing entries: %+v", snap.PerTracer)
-	}
-
-	before := snap.Tracers
-	rel2()
-	after := expvarSnapshot()
-	if after.Tracers != before-1 {
-		t.Errorf("release: tracers %d -> %d, want %d", before, after.Tracers, before-1)
-	}
-	// Double-release is harmless.
-	rel2()
-	if got := expvarSnapshot().Tracers; got != before-1 {
-		t.Errorf("double release changed count to %d", got)
 	}
 }
 
@@ -160,23 +103,5 @@ func TestRingSink(t *testing.T) {
 		if evs[i].ID < evs[i-1].ID {
 			t.Fatalf("events not oldest-first: %v", evs)
 		}
-	}
-}
-
-func TestDebugHandlerMetricsMount(t *testing.T) {
-	tr := New()
-	m := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("fake_metric 1\n"))
-	})
-	srv := httptest.NewServer(DebugHandlerMetrics(tr, m))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "fake_metric") {
-		t.Fatalf("metrics not mounted: %s", body)
 	}
 }

@@ -79,7 +79,7 @@ type family struct {
 	bounds []float64 // histogram bucket upper bounds (no +Inf)
 
 	// Exactly one of the following is populated.
-	fn    func() float64  // func-backed single series
+	fn    func() float64   // func-backed single series
 	vecFn func() []Labeled // func-backed labeled series
 
 	mu       sync.RWMutex

@@ -159,12 +159,12 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestValidateExpositionRejects(t *testing.T) {
 	for _, bad := range []string{
-		"name value\n",                // non-numeric value
-		"1name 3\n",                   // bad metric name
-		`x{l="v} 3` + "\n",            // unterminated label value
-		"x{l=v} 3\n",                  // unquoted label value
-		"# TYPE x flavor\n",           // unknown type
-		"x{0l=\"v\"} 3\n",             // bad label name
+		"name value\n",      // non-numeric value
+		"1name 3\n",         // bad metric name
+		`x{l="v} 3` + "\n",  // unterminated label value
+		"x{l=v} 3\n",        // unquoted label value
+		"# TYPE x flavor\n", // unknown type
+		"x{0l=\"v\"} 3\n",   // bad label name
 	} {
 		if _, err := ValidateExposition([]byte(bad)); err == nil {
 			t.Errorf("ValidateExposition accepted %q", bad)

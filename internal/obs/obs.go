@@ -3,7 +3,7 @@
 // the fixpoints inside them), counters aggregated per span and per run,
 // pluggable trace sinks (JSONL events, Chrome trace-event files that load
 // in chrome://tracing and Perfetto), a live progress gauge, and a debug
-// HTTP endpoint (expvar + pprof + progress snapshot).
+// HTTP endpoint (pprof + progress snapshot).
 //
 // The paper's §5.3 makes analysis cost the practical bottleneck; the
 // parallelism and budget layers (PR 1/PR 2) attack it, and this package is

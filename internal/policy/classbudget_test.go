@@ -12,7 +12,7 @@ const maxCheckClasses = 24
 
 func TestCheckDFAClassBudget(t *testing.T) {
 	for _, ca := range CheckAutomata() {
-		c := ca.DFA.Compressed()
+		c := ca.DFA
 		t.Logf("%-18s states=%-3d classes=%-3d slab=%dB", ca.Name, c.NumStates(), c.NumClasses(), c.SlabBytes())
 		if c.NumClasses() > maxCheckClasses {
 			t.Errorf("check DFA %q has %d byte classes (budget %d)", ca.Name, c.NumClasses(), maxCheckClasses)

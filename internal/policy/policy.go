@@ -241,7 +241,7 @@ var (
 // buildPrebuilt constructs the shared check DFAs once per process (run via
 // buildOnce by New and CheckAutomata).
 func buildPrebuilt() {
-	prebuilt.oddQuotes = buildQuoteParityDFA(true)
+	prebuilt.oddQuotes = buildQuoteParityDFA()
 	prebuilt.unescQuote = buildUnescapedQuoteDFA()
 	prebuilt.evenCtx = buildEvenContextDFA()
 	re, err := rx.Parse(`^-?[0-9]+(\.[0-9]+)?$`, false)
@@ -261,41 +261,9 @@ func buildPrebuilt() {
 		prebuilt.attacks = append(prebuilt.attacks, attackDFA{name: frag, dfa: n.Determinize().Minimize()})
 	}
 	u := automata.Concat(automata.Concat(automata.SigmaStar(), frags), automata.SigmaStar()).Determinize().Minimize()
-	u.Complete()
 	if u.NumStates() <= grammar.MaxRelStates {
 		prebuilt.attackUnion = u
 	}
-	// Complete the shared DFAs now: Complete mutates on first call (adds a
-	// dead state for missing edges) and is a no-op afterwards, so completing
-	// here makes the prebuilt automata read-only — a requirement for
-	// concurrent CheckHotspot calls, which would otherwise race inside the
-	// lazy completion. Then intern each automaton by fingerprint (so an
-	// identical regex compiled elsewhere shares the same *DFA and its
-	// downstream memos) and warm the class-indexed form the cascade's
-	// fixpoints execute on.
-	prebuilt.oddQuotes.Complete()
-	prebuilt.unescQuote.Complete()
-	prebuilt.evenCtx.Complete()
-	prebuilt.nonNumeric.Complete()
-	for _, atk := range prebuilt.attacks {
-		atk.dfa.Complete()
-	}
-	prebuilt.oddQuotes = automata.Intern(prebuilt.oddQuotes)
-	prebuilt.unescQuote = automata.Intern(prebuilt.unescQuote)
-	prebuilt.evenCtx = automata.Intern(prebuilt.evenCtx)
-	prebuilt.nonNumeric = automata.Intern(prebuilt.nonNumeric)
-	for i := range prebuilt.attacks {
-		prebuilt.attacks[i].dfa = automata.Intern(prebuilt.attacks[i].dfa)
-		prebuilt.attacks[i].dfa.Compressed()
-	}
-	if prebuilt.attackUnion != nil {
-		prebuilt.attackUnion = automata.Intern(prebuilt.attackUnion)
-		prebuilt.attackUnion.Compressed()
-	}
-	prebuilt.oddQuotes.Compressed()
-	prebuilt.unescQuote.Compressed()
-	prebuilt.evenCtx.Compressed()
-	prebuilt.nonNumeric.Compressed()
 }
 
 // CheckAutomaton names one prebuilt policy check DFA.
@@ -342,112 +310,77 @@ func New() *Checker {
 }
 
 // buildQuoteParityDFA returns a DFA accepting byte strings whose number of
-// unescaped single quotes is odd (odd=true) or even. The marker symbol is
-// treated as an ordinary non-quote character.
-func buildQuoteParityDFA(odd bool) *automata.DFA {
-	d := automata.NewDFA()
-	// state = parity*2 + esc
-	states := make([]int, 4)
-	for i := range states {
-		states[i] = d.AddState()
-	}
-	for parity := 0; parity < 2; parity++ {
-		for esc := 0; esc < 2; esc++ {
-			s := states[parity*2+esc]
-			for sym := 0; sym < automata.AlphabetSize; sym++ {
-				var next int
-				switch {
-				case esc == 1:
-					next = states[parity*2] // escaped char: consume, clear esc
-				case sym == '\\':
-					next = states[parity*2+1]
-				case sym == '\'':
-					next = states[(1-parity)*2]
-				default:
-					next = s
-				}
-				d.SetEdge(s, sym, next)
+// unescaped single quotes is odd. State parity*2+esc records the quote
+// parity so far and whether the previous byte was an escaping backslash;
+// the start state is 0. The marker symbol is treated as an ordinary
+// non-quote character.
+func buildQuoteParityDFA() *automata.DFA {
+	return automata.FromFunc(4, 0,
+		func(s int) bool { return s/2 == 1 },
+		func(s, sym int) int {
+			parity, esc := s/2, s%2
+			switch {
+			case esc == 1:
+				return parity * 2 // escaped char: consume, clear esc
+			case sym == '\\':
+				return parity*2 + 1
+			case sym == '\'':
+				return (1 - parity) * 2
 			}
-		}
-	}
-	d.SetStart(states[0])
-	for parity := 0; parity < 2; parity++ {
-		acc := parity == 1
-		if !odd {
-			acc = !acc
-		}
-		d.SetAccept(states[parity*2], acc)
-		d.SetAccept(states[parity*2+1], acc)
-	}
-	return d
+			return s
+		})
 }
 
 // buildUnescapedQuoteDFA accepts strings containing at least one unescaped
 // single quote.
 func buildUnescapedQuoteDFA() *automata.DFA {
-	d := automata.NewDFA()
-	norm := d.AddState()
-	esc := d.AddState()
-	seen := d.AddState()
-	for sym := 0; sym < automata.AlphabetSize; sym++ {
-		switch {
-		case sym == '\\':
-			d.SetEdge(norm, sym, esc)
-		case sym == '\'':
-			d.SetEdge(norm, sym, seen)
-		default:
-			d.SetEdge(norm, sym, norm)
-		}
-		d.SetEdge(esc, sym, norm)
-		d.SetEdge(seen, sym, seen)
-	}
-	d.SetStart(norm)
-	d.SetAccept(seen, true)
-	return d
+	const norm, esc, seen = 0, 1, 2
+	return automata.FromFunc(3, norm,
+		func(s int) bool { return s == seen },
+		func(s, sym int) int {
+			switch {
+			case s == esc:
+				return norm
+			case s == seen:
+				return seen
+			case sym == '\\':
+				return esc
+			case sym == '\'':
+				return seen
+			}
+			return norm
+		})
 }
 
 // buildEvenContextDFA accepts strings (over bytes + marker) in which some
 // marker occurrence has an even number of unescaped quotes before it —
 // i.e., the marker is NOT in string-literal position there. The complement
-// of check 2's "only inside literals" condition.
+// of check 2's "only inside literals" condition. States 0-3 are the
+// parity*2+esc states of buildQuoteParityDFA; state 4 is the accepting
+// sink.
 func buildEvenContextDFA() *automata.DFA {
-	d := automata.NewDFA()
-	states := make([]int, 4) // parity*2+esc
-	for i := range states {
-		states[i] = d.AddState()
-	}
-	bad := d.AddState()
-	for parity := 0; parity < 2; parity++ {
-		for esc := 0; esc < 2; esc++ {
-			s := states[parity*2+esc]
-			for sym := 0; sym < automata.AlphabetSize; sym++ {
-				var next int
-				switch {
-				case sym == automata.Marker:
-					if parity == 0 {
-						next = bad
-					} else {
-						next = states[parity*2] // marker: placeholder, no effect
-					}
-				case esc == 1:
-					next = states[parity*2]
-				case sym == '\\':
-					next = states[parity*2+1]
-				case sym == '\'':
-					next = states[(1-parity)*2]
-				default:
-					next = s
+	const bad = 4
+	return automata.FromFunc(5, 0,
+		func(s int) bool { return s == bad },
+		func(s, sym int) int {
+			parity, esc := s/2, s%2
+			switch {
+			case s == bad:
+				return bad
+			case sym == automata.Marker:
+				if parity == 0 {
+					return bad
 				}
-				d.SetEdge(s, sym, next)
+				return parity * 2 // marker: placeholder, no effect
+			case esc == 1:
+				return parity * 2
+			case sym == '\\':
+				return parity*2 + 1
+			case sym == '\'':
+				return (1 - parity) * 2
 			}
-		}
-	}
-	for sym := 0; sym < automata.AlphabetSize; sym++ {
-		d.SetEdge(bad, sym, bad)
-	}
-	d.SetStart(states[0])
-	d.SetAccept(bad, true)
-	return d
+			return s
+		})
 }
 
 // CheckHotspot checks the query grammar rooted at root in g and returns the

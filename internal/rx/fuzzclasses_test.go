@@ -6,13 +6,13 @@ import (
 	"sqlciv/internal/automata"
 )
 
-// FuzzByteClasses drives the byte-class compression machinery through the
-// regex front end: for every accepted pattern it checks that the
-// class-indexed form of the match DFA is a lossless re-indexing (round-trip
-// identity, valid canonical partition) and that match/complement agree with
-// the automaton semantics on the fuzzed subject. Seeds are the policy
-// cascade's own check patterns and attack fragments, so the corpus starts on
-// the automata the SQL checker actually ships.
+// FuzzByteClasses drives the byte-class machinery through the regex front
+// end: for every accepted pattern it checks that the match DFA's partition
+// is valid, canonical and coarsest, that the NFA's verdict on the fuzzed
+// subject survives replacing its bytes by their class representatives, and
+// that match/complement agree with the automaton semantics on the subject. Seeds are the policy cascade's own check patterns and attack
+// fragments, so the corpus starts on the automata the SQL checker actually
+// ships.
 func FuzzByteClasses(f *testing.F) {
 	seeds := []string{
 		// policy check regexes
@@ -32,44 +32,46 @@ func FuzzByteClasses(f *testing.F) {
 			return
 		}
 		d := re.MatchDFA()
-		c := d.Compressed()
-		if nc := c.NumClasses(); nc < 1 || nc > automata.AlphabetSize {
+		nc := d.NumClasses()
+		if nc < 1 || nc > automata.AlphabetSize {
 			t.Fatalf("pattern %q: %d classes out of range", pattern, nc)
 		}
-		bc := c.Classes()
-		// Partition validity: every symbol steps like its class
-		// representative at every state, and reps are the smallest members.
+		bc := d.Classes()
+		// Partition validity: classes are numbered by ascending smallest
+		// member, each representative is the smallest member of its class,
+		// and any two classes are told apart by some state.
+		for cls := 0; cls < nc; cls++ {
+			if rep := bc.Rep(cls); bc.ClassOf(rep) != cls || (cls > 0 && rep <= bc.Rep(cls-1)) {
+				t.Fatalf("pattern %q: class %d has non-canonical representative %d", pattern, cls, rep)
+			}
+		}
 		for sym := 0; sym < automata.AlphabetSize; sym++ {
-			rep := bc.Rep(bc.ClassOf(sym))
-			if rep > sym {
+			if rep := bc.Rep(bc.ClassOf(sym)); rep > sym {
 				t.Fatalf("pattern %q: class rep %d larger than member %d", pattern, rep, sym)
 			}
-			for s := 0; s < d.NumStates(); s++ {
-				if d.Step(s, sym) != d.Step(s, rep) {
-					t.Fatalf("pattern %q: state %d distinguishes %d from class rep %d", pattern, s, sym, rep)
+		}
+		for a := 0; a < nc; a++ {
+			for b := a + 1; b < nc; b++ {
+				split := false
+				for s := 0; s < d.NumStates() && !split; s++ {
+					split = d.StepClass(s, a) != d.StepClass(s, b)
+				}
+				if !split {
+					t.Fatalf("pattern %q: classes %d and %d are indistinguishable", pattern, a, b)
 				}
 			}
 		}
-		// Round trip: expanding the compressed form reproduces the DFA.
-		dd := c.Decompress()
-		if dd.NumStates() != d.NumStates() || dd.Start() != d.Start() {
-			t.Fatalf("pattern %q: decompressed shape differs", pattern)
+		// Soundness of the partition against the NFA: replacing every byte
+		// of the subject by its class representative keeps the verdict.
+		reps := []byte(subject)
+		for i, c := range reps {
+			reps[i] = byte(bc.Rep(bc.ClassOf(int(c))))
 		}
-		for s := 0; s < d.NumStates(); s++ {
-			if dd.IsAccept(s) != d.IsAccept(s) {
-				t.Fatalf("pattern %q: acceptance differs at state %d", pattern, s)
-			}
-			for sym := 0; sym < automata.AlphabetSize; sym++ {
-				if dd.Step(s, sym) != d.Step(s, sym) {
-					t.Fatalf("pattern %q: transition (%d,%d) differs", pattern, s, sym)
-				}
-			}
+		if re.MatchLang().AcceptsString(string(reps)) != re.MatchLang().AcceptsString(subject) {
+			t.Fatalf("pattern %q: NFA tells %q from its class representatives %q", pattern, subject, reps)
 		}
-		// Semantics: CDFA execution matches the dense DFA and the NFA, and
-		// the complement DFA is the exact negation on the fuzzed subject.
-		if c.AcceptsString(subject) != d.AcceptsString(subject) {
-			t.Fatalf("pattern %q: CDFA and DFA disagree on %q", pattern, subject)
-		}
+		// Semantics: the DFA matches the NFA, and the complement DFA is the
+		// exact negation on the fuzzed subject.
 		if re.MatchLang().AcceptsString(subject) != d.AcceptsString(subject) {
 			t.Fatalf("pattern %q: DFA and NFA disagree on %q", pattern, subject)
 		}

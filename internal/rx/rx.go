@@ -589,9 +589,7 @@ func (re *Regex) MatchLang() *automata.NFA {
 // (case-insensitivity, pattern source). The same guard pattern recurs across
 // pages and apps; one build serves every call site, and the automaton is
 // additionally interned by structural fingerprint so even distinct patterns
-// with the same language share the class-indexed transition slab. Cached
-// DFAs are finalized (complete, compressed) and must be treated as
-// read-only.
+// with the same language share one transition slab.
 var (
 	matchDFACache    sync.Map // string -> *automata.DFA
 	nonMatchDFACache sync.Map
@@ -605,7 +603,7 @@ func (re *Regex) cacheKey() string {
 }
 
 // MatchDFA returns the minimized DFA of MatchLang. The result is cached per
-// (pattern, flags) and shared: callers must not mutate it.
+// (pattern, flags) and shared.
 func (re *Regex) MatchDFA() *automata.DFA {
 	k := re.cacheKey()
 	if v, ok := matchDFACache.Load(k); ok {

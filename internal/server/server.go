@@ -17,10 +17,12 @@
 //	                     finished report stays pollable for JobRetention,
 //	                     then the janitor evicts it
 //	GET  /healthz        liveness probe
+//	GET  /metrics        Prometheus text exposition of the daemon's series
 //	GET  /debug/server   queue depth, per-tenant budget trips, verdict-
 //	                     cache hit rates, arena/intern census
-//	GET  /debug/...      the existing obs debug mux (expvar, pprof,
-//	                     progress) for the server's run-level tracer
+//	GET  /debug/flight   flight recorder: recent request summaries and the
+//	                     retained span traces of bad requests
+//	GET  /debug/pprof/   the standard pprof handlers
 //
 // What makes the daemon worth running is the state it keeps resident: one
 // shared policy.Checker whose in-memory fingerprint-keyed verdict memo
@@ -92,9 +94,6 @@ type Config struct {
 	// directory under this prefix instead of shipping inline sources.
 	// Empty (the default) refuses every root request.
 	FSRootPrefix string
-	// Tracer, when set, is the server-level tracer behind /debug/progress
-	// and /debug/vars. Per-job progress uses per-job tracers regardless.
-	Tracer *obs.Tracer
 	// SLO, when positive, is the latency objective: requests (and async job
 	// runs) slower than this count as breaches and have their span traces
 	// retained by the flight recorder. Zero disables SLO accounting.
@@ -138,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionRetention <= 0 {
 		c.SessionRetention = 15 * time.Minute
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.New()
 	}
 	if c.FlightRecent <= 0 {
 		c.FlightRecent = 128
@@ -260,11 +256,10 @@ type Server struct {
 	flushErrs    atomic.Int64
 	closed       atomic.Bool
 
-	metrics       *serverMetrics
-	flight        *flightRecorder
-	audit         *auditLog
-	rtSampler     *metrics.RuntimeSampler
-	expvarRelease func()
+	metrics   *serverMetrics
+	flight    *flightRecorder
+	audit     *auditLog
+	rtSampler *metrics.RuntimeSampler
 }
 
 // New starts a Server: the shared warm checker is configured once here and
@@ -290,7 +285,6 @@ func New(cfg Config) *Server {
 	s.flight = newFlightRecorder(cfg.FlightRecent, cfg.FlightRetain)
 	s.audit = newAuditLog(cfg.AuditLog)
 	s.rtSampler = metrics.StartRuntime(s.metrics.reg, cfg.RuntimeSample)
-	s.expvarRelease = obs.PublishExpvar(cfg.Tracer)
 	s.wg.Add(cfg.Workers + 1)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -318,7 +312,6 @@ func (s *Server) Close() error {
 	s.stopRun()
 	s.wg.Wait()
 	s.rtSampler.Stop()
-	s.expvarRelease()
 	if s.store != nil {
 		return s.store.Close()
 	}
@@ -411,14 +404,14 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.Handle("GET /metrics", s.metrics.reg.Handler())
 	mux.Handle("GET /debug/flight", s.flight.handler())
-	// The existing obs debug surface (expvar, pprof, run-level progress)
-	// rides along under /debug/; the more specific patterns above win over
-	// this subtree.
-	mux.Handle("/debug/", obs.DebugHandlerMetrics(s.cfg.Tracer, s.metrics.reg.Handler()))
+	// Only pprof comes from the obs debug mux: no analysis runs under a
+	// server-level tracer (each job has its own, behind GET /v1/jobs/<id>),
+	// so its /debug/progress would always read zero.
+	mux.Handle("/debug/pprof/", obs.DebugHandler(nil))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, "sqlcheckd\n\nPOST /v1/analyze\nPOST /v1/jobs\nGET  /v1/jobs/<id>\nGET  /v1/pack\nPOST /v1/pack\nGET  /healthz\nGET  /metrics\nGET  /debug/server\nGET  /debug/flight\n")
+			fmt.Fprint(w, "sqlcheckd\n\nPOST /v1/analyze\nPOST /v1/jobs\nGET  /v1/jobs/<id>\nGET  /v1/pack\nPOST /v1/pack\nGET  /healthz\nGET  /metrics\nGET  /debug/server\nGET  /debug/flight\nGET  /debug/pprof/\n")
 			return
 		}
 		s.writeError(w, r, errf(http.StatusNotFound, CodeNotFound, "no such endpoint: %s", r.URL.Path))

@@ -114,46 +114,38 @@ var (
 	}
 )
 
+// buildHTMLDFA tracks the HTML context after a byte string: text, inside a
+// tag, or inside a double- or single-quoted attribute value. It accepts
+// nothing; the XSS checks read its relation and context masks.
 func buildHTMLDFA() *automata.DFA {
-	d := automata.NewDFA()
-	states := make([]int, numHTMLStates)
-	for i := range states {
-		states[i] = d.AddState()
-	}
-	for sym := 0; sym < automata.AlphabetSize; sym++ {
-		b := byte(sym)
-		// text
-		if b == '<' {
-			d.SetEdge(states[ctxText], sym, states[ctxTag])
-		} else {
-			d.SetEdge(states[ctxText], sym, states[ctxText])
-		}
-		// tag
-		switch b {
-		case '>':
-			d.SetEdge(states[ctxTag], sym, states[ctxText])
-		case '"':
-			d.SetEdge(states[ctxTag], sym, states[ctxAttrDQ])
-		case '\'':
-			d.SetEdge(states[ctxTag], sym, states[ctxAttrSQ])
-		default:
-			d.SetEdge(states[ctxTag], sym, states[ctxTag])
-		}
-		// double-quoted attribute
-		if b == '"' {
-			d.SetEdge(states[ctxAttrDQ], sym, states[ctxTag])
-		} else {
-			d.SetEdge(states[ctxAttrDQ], sym, states[ctxAttrDQ])
-		}
-		// single-quoted attribute
-		if b == '\'' {
-			d.SetEdge(states[ctxAttrSQ], sym, states[ctxTag])
-		} else {
-			d.SetEdge(states[ctxAttrSQ], sym, states[ctxAttrSQ])
-		}
-	}
-	d.SetStart(states[ctxText])
-	return d
+	return automata.FromFunc(numHTMLStates, ctxText,
+		func(int) bool { return false },
+		func(s, sym int) int {
+			switch s {
+			case ctxText:
+				if sym == '<' {
+					return ctxTag
+				}
+			case ctxTag:
+				switch sym {
+				case '>':
+					return ctxText
+				case '"':
+					return ctxAttrDQ
+				case '\'':
+					return ctxAttrSQ
+				}
+			case ctxAttrDQ:
+				if sym == '"' {
+					return ctxTag
+				}
+			case ctxAttrSQ:
+				if sym == '\'' {
+					return ctxTag
+				}
+			}
+			return s
+		})
 }
 
 func containsDFA(frag string) *automata.DFA {
@@ -171,14 +163,6 @@ func buildPre() {
 		panic("xss: ident pattern: " + err.Error())
 	}
 	pre.nonIdent = identRe.MatchDFA().Complement().Minimize()
-	// Finalize for concurrent use (Complete mutates on first call), intern
-	// by fingerprint, and warm the class-indexed form the relation
-	// fixpoints execute on.
-	for _, d := range []**automata.DFA{&pre.html, &pre.hasLT, &pre.hasDQ, &pre.hasSQ, &pre.nonIdent} {
-		(*d).Complete()
-		*d = automata.Intern(*d)
-		(*d).Compressed()
-	}
 }
 
 // CheckAutomaton names one prebuilt XSS check DFA.
