@@ -14,7 +14,8 @@ FUZZ_TARGETS = \
 	FuzzImage:./internal/fst \
 	FuzzByteClasses:./internal/rx \
 	FuzzServerRequest:./internal/server \
-	FuzzPackLoad:./internal/enforce
+	FuzzPackLoad:./internal/enforce \
+	FuzzEarley:./internal/deriv
 
 build:
 	$(GO) build ./...

@@ -7,7 +7,7 @@ package automata
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // AlphabetSize is the number of input symbols an automaton ranges over:
@@ -117,7 +117,7 @@ func (n *NFA) epsClosure(set []int) []int {
 	for s := range seen {
 		out = append(out, s)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -464,7 +464,7 @@ func (n *NFA) determinize(important bool, maxStates int) (*DFA, bool) {
 		// Ascending class order keeps state numbering identical to the
 		// per-symbol construction (and run-to-run deterministic — the
 		// gather above follows map iteration order).
-		sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+		slices.Sort(touched)
 		row := c.trans[int(id)*nc : (int(id)+1)*nc]
 		for _, cls := range touched {
 			seenCls[cls] = false

@@ -341,13 +341,14 @@ func summaryFromPage(page *PageResult) *incr.PageSummary {
 }
 
 // pageFromSummary rebuilds a replayable PageResult from a persisted
-// summary. The grammar is a stub and hotspot roots are zero — nothing
-// downstream reads them for a replayed page (phase 2 is skipped; findings
-// key on file/line/label, exactly as vcache replay relies on). Report.NT is
-// likewise left zero, mirroring policy's resultFromEntry.
+// summary. A summary stores no grammar, so the page has none (G is nil) and
+// its hotspot roots are zero: phase 2 skips a replayed page, findings key on
+// file/line/label (exactly as vcache replay relies on), and PackEntries
+// turns a page without a grammar into unavailable entries, which fail
+// closed. Report.NT is likewise left zero, mirroring policy's
+// resultFromEntry.
 func pageFromSummary(ps *incr.PageSummary) PageResult {
 	ar := &analysis.Result{
-		G:            grammar.New(),
 		AnalysisTime: time.Duration(ps.AnalysisTimeNS),
 		NumNTs:       ps.NumNTs,
 		NumProds:     ps.NumProds,

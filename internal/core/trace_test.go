@@ -8,6 +8,7 @@ import (
 
 	"sqlciv/internal/analysis"
 	"sqlciv/internal/budget"
+	"sqlciv/internal/corpus"
 	"sqlciv/internal/obs"
 )
 
@@ -214,5 +215,44 @@ func TestProgressSnapshot(t *testing.T) {
 	}
 	if snap.Findings != int64(len(res.Findings)) {
 		t.Fatalf("findings progress: %+v vs %d", snap, len(res.Findings))
+	}
+}
+
+// check5Sink totals the Earley counters of check-5 spans ("check" spans
+// named "5:…") and counts the spans.
+type check5Sink struct {
+	spans         int
+	parses, items int64
+}
+
+func (s *check5Sink) Emit(e *obs.Event) {
+	if e.Cat != "check" || !strings.HasPrefix(e.Name, "5:") {
+		return
+	}
+	s.spans++
+	s.parses += e.Counters["earley.parses"]
+	s.items += e.Counters["earley.items"]
+}
+
+func (s *check5Sink) Close() error { return nil }
+
+// TestTigerCheck5EarleyWork pins the work check 5 does on the corpus: a
+// cold Tiger run reaches derivability three times, and the Earley parses
+// and admitted items those calls report are exact. A parser rewrite that
+// claims the same item sets must leave both totals unchanged.
+func TestTigerCheck5EarleyWork(t *testing.T) {
+	app := corpus.Tiger()
+	sink := &check5Sink{}
+	tr := obs.New(sink)
+	if _, err := AnalyzeApp(analysis.NewMapResolver(app.Sources), app.Entries, Options{Tracer: tr}); err != nil {
+		t.Fatalf("AnalyzeApp: %v", err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close tracer: %v", err)
+	}
+	const wantSpans, wantParses, wantItems = 3, 13122, 1974617
+	if sink.spans != wantSpans || sink.parses != wantParses || sink.items != wantItems {
+		t.Fatalf("check 5 on Tiger: %d spans, %d parses, %d items; want %d, %d, %d",
+			sink.spans, sink.parses, sink.items, wantSpans, wantParses, wantItems)
 	}
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // Checker holds a reference grammar and search budgets. The reference
-// tables (nullable sets, Earley item-slot ids) are derived once per
+// tables (nullable sets, the Earley item-slot tables) are derived once per
 // reference grammar and shared; after New returns, a Checker is read-only
 // and safe for concurrent Derivable calls.
 type Checker struct {
@@ -38,15 +38,20 @@ type Checker struct {
 	tab *refTables
 }
 
-// refTables are the precomputed, immutable per-reference-grammar tables:
-// the nullable set and a compact id space for Earley items. The item
-// (nt, prod, dot) gets slot prodBase[nt][prod] + dot, a dense id that the
-// parser uses to index slice-backed item sets instead of hashing structs.
+// refTables are the precomputed, immutable tables of one reference grammar
+// that the Earley parser runs on. Every dotted production — an item slot —
+// has a dense id; the slots of one production are consecutive, in dot
+// order, so advancing an item's dot is slot+1.
 type refTables struct {
-	nullable []bool
-	prodBase [][]int32
-	numSlots int
+	nullable []bool        // per nonterminal index
+	first    [][]int32     // per nonterminal index: the dot-0 slot of each production, in order
+	next     []grammar.Sym // per slot: the symbol after the dot, or endMark
+	lhs      []grammar.Sym // per slot: the production's left-hand side
 }
+
+// endMark is the refTables.next entry of a slot whose dot ends its
+// production.
+const endMark grammar.Sym = -1
 
 // tableCache memoizes refTables per reference grammar instance; reference
 // grammars (sqlgram.Get) are immutable singletons, so pointer identity is a
@@ -57,19 +62,16 @@ func tablesFor(ref *grammar.Grammar) *refTables {
 	if t, ok := tableCache.Load(ref); ok {
 		return t.(*refTables)
 	}
-	t := &refTables{nullable: computeNullable(ref)}
-	n := ref.NumNTs()
-	t.prodBase = make([][]int32, n)
-	for i := 0; i < n; i++ {
-		nt := grammar.Sym(grammar.NumTerminals + i)
-		np := ref.NumProdsOf(nt)
-		base := make([]int32, np)
-		for pi := 0; pi < np; pi++ {
-			base[pi] = int32(t.numSlots)
-			t.numSlots += len(ref.Rhs(nt, pi)) + 1 // one slot per dot position
+	t := &refTables{nullable: computeNullable(ref), first: make([][]int32, ref.NumNTs())}
+	ref.ForEachProd(func(lhs grammar.Sym, rhs []grammar.Sym) {
+		i := int(lhs) - grammar.NumTerminals
+		t.first[i] = append(t.first[i], int32(len(t.next)))
+		t.next = append(t.next, rhs...)
+		t.next = append(t.next, endMark)
+		for range len(rhs) + 1 {
+			t.lhs = append(t.lhs, lhs)
 		}
-		t.prodBase[i] = base
-	}
+	})
 	actual, _ := tableCache.LoadOrStore(ref, t)
 	return actual.(*refTables)
 }

@@ -10,102 +10,130 @@ import "sqlciv/internal/grammar"
 // reference-symbol position scans only against itself. Parsing succeeds
 // when start ⇒* some instantiation of the input form.
 //
-// Item sets are deduplicated through the reference grammar's compact item
-// id space (refTables.prodBase): an item is the pair of its (nt, prod, dot)
-// slot and its origin, packed into one uint64 and kept in a reusable
-// open-addressing set per input position — no struct hashing, and the
-// scratch tables amortize across the tens of thousands of parses one
+// The parser runs on the reference grammar's flat tables (refTables): an
+// item is an (item slot, origin) pair, its successor slot is slot+1, and
+// the symbol after its dot is one table read. Item sets are deduplicated
+// per input position through an open-addressing set of the packed
+// slot<<32|origin key. Completion follows the Aycock–Horspool scheme
+// ("Practical Earley Parsing", 2002): each position keeps, per
+// nonterminal, a list of the items there waiting on it, so completing A
+// with origin j advances exactly the items at j waiting on A, and an item
+// waiting on a nullable nonterminal advances at once. A completion with
+// origin k at position k needs no list of items not yet processed: its
+// nonterminal derived ε, so it is nullable, and the nullable advance moves
+// every item that waits on it at k. Each nonterminal is predicted once per
+// position, by the first item to wait on it there. The item sets are the
+// closure of the Earley rules, so they do not depend on processing order.
+// The scratch tables amortize across the tens of thousands of parses one
 // derivability check can run.
 func (s *session) parse(start grammar.Sym, input form, sets [][]bool) bool {
 	s.parses++
 	s.b.Step(1)
-	c := s.c
-	g := c.ref
-	tab := c.tab
-
-	type item = earleyItem
+	tab := s.c.tab
 	n := len(input)
+	nnt := len(tab.first)
 	sc := s.earley
-	sc.reset(n + 1)
-	add := func(k int, it item) {
-		slot := tab.prodBase[int(it.nt)-grammar.NumTerminals][it.prod] + it.dot
-		key := uint64(uint32(slot))<<32 | uint64(uint32(it.origin))
-		if sc.sets[k].add(key) {
+	sc.reset(n+1, nnt)
+	add := func(k int, slot, origin int32) {
+		if sc.sets[k].add(uint64(uint32(slot))<<32 | uint64(uint32(origin))) {
 			s.b.Step(1)
 			s.items++
-			sc.order[k] = append(sc.order[k], it)
+			sc.order[k] = append(sc.order[k], earleyItem{slot, origin})
 		}
 	}
-	matches := func(k int, expected grammar.Sym) bool {
-		v := input[k]
-		if id, isVar := varID(v); isVar {
-			return sets[id][int(expected)]
-		}
-		return grammar.Sym(v) == expected
-	}
-	for pi := 0; pi < g.NumProdsOf(start); pi++ {
-		add(0, item{start, int32(pi), 0, 0})
+	for _, f := range tab.first[int(start)-grammar.NumTerminals] {
+		add(0, f, 0)
 	}
 	// Top-level: the whole input may be the single symbol `start` itself
 	// (F(X) ⇒* F(X) in zero steps).
-	if n == 1 && matches(0, start) {
+	if n == 1 && symCanBe(input[0], start, sets) {
 		return true
 	}
+	accepted := false
 	for k := 0; k <= n; k++ {
+		// The input symbol at k: a variable's candidate set, or one
+		// reference symbol. Past the end it is endMark, which the scan
+		// below never meets.
+		var cand []bool
+		sym := endMark
+		if k < n {
+			if id, isVar := varID(input[k]); isVar {
+				cand = sets[id]
+			} else {
+				sym = grammar.Sym(input[k])
+			}
+		}
 		for idx := 0; idx < len(sc.order[k]); idx++ {
 			it := sc.order[k][idx]
-			rhs := g.Rhs(it.nt, int(it.prod))
-			if int(it.dot) < len(rhs) {
-				next := rhs[it.dot]
-				// scan: both terminals and nonterminals can be scanned —
-				// a nonterminal in the derived sentential form stays
-				// unexpanded when it matches the input position.
-				if k < n && matches(k, next) {
-					add(k+1, item{it.nt, it.prod, it.dot + 1, it.origin})
+			next := tab.next[it.slot]
+			if next == endMark {
+				a := tab.lhs[it.slot]
+				if a == start && it.origin == 0 && k == n {
+					accepted = true
 				}
-				if !grammar.IsTerminal(next) {
-					for pi := 0; pi < g.NumProdsOf(next); pi++ {
-						add(k, item{next, int32(pi), 0, int32(k)})
-					}
-					if tab.nullable[int(next)-grammar.NumTerminals] {
-						add(k, item{it.nt, it.prod, it.dot + 1, it.origin})
-					}
+				if int(it.origin) == k {
+					continue // a nullable completion: see the doc comment
+				}
+				ai := int(a) - grammar.NumTerminals
+				for w := sc.head[int(it.origin)*nnt+ai]; w != 0; {
+					e := sc.waits[w-1]
+					add(k, e.slot+1, e.origin)
+					w = e.prev
 				}
 				continue
 			}
-			for _, back := range sc.order[it.origin] {
-				brhs := g.Rhs(back.nt, int(back.prod))
-				if int(back.dot) < len(brhs) && brhs[back.dot] == it.nt {
-					add(k, item{back.nt, back.prod, back.dot + 1, back.origin})
+			// scan: both terminals and nonterminals can be scanned — a
+			// nonterminal in the derived sentential form stays unexpanded
+			// when it matches the input position.
+			if next == sym || (cand != nil && cand[next]) {
+				add(k+1, it.slot+1, it.origin)
+			}
+			if grammar.IsTerminal(next) {
+				continue
+			}
+			ai := int(next) - grammar.NumTerminals
+			h := k*nnt + ai
+			if sc.head[h] == 0 {
+				for _, f := range tab.first[ai] {
+					add(k, f, int32(k))
 				}
+			}
+			sc.waits = append(sc.waits, waitEntry{it.slot, it.origin, sc.head[h]})
+			sc.head[h] = int32(len(sc.waits))
+			if tab.nullable[ai] {
+				add(k, it.slot+1, it.origin)
 			}
 		}
 	}
-	for _, it := range sc.order[n] {
-		if it.nt == start && it.origin == 0 && int(it.dot) == len(g.Rhs(start, int(it.prod))) {
-			return true
-		}
-	}
-	return false
+	return accepted
 }
 
-// earleyItem is one Earley item: a dotted reference production plus the
-// input position its recognition started at.
+// earleyItem is one Earley item: a reference item slot (a dotted
+// production) plus the input position its recognition started at.
 type earleyItem struct {
-	nt     grammar.Sym
-	prod   int32
-	dot    int32
+	slot   int32
 	origin int32
 }
 
+// waitEntry links an item into the list of items waiting on one
+// nonterminal at one position.
+type waitEntry struct {
+	slot, origin int32
+	prev         int32 // 1 + index of the previous entry of the same list; 0 ends it
+}
+
 // earleyScratch is the reusable parse workspace: one packed-key set and one
-// discovery-ordered item list per input position.
+// discovery-ordered item list per input position, and the waiting lists —
+// head holds, per (position, nonterminal), 1 + the index of the list's
+// newest entry in waits, or 0 when no item waits there.
 type earleyScratch struct {
 	sets  []u64set
 	order [][]earleyItem
+	head  []int32
+	waits []waitEntry
 }
 
-func (sc *earleyScratch) reset(m int) {
+func (sc *earleyScratch) reset(m, nnt int) {
 	for len(sc.sets) < m {
 		sc.sets = append(sc.sets, u64set{})
 		sc.order = append(sc.order, nil)
@@ -114,6 +142,13 @@ func (sc *earleyScratch) reset(m int) {
 		sc.sets[i].reset()
 		sc.order[i] = sc.order[i][:0]
 	}
+	if cap(sc.head) < m*nnt {
+		sc.head = make([]int32, m*nnt)
+	} else {
+		sc.head = sc.head[:m*nnt]
+		clear(sc.head)
+	}
+	sc.waits = sc.waits[:0]
 }
 
 // u64set is a small open-addressing hash set of nonzero uint64 keys with

@@ -1,10 +1,11 @@
 package grammar
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -112,7 +113,7 @@ func (g *Grammar) colorize(order []Sym) (color []uint64, prodHash [][]uint64) {
 				prodHash[i][pi] = h
 				scratch = append(scratch, hp{h: h, pi: int32(pi)})
 			}
-			sort.Slice(scratch, func(a, b int) bool { return scratch[a].h < scratch[b].h })
+			slices.SortFunc(scratch, func(a, b hp) int { return cmp.Compare(a.h, b.h) })
 			h := color[i]
 			for k, v := range scratch {
 				h = mixColor(h, v.h)
@@ -247,8 +248,8 @@ func (g *Grammar) canonicalize(root Sym) (order []Sym, canon []int32, prodOrder 
 		for k := range po {
 			po[k] = int32(k)
 		}
-		sort.SliceStable(po, func(a, b int) bool {
-			return prodHash[i][po[a]] < prodHash[i][po[b]]
+		slices.SortStableFunc(po, func(a, b int32) int {
+			return cmp.Compare(prodHash[i][a], prodHash[i][b])
 		})
 		prodOrder[i] = po
 	}
@@ -342,14 +343,14 @@ func (g *Grammar) fingerprintFrom(order []Sym, canon []int32, prodOrder [][]int3
 		// later readers of prodOrder are correct under any refinement of the
 		// structural-hash order.
 		po := prodOrder[i]
-		sort.Slice(po, func(a, b int) bool {
-			ra, rb := g.rhsAt(i, int(po[a])), g.rhsAt(i, int(po[b]))
+		slices.SortFunc(po, func(a, b int32) int {
+			ra, rb := g.rhsAt(i, int(a)), g.rhsAt(i, int(b))
 			for k := 0; k < len(ra) && k < len(rb); k++ {
 				if ca, cb := symCode(ra[k]), symCode(rb[k]); ca != cb {
-					return ca < cb
+					return cmp.Compare(ca, cb)
 				}
 			}
-			return len(ra) < len(rb)
+			return cmp.Compare(len(ra), len(rb))
 		})
 		for _, pi := range po {
 			rhs := g.rhsAt(i, int(pi))
