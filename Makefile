@@ -15,7 +15,8 @@ FUZZ_TARGETS = \
 	FuzzByteClasses:./internal/rx \
 	FuzzServerRequest:./internal/server \
 	FuzzPackLoad:./internal/enforce \
-	FuzzEarley:./internal/deriv
+	FuzzEarley:./internal/deriv \
+	FuzzDeterminize:./internal/automata
 
 build:
 	$(GO) build ./...

@@ -1,7 +1,7 @@
 package automata
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -123,30 +123,43 @@ func (p *partition) finish() *ByteClasses {
 //
 // It takes one pass over the edges: at each state, every symbol with an
 // edge there moves to the block keyed by its current block and its target
-// set, and every other symbol stays put, so a state costs its own edges
-// rather than a scan of the alphabet. The coarsest partition is unique,
-// and finish numbers it by smallest member.
+// set, and every other symbol stays put, so a state costs the symbols its
+// edges cover rather than a scan of the alphabet. The coarsest partition
+// is unique, and finish numbers it by smallest member.
 func classesOfNFA(n *NFA) *ByteClasses {
 	var block [AlphabetSize]int32
 	next := int32(1)
 	type key struct{ block, set int32 }
 	moved := map[key]int32{}
 	setIDs := map[string]int32{}
-	var scratch []int
+	var tos [AlphabetSize][]int32 // targets per symbol at the current state
+	var touched []uint16
+	var scratch []int32
 	var enc []byte
-	for _, m := range n.trans {
-		if len(m) == 0 {
+	for _, k := range n.first {
+		if k < 0 {
 			continue
 		}
-		for sym, tos := range m {
-			k := key{block[sym], targetSetID(tos, setIDs, &scratch, &enc)}
-			id, ok := moved[k]
+		touched = touched[:0]
+		for ; k >= 0; k = n.edges[k].next {
+			e := n.edges[k]
+			for sym := e.lo; sym <= e.hi; sym++ {
+				if len(tos[sym]) == 0 {
+					touched = append(touched, sym)
+				}
+				tos[sym] = append(tos[sym], e.to)
+			}
+		}
+		for _, sym := range touched {
+			mk := key{block[sym], targetSetID(tos[sym], setIDs, &scratch, &enc)}
+			id, ok := moved[mk]
 			if !ok {
 				id = next
 				next++
-				moved[k] = id
+				moved[mk] = id
 			}
 			block[sym] = id
+			tos[sym] = tos[sym][:0]
 		}
 		clear(moved)
 	}
@@ -167,13 +180,13 @@ func classesOfNFA(n *NFA) *ByteClasses {
 // targetSetID names the set of states in tos (order- and duplicate-
 // insensitive): a single state names itself, and a larger set gets a
 // negative id from setIDs, which persists across calls.
-func targetSetID(tos []int, setIDs map[string]int32, scratch *[]int, enc *[]byte) int32 {
+func targetSetID(tos []int32, setIDs map[string]int32, scratch *[]int32, enc *[]byte) int32 {
 	if len(tos) == 1 {
-		return int32(tos[0])
+		return tos[0]
 	}
 	set := append((*scratch)[:0], tos...)
 	*scratch = set
-	sort.Ints(set)
+	slices.Sort(set)
 	b := (*enc)[:0]
 	for i, t := range set {
 		if i > 0 && t == set[i-1] {
@@ -183,7 +196,7 @@ func targetSetID(tos []int, setIDs map[string]int32, scratch *[]int, enc *[]byte
 	}
 	*enc = b
 	if len(b) == 4 {
-		return int32(set[0])
+		return set[0]
 	}
 	id, ok := setIDs[string(b)]
 	if !ok {

@@ -138,18 +138,25 @@ func classesOfNFARefine(n *NFA) *ByteClasses {
 	var sig [AlphabetSize]int32
 	setIDs := make(map[string]int32)
 	var enc []byte
-	for _, m := range n.trans {
-		if len(m) == 0 {
+	for _, k := range n.first {
+		if k < 0 {
 			continue // uniform signature: refines nothing
 		}
 		if p.n >= AlphabetSize {
 			break
 		}
+		tos := make(map[int][]int)
+		for ; k >= 0; k = n.edges[k].next {
+			e := n.edges[k]
+			for sym := int(e.lo); sym <= int(e.hi); sym++ {
+				tos[sym] = append(tos[sym], int(e.to))
+			}
+		}
 		for i := range sig {
 			sig[i] = 0 // 0 = no edge
 		}
-		for sym, tos := range m {
-			sig[sym] = canonTargetSetID(tos, setIDs, &enc)
+		for sym, ts := range tos {
+			sig[sym] = canonTargetSetID(ts, setIDs, &enc)
 		}
 		p.refine(sig[:])
 	}

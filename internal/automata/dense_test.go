@@ -77,11 +77,14 @@ func (n *NFA) determinizeDense() *denseDFA {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
 		set := sets[id]
-		// Gather successor sets per symbol.
+		// Gather successor sets per symbol, straight off the edge lists.
 		succ := make(map[int][]int)
 		for _, s := range set {
-			for sym, tos := range n.trans[s] {
-				succ[sym] = append(succ[sym], tos...)
+			for k := n.first[s]; k >= 0; k = n.edges[k].next {
+				e := n.edges[k]
+				for sym := int(e.lo); sym <= int(e.hi); sym++ {
+					succ[sym] = append(succ[sym], int(e.to))
+				}
 			}
 		}
 		for sym := 0; sym < AlphabetSize; sym++ {

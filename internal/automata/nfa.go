@@ -22,10 +22,25 @@ const Marker = 256
 // NFA is a nondeterministic finite automaton with epsilon moves.
 // The zero value is an empty automaton with no states; use New.
 type NFA struct {
-	trans  []map[int][]int // trans[s][sym] = target states
-	eps    [][]int         // eps[s] = epsilon targets
-	accept []bool
-	start  int
+	// Each state's symbol edges form a list in insertion order, threaded
+	// through edges by next: first[s] and last[s] index its ends, -1 when s
+	// has none. One shared slab keeps the per-state cost to two int32s,
+	// which matters because ε-only states dominate the flattened grammars
+	// the pack compiler determinizes.
+	first, last []int32
+	edges       []edge
+	eps         [][]int // eps[s] = epsilon targets
+	accept      []bool
+	start       int
+}
+
+// edge is one symbol transition, or a run of them: every symbol in lo..hi
+// moves to the same state. AddByteRange stores a range as one edge, and
+// AddEdge extends the state's last edge when the symbol continues its run.
+// next is the state's following edge, or -1.
+type edge struct {
+	lo, hi   uint16
+	to, next int32
 }
 
 // NewNFA returns an empty NFA with a single non-accepting start state.
@@ -37,14 +52,15 @@ func NewNFA() *NFA {
 
 // AddState adds a fresh non-accepting state and returns its index.
 func (n *NFA) AddState() int {
-	n.trans = append(n.trans, nil)
+	n.first = append(n.first, -1)
+	n.last = append(n.last, -1)
 	n.eps = append(n.eps, nil)
 	n.accept = append(n.accept, false)
-	return len(n.trans) - 1
+	return len(n.first) - 1
 }
 
 // NumStates reports the number of states.
-func (n *NFA) NumStates() int { return len(n.trans) }
+func (n *NFA) NumStates() int { return len(n.first) }
 
 // Start returns the start state.
 func (n *NFA) Start() int { return n.start }
@@ -63,17 +79,33 @@ func (n *NFA) AddEdge(from, sym, to int) {
 	if sym < 0 || sym >= AlphabetSize {
 		panic("automata: symbol out of range")
 	}
-	if n.trans[from] == nil {
-		n.trans[from] = make(map[int][]int)
-	}
-	n.trans[from][sym] = append(n.trans[from][sym], to)
+	n.addRange(from, uint16(sym), uint16(sym), int32(to))
 }
 
 // AddByteRange adds transitions for every byte in [lo, hi].
 func (n *NFA) AddByteRange(from int, lo, hi byte, to int) {
-	for c := int(lo); c <= int(hi); c++ {
-		n.AddEdge(from, c, to)
+	if lo <= hi {
+		n.addRange(from, uint16(lo), uint16(hi), int32(to))
 	}
+}
+
+// addRange appends the edge lo..hi→to to from's list, extending from's
+// last edge instead when that edge has the same target and ends at lo-1.
+// Either way Edges visits the same symbols in the same order.
+func (n *NFA) addRange(from int, lo, hi uint16, to int32) {
+	k := n.last[from]
+	if k >= 0 && n.edges[k].to == to && n.edges[k].hi+1 == lo {
+		n.edges[k].hi = hi
+		return
+	}
+	id := int32(len(n.edges))
+	n.edges = append(n.edges, edge{lo: lo, hi: hi, to: to, next: -1})
+	if k >= 0 {
+		n.edges[k].next = id
+	} else {
+		n.first[from] = id
+	}
+	n.last[from] = id
 }
 
 // AddEps adds an epsilon transition from→to.
@@ -85,12 +117,17 @@ func (n *NFA) AddEps(from, to int) {
 // must not mutate the returned slice.
 func (n *NFA) EpsTargets(s int) []int { return n.eps[s] }
 
-// Edges calls f for every non-epsilon transition.
+// Edges calls f for every non-epsilon transition: by source state in
+// ascending order, and within a state in the order the edges were added (a
+// byte range added at once visits its symbols in ascending order). The
+// order is a function of the construction calls alone, so anything built
+// from it is the same on every run.
 func (n *NFA) Edges(f func(from, sym, to int)) {
-	for s, m := range n.trans {
-		for sym, tos := range m {
-			for _, t := range tos {
-				f(s, sym, t)
+	for s, k := range n.first {
+		for ; k >= 0; k = n.edges[k].next {
+			e := n.edges[k]
+			for sym := int(e.lo); sym <= int(e.hi); sym++ {
+				f(s, sym, int(e.to))
 			}
 		}
 	}
@@ -161,9 +198,9 @@ func (n *NFA) DeterminizeCapped(maxStates int) (*DFA, bool) {
 // full construction gives every state a column; the important-state one
 // only states with a symbol edge or an accepting flag.
 func (n *NFA) subsetColumns(important bool) (col, state []int32) {
-	col = make([]int32, len(n.trans))
-	for s := range n.trans {
-		if important && len(n.trans[s]) == 0 && !n.accept[s] {
+	col = make([]int32, len(n.first))
+	for s, k := range n.first {
+		if important && k < 0 && !n.accept[s] {
 			col[s] = -1
 			continue
 		}
@@ -180,7 +217,7 @@ func (n *NFA) subsetColumns(important bool) (col, state []int32) {
 // closure is its members' columns unioned with the (already final) rows of
 // its cross-SCC successors, and every member shares that row.
 func (n *NFA) closureRows(col []int32, words int) []uint64 {
-	N := len(n.trans)
+	N := len(n.first)
 	clo := make([]uint64, N*words)
 	index := make([]int32, N) // 0 = unvisited, else DFS index+1
 	low := make([]int32, N)
@@ -331,7 +368,7 @@ func (c *closer) close(buf []uint64, targets []int32) {
 func (n *NFA) determinize(important bool, maxStates int) (*DFA, bool) {
 	bc := classesOfNFA(n)
 	nc := bc.NumClasses()
-	N := len(n.trans)
+	N := len(n.first)
 	col, colState := n.subsetColumns(important)
 	words := (len(colState) + 63) / 64
 
@@ -340,29 +377,33 @@ func (n *NFA) determinize(important bool, maxStates int) (*DFA, bool) {
 	// target states for rowCls[s][k]. Within a class every symbol has the
 	// same targets at every state (that is what classesOfNFA partitions
 	// on), so the union over the class's symbols is what any one symbol
-	// sees.
+	// sees, and an edge contributes its target once per class it touches.
 	rowCls := make([][]int32, N)
 	rowTgt := make([][][]int32, N)
 	var clsIdx [AlphabetSize]int32
 	for i := range clsIdx {
 		clsIdx[i] = -1
 	}
+	var edgeMark [AlphabetSize]int32 // edgeMark[cls] == stamp: the current edge touched cls
+	stamp := int32(0)
 	for s := 0; s < N; s++ {
-		m := n.trans[s]
-		if len(m) == 0 {
-			continue
-		}
-		for sym, tos := range m {
-			cls := int32(bc.class[sym])
-			k := clsIdx[cls]
-			if k < 0 {
-				k = int32(len(rowCls[s]))
-				clsIdx[cls] = k
-				rowCls[s] = append(rowCls[s], cls)
-				rowTgt[s] = append(rowTgt[s], nil)
-			}
-			for _, t := range tos {
-				rowTgt[s][k] = append(rowTgt[s][k], int32(t))
+		for ei := n.first[s]; ei >= 0; ei = n.edges[ei].next {
+			e := n.edges[ei]
+			stamp++
+			for sym := int(e.lo); sym <= int(e.hi); sym++ {
+				cls := int32(bc.class[sym])
+				if edgeMark[cls] == stamp {
+					continue
+				}
+				edgeMark[cls] = stamp
+				k := clsIdx[cls]
+				if k < 0 {
+					k = int32(len(rowCls[s]))
+					clsIdx[cls] = k
+					rowCls[s] = append(rowCls[s], cls)
+					rowTgt[s] = append(rowTgt[s], nil)
+				}
+				rowTgt[s][k] = append(rowTgt[s][k], e.to)
 			}
 		}
 		for _, cls := range rowCls[s] {
@@ -462,8 +503,7 @@ func (n *NFA) determinize(important bool, maxStates int) (*DFA, bool) {
 			}
 		}
 		// Ascending class order keeps state numbering identical to the
-		// per-symbol construction (and run-to-run deterministic — the
-		// gather above follows map iteration order).
+		// per-symbol construction; the gather above follows edge order.
 		slices.Sort(touched)
 		row := c.trans[int(id)*nc : (int(id)+1)*nc]
 		for _, cls := range touched {
@@ -503,7 +543,11 @@ func (n *NFA) Accepts(syms []int) bool {
 	for _, sym := range syms {
 		var next []int
 		for _, s := range cur {
-			next = append(next, n.trans[s][sym]...)
+			for k := n.first[s]; k >= 0; k = n.edges[k].next {
+				if e := n.edges[k]; int(e.lo) <= sym && sym <= int(e.hi) {
+					next = append(next, int(e.to))
+				}
+			}
 		}
 		if len(next) == 0 {
 			return false
@@ -569,22 +613,27 @@ func Star(a *NFA) *NFA {
 }
 
 // graft copies all of src's states into n and returns src's mapped start
-// state. Acceptance flags are preserved.
+// state. Acceptance flags are preserved, and src's edge lists are copied
+// whole, so every state keeps its edge order.
 func (n *NFA) graft(src *NFA) int {
-	base := len(n.trans)
+	base := len(n.first)
+	ebase := int32(len(n.edges))
 	for s := 0; s < src.NumStates(); s++ {
 		n.AddState()
 		n.accept[base+s] = src.accept[s]
-	}
-	for s := 0; s < src.NumStates(); s++ {
-		for sym, tos := range src.trans[s] {
-			for _, t := range tos {
-				n.AddEdge(base+s, sym, base+t)
-			}
+		if k := src.first[s]; k >= 0 {
+			n.first[base+s], n.last[base+s] = k+ebase, src.last[s]+ebase
 		}
 		for _, t := range src.eps[s] {
 			n.AddEps(base+s, base+t)
 		}
+	}
+	for _, e := range src.edges {
+		e.to += int32(base)
+		if e.next >= 0 {
+			e.next += ebase
+		}
+		n.edges = append(n.edges, e)
 	}
 	return base + src.start
 }

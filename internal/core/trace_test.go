@@ -3,13 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sqlciv/internal/analysis"
 	"sqlciv/internal/budget"
 	"sqlciv/internal/corpus"
+	"sqlciv/internal/incr"
 	"sqlciv/internal/obs"
+	"sqlciv/internal/vcache"
 )
 
 // traceApp runs an app under a tracer with both sinks attached and returns
@@ -255,4 +258,99 @@ func TestTigerCheck5EarleyWork(t *testing.T) {
 		t.Fatalf("check 5 on Tiger: %d spans, %d parses, %d items; want %d, %d, %d",
 			sink.spans, sink.parses, sink.items, wantSpans, wantParses, wantItems)
 	}
+}
+
+// tablesSink counts "policy"/"tables" spans and records whether each one
+// sits directly below a hotspot span.
+type tablesSink struct {
+	hotspots map[uint64]bool
+	parents  []uint64
+}
+
+func (s *tablesSink) Emit(e *obs.Event) {
+	switch {
+	case e.Cat == "hotspot":
+		s.hotspots[e.ID] = true
+	case e.Cat == "policy" && e.Name == "tables":
+		s.parents = append(s.parents, e.Parent)
+	}
+}
+
+func (s *tablesSink) Close() error { return nil }
+
+// TestPhase2TablesSpan pins when a run acquires the phase-2 tables: a cold
+// EVE run once, under a hotspot span; a run whose every hotspot hits the
+// persistent verdict cache never; and a fresh session that replays every
+// page from the summary store never.
+func TestPhase2TablesSpan(t *testing.T) {
+	app := corpus.EVE()
+	run := func(label string, opts Options) (*AppResult, *tablesSink) {
+		t.Helper()
+		sink := &tablesSink{hotspots: map[uint64]bool{}}
+		opts.Tracer = obs.New(sink)
+		res, err := AnalyzeApp(analysis.NewMapResolver(app.Sources), app.Entries, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := opts.Tracer.Close(); err != nil {
+			t.Fatalf("%s: close tracer: %v", label, err)
+		}
+		return res, sink
+	}
+	cacheDir := t.TempDir()
+	vc, err := vcache.Open(cacheDir)
+	if err != nil {
+		t.Fatalf("vcache.Open: %v", err)
+	}
+	summaries, err := incr.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("incr.Open: %v", err)
+	}
+	cold, sink := run("cold", Options{VerdictCache: vc,
+		Session: NewSession(SessionConfig{Summaries: summaries})})
+	if len(sink.parents) != 1 || !sink.hotspots[sink.parents[0]] {
+		t.Fatalf("cold run: %d policy.tables spans (parents %v), want 1 under a hotspot span",
+			len(sink.parents), sink.parents)
+	}
+	if err := vc.Flush(); err != nil {
+		t.Fatalf("vcache flush: %v", err)
+	}
+	if err := summaries.Flush(); err != nil {
+		t.Fatalf("summary flush: %v", err)
+	}
+
+	vc2, err := vcache.Open(cacheDir)
+	if err != nil {
+		t.Fatalf("vcache.Open: %v", err)
+	}
+	warm, sink := run("warm", Options{VerdictCache: vc2})
+	if warm.DiskCacheHits == 0 || warm.DiskCacheMisses != 0 {
+		t.Fatalf("warm run: %d disk hits, %d misses; want all hits", warm.DiskCacheHits, warm.DiskCacheMisses)
+	}
+	if len(sink.parents) != 0 {
+		t.Fatalf("warm all-hit run recorded %d policy.tables spans, want 0", len(sink.parents))
+	}
+
+	replay, sink := run("replay", Options{Session: NewSession(SessionConfig{Summaries: summaries})})
+	if replay.Incr == nil || replay.Incr.PagesRecomputed != 0 {
+		t.Fatalf("store replay recomputed pages: %+v", replay.Incr)
+	}
+	if len(sink.parents) != 0 {
+		t.Fatalf("store replay recorded %d policy.tables spans, want 0", len(sink.parents))
+	}
+	for _, res := range []*AppResult{warm, replay} {
+		if !reflect.DeepEqual(stripSpans(res.Findings), stripSpans(cold.Findings)) {
+			t.Fatalf("findings diverged from the cold run:\n%+v\n%+v", res.Findings, cold.Findings)
+		}
+	}
+}
+
+// stripSpans returns findings with their trace span ids cleared, as a run
+// that opened no spans for them reports them.
+func stripSpans(fs []Finding) []Finding {
+	out := append([]Finding(nil), fs...)
+	for i := range out {
+		out[i].SpanID = 0
+	}
+	return out
 }

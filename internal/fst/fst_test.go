@@ -2,6 +2,7 @@ package fst
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -206,6 +207,32 @@ func TestPregReplaceGeneralApplySmall(t *testing.T) {
 	}
 	if !has("aQb") || !has("aqb") {
 		t.Fatalf("outputs = %v", outs)
+	}
+}
+
+// TestPregReplaceGeneralDeterministic: rebuilding the transducer for one
+// pattern wires the same edges in the same order. The pattern's NFA edges
+// are copied in NFA.Edges order, so that order must not vary between
+// builds (it did while NFA edges lived in per-state maps).
+func TestPregReplaceGeneralDeterministic(t *testing.T) {
+	for _, c := range []struct{ pattern, repl string }{
+		{`[a-c]+x|y[0-9]`, "Z"},
+		{`([a-c]+)x|y([0-9])`, `<\1\2>`},
+	} {
+		build := func() *FST {
+			re, err := rx.Parse(c.pattern, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return PregReplaceGeneral(re, c.repl)
+		}
+		first := build()
+		for i := 0; i < 10; i++ {
+			again := build()
+			if !reflect.DeepEqual(first.edges, again.edges) || !reflect.DeepEqual(first.accept, again.accept) {
+				t.Fatalf("%q: rebuild %d wired a different edge list", c.pattern, i+1)
+			}
+		}
 	}
 }
 

@@ -29,6 +29,6 @@ func (ci *contextInfo) literalOnly(nt grammar.Sym) (occurs, literal bool) {
 
 // computeContexts runs the shared relation/context machinery over the
 // quote-parity DFA.
-func (c *Checker) computeContexts(g *grammar.Grammar, root grammar.Sym, parityRels [][]uint32, minLens []int64, b *budget.Budget, sp *obs.Span) *contextInfo {
-	return &contextInfo{ctx: grammar.ContextsMinT(g, root, c.oddQuotes, parityRels, minLens, b, sp)}
+func (t *tables) computeContexts(g *grammar.Grammar, root grammar.Sym, parityRels [][]uint32, minLens []int64, b *budget.Budget, sp *obs.Span) *contextInfo {
+	return &contextInfo{ctx: grammar.ContextsMinT(g, root, t.oddQuotes, parityRels, minLens, b, sp)}
 }

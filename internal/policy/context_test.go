@@ -11,9 +11,9 @@ import (
 
 func contexts(t *testing.T, g *grammar.Grammar, root grammar.Sym) *contextInfo {
 	t.Helper()
-	c := New()
-	rels := grammar.Rels(g, c.oddQuotes)
-	return c.computeContexts(g, root, rels, g.MinLens(), nil, nil)
+	tab := New().tables(nil)
+	rels := grammar.Rels(g, tab.oddQuotes)
+	return tab.computeContexts(g, root, rels, g.MinLens(), nil, nil)
 }
 
 func TestContextLiteralDetection(t *testing.T) {

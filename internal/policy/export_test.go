@@ -1,0 +1,18 @@
+package policy
+
+import "sqlciv/internal/grammar"
+
+// Hooks for the external test package (tables_test.go), which drives
+// checkers through the exported API, as core does, and needs to see
+// whether a checker has acquired the phase-2 tables.
+
+// TablesAcquired reports whether c has acquired the phase-2 tables. Call it
+// only when no check is running on c.
+func TablesAcquired(c *Checker) bool { return c.tab != nil }
+
+// SeedVerdict stores res as c's memoized verdict for the slice of g rooted
+// at root, as a completed check of an isomorphic slice would have.
+func SeedVerdict(c *Checker, g *grammar.Grammar, root grammar.Sym, res *Result) {
+	fp, _ := g.FingerprintOrder(root)
+	c.verdicts.Store(fp, res)
+}

@@ -151,14 +151,14 @@ type Result struct {
 	CompactNTs, CompactProds int
 }
 
-// Checker holds the policy automata and reference grammar. The automata and
-// reference tables are read-only after New, so one Checker may serve
-// concurrent CheckHotspot calls (the verdict cache is synchronized
+// Checker runs the cascade against the shared phase-2 tables: the check
+// automata and the reference SQL grammar. A Checker acquires the tables on
+// the first hotspot it actually runs the cascade for, never in New, so a
+// run whose hotspots are all replayed or answered by a verdict cache never
+// builds them. The tables are read-only once built, so one Checker may
+// serve concurrent CheckHotspot calls (the verdict cache is synchronized
 // internally).
 type Checker struct {
-	sql   *sqlgram.SQL
-	deriv *deriv.Checker
-
 	// UseMarkerConstruction selects the paper's original check-2 mechanism
 	// (replace the nonterminal with a marker terminal, intersect with a
 	// context automaton) instead of the equivalent one-pass quote-parity
@@ -191,14 +191,8 @@ type Checker struct {
 	diskMisses  atomic.Int64
 	checks      atomic.Int64
 
-	oddQuotes  *automata.DFA
-	unescQuote *automata.DFA
-	evenCtx    *automata.DFA
-	nonNumeric *automata.DFA
-	attackDFAs []attackDFA
-	// attackUnion accepts ∪ᵢ L(attackDFAs[i]); nil disables the check-4
-	// prefilter (the per-pattern fixpoints run eagerly, as before).
-	attackUnion *automata.DFA
+	tabOnce sync.Once
+	tab     *tables // set by tabOnce; read it through tables
 }
 
 // VerdictCacheStats returns the cumulative in-memory verdict-cache hit and
@@ -222,33 +216,43 @@ type attackDFA struct {
 	dfa  *automata.DFA
 }
 
-var (
-	buildOnce sync.Once
-	prebuilt  struct {
-		oddQuotes  *automata.DFA
-		unescQuote *automata.DFA
-		evenCtx    *automata.DFA
-		nonNumeric *automata.DFA
-		attacks    []attackDFA
-		// attackUnion accepts the union of every attack pattern's
-		// language — one relation fixpoint answers "no attack fragment
-		// derivable" for the common case; nil if the union DFA outgrows
-		// the relation representation.
-		attackUnion *automata.DFA
-	}
-)
+// tables are the phase-2 tables every Checker shares: the check DFAs and
+// the reference SQL grammar with its derivability checker.
+type tables struct {
+	sql   *sqlgram.SQL
+	deriv *deriv.Checker
 
-// buildPrebuilt constructs the shared check DFAs once per process (run via
-// buildOnce by New and CheckAutomata).
-func buildPrebuilt() {
-	prebuilt.oddQuotes = buildQuoteParityDFA()
-	prebuilt.unescQuote = buildUnescapedQuoteDFA()
-	prebuilt.evenCtx = buildEvenContextDFA()
+	oddQuotes  *automata.DFA
+	unescQuote *automata.DFA
+	evenCtx    *automata.DFA
+	nonNumeric *automata.DFA
+	attacks    []attackDFA
+	// attackUnion accepts the union of every attack pattern's language —
+	// one relation fixpoint answers "no attack fragment derivable" for the
+	// common case; nil if the union DFA outgrows the relation
+	// representation, which disables the check-4 prefilter (the
+	// per-pattern fixpoints then run eagerly).
+	attackUnion *automata.DFA
+}
+
+// sharedTables builds the tables once per process, on first use. The build
+// probes no budget: it is the same work whichever hotspot triggers it.
+var sharedTables = sync.OnceValue(buildTables)
+
+func buildTables() *tables {
+	sql := sqlgram.Get()
+	t := &tables{
+		sql:        sql,
+		deriv:      deriv.New(sql.G),
+		oddQuotes:  buildQuoteParityDFA(),
+		unescQuote: buildUnescapedQuoteDFA(),
+		evenCtx:    buildEvenContextDFA(),
+	}
 	re, err := rx.Parse(`^-?[0-9]+(\.[0-9]+)?$`, false)
 	if err != nil {
 		panic("policy: numeric pattern: " + err.Error())
 	}
-	prebuilt.nonNumeric = re.MatchDFA().Complement().Minimize()
+	t.nonNumeric = re.MatchDFA().Complement().Minimize()
 	var frags *automata.NFA
 	for _, frag := range []string{"--", "DROP", "UNION", ";", "/*", " OR ", " or 1=1"} {
 		f := automata.FromString(frag)
@@ -258,12 +262,26 @@ func buildPrebuilt() {
 			frags = automata.Union(frags, f)
 		}
 		n := automata.Concat(automata.Concat(automata.SigmaStar(), f), automata.SigmaStar())
-		prebuilt.attacks = append(prebuilt.attacks, attackDFA{name: frag, dfa: n.Determinize().Minimize()})
+		t.attacks = append(t.attacks, attackDFA{name: frag, dfa: n.Determinize().Minimize()})
 	}
 	u := automata.Concat(automata.Concat(automata.SigmaStar(), frags), automata.SigmaStar()).Determinize().Minimize()
 	if u.NumStates() <= grammar.MaxRelStates {
-		prebuilt.attackUnion = u
+		t.attackUnion = u
 	}
+	return t
+}
+
+// tables returns the phase-2 tables. The checker's first call acquires them
+// under a "policy"/"tables" child of sp, the span of the hotspot that
+// needed them, so a trace shows the one-time build on its own instead of
+// inside that hotspot's checks; concurrent first calls wait for it.
+func (c *Checker) tables(sp *obs.Span) *tables {
+	c.tabOnce.Do(func() {
+		tsp := sp.Child("policy", "tables")
+		c.tab = sharedTables()
+		tsp.End()
+	})
+	return c.tab
 }
 
 // CheckAutomaton names one prebuilt policy check DFA.
@@ -277,37 +295,25 @@ type CheckAutomaton struct {
 // check DFA growing past a couple dozen classes means some construction
 // started distinguishing bytes it should not.
 func CheckAutomata() []CheckAutomaton {
-	buildOnce.Do(buildPrebuilt)
+	t := sharedTables()
 	out := []CheckAutomaton{
-		{"odd-quotes", prebuilt.oddQuotes},
-		{"unescaped-quote", prebuilt.unescQuote},
-		{"even-context", prebuilt.evenCtx},
-		{"non-numeric", prebuilt.nonNumeric},
+		{"odd-quotes", t.oddQuotes},
+		{"unescaped-quote", t.unescQuote},
+		{"even-context", t.evenCtx},
+		{"non-numeric", t.nonNumeric},
 	}
-	for _, atk := range prebuilt.attacks {
+	for _, atk := range t.attacks {
 		out = append(out, CheckAutomaton{"attack:" + atk.name, atk.dfa})
 	}
-	if prebuilt.attackUnion != nil {
-		out = append(out, CheckAutomaton{"attack-union", prebuilt.attackUnion})
+	if t.attackUnion != nil {
+		out = append(out, CheckAutomaton{"attack-union", t.attackUnion})
 	}
 	return out
 }
 
-// New returns a Checker against the shared reference SQL grammar.
-func New() *Checker {
-	buildOnce.Do(buildPrebuilt)
-	sql := sqlgram.Get()
-	return &Checker{
-		sql:         sql,
-		deriv:       deriv.New(sql.G),
-		oddQuotes:   prebuilt.oddQuotes,
-		unescQuote:  prebuilt.unescQuote,
-		evenCtx:     prebuilt.evenCtx,
-		nonNumeric:  prebuilt.nonNumeric,
-		attackDFAs:  prebuilt.attacks,
-		attackUnion: prebuilt.attackUnion,
-	}
-}
+// New returns a Checker against the shared reference SQL grammar. It builds
+// nothing: the tables come on the first cascade the checker runs.
+func New() *Checker { return &Checker{} }
 
 // buildQuoteParityDFA returns a DFA accepting byte strings whose number of
 // unescaped single quotes is odd. State parity*2+esc records the quote
@@ -622,14 +628,15 @@ func (c *Checker) checkSlice(s *Slice, b *budget.Budget, sp *obs.Span) *Result {
 		return &out
 	}
 	b.Check()
+	t := c.tables(sp)
 	sp.Count("policy.labeled-nts", int64(len(s.vl)))
 	res := &Result{LabeledNTs: len(s.vl)}
 	setSliceStats(res, s)
 	var undecided []grammar.Sym
 	if c.UseMarkerConstruction {
-		undecided = c.cascadeReference(s.scratch, s.sroot, s.vl, res, b, sp)
+		undecided = t.cascadeReference(s.scratch, s.sroot, s.vl, res, b, sp)
 	} else {
-		undecided = c.cascadeFast(s, res, b, sp)
+		undecided = t.cascadeFast(s, res, b, sp)
 	}
 
 	// Check 5: derivability of the whole query grammar covers the rest. It
@@ -638,7 +645,7 @@ func (c *Checker) checkSlice(s *Slice, b *budget.Budget, sp *obs.Span) *Result {
 	// under compaction.
 	if len(undecided) > 0 {
 		c5 := sp.Child("check", "5:derivability", obs.Attr{Key: "undecided", Val: fmt.Sprint(len(undecided))})
-		_, ok := c.deriv.DerivableT(s.scratch, s.sroot, []grammar.Sym{c.sql.Start}, b, c5)
+		_, ok := t.deriv.DerivableT(s.scratch, s.sroot, []grammar.Sym{t.sql.Start}, b, c5)
 		c5.SetAttr("derivable", fmt.Sprint(ok))
 		c5.End()
 		if !ok {
@@ -721,7 +728,7 @@ func resultFromEntry(e *vcache.Entry, s *Slice) *Result {
 // marker-terminal context grammar. It anchors Ablation E and is the
 // reference the compacted fast path is differentially tested against. One
 // child span collects the per-nonterminal intersection traffic.
-func (c *Checker) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, vl []grammar.Sym, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
+func (t *tables) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, vl []grammar.Sym, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
 	sp := hsp.Child("check", "1-4:marker-reference")
 	defer sp.End()
 	var undecided []grammar.Sym
@@ -729,7 +736,7 @@ func (c *Checker) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, 
 		label := scratch.LabelOf(x)
 
 		// Check 1: odd number of unescaped quotes.
-		if w, ok := grammar.IntersectWitnessT(scratch, x, c.oddQuotes, b, sp); ok {
+		if w, ok := grammar.IntersectWitnessT(scratch, x, t.oddQuotes, b, sp); ok {
 			res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckUnconfinableQuotes, Witness: w, Source: scratch.RawName(x)})
 			continue
 		}
@@ -739,21 +746,21 @@ func (c *Checker) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, 
 		if !markerAppears(rt, b, sp) {
 			continue // X never reaches the query text
 		}
-		if grammar.IntersectEmptyT(rt, rt.Start(), c.evenCtx, b, sp) {
-			if w, ok := grammar.IntersectWitnessT(scratch, x, c.unescQuote, b, sp); ok {
+		if grammar.IntersectEmptyT(rt, rt.Start(), t.evenCtx, b, sp) {
+			if w, ok := grammar.IntersectWitnessT(scratch, x, t.unescQuote, b, sp); ok {
 				res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckLiteralEscape, Witness: w, Source: scratch.RawName(x)})
 			}
 			continue
 		}
 
 		// Check 3: numeric literals only.
-		if grammar.IntersectEmptyT(scratch, x, c.nonNumeric, b, sp) {
+		if grammar.IntersectEmptyT(scratch, x, t.nonNumeric, b, sp) {
 			continue
 		}
 
 		// Check 4: known-unconfinable fragments.
 		attacked := false
-		for _, atk := range c.attackDFAs {
+		for _, atk := range t.attacks {
 			if w, ok := grammar.IntersectWitnessT(scratch, x, atk.dfa, b, sp); ok {
 				res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckAttackString, Witness: w, Source: scratch.RawName(x)})
 				attacked = true
@@ -781,7 +788,7 @@ func (c *Checker) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, 
 // tie-break depends on derivation-tree structure, which compaction changes —
 // so reports are byte-for-byte the ones the uncompacted marker-construction
 // reference produces.
-func (c *Checker) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
+func (t *tables) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
 	scratch := s.scratch
 	relG, relRoot := s.cg.G, s.cg.Root
 	minLens := relG.MinLens()
@@ -790,14 +797,14 @@ func (c *Checker) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.
 	// the same grammar.
 	plan := grammar.NewRelPlan(relG, minLens, b)
 	c1 := hsp.Child("check", "1:odd-unescaped-quotes")
-	oddRel := plan.RelsT(c.oddQuotes, b, c1)
+	oddRel := plan.RelsT(t.oddQuotes, b, c1)
 	c1.End()
 	c2 := hsp.Child("check", "2:string-literal-position")
-	ctxInfo := c.computeContexts(relG, relRoot, oddRel, minLens, b, c2)
-	unescRel := plan.RelsT(c.unescQuote, b, c2)
+	ctxInfo := t.computeContexts(relG, relRoot, oddRel, minLens, b, c2)
+	unescRel := plan.RelsT(t.unescQuote, b, c2)
 	c2.End()
 	c3 := hsp.Child("check", "3:numeric-literal")
-	numRel := plan.RelsT(c.nonNumeric, b, c3)
+	numRel := plan.RelsT(t.nonNumeric, b, c3)
 	c3.End()
 	c4 := hsp.Child("check", "4:attack-string")
 	defer c4.End()
@@ -805,15 +812,15 @@ func (c *Checker) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.
 	// no attack fragment at all, and the per-pattern fixpoints — needed
 	// only to attribute a match to its first pattern — run lazily.
 	var unionRel [][]uint32
-	if c.attackUnion != nil {
-		unionRel = plan.RelsT(c.attackUnion, b, c4)
+	if t.attackUnion != nil {
+		unionRel = plan.RelsT(t.attackUnion, b, c4)
 	}
-	attackRels := make([][][]uint32, len(c.attackDFAs))
-	attackDone := make([]bool, len(c.attackDFAs))
+	attackRels := make([][][]uint32, len(t.attacks))
+	attackDone := make([]bool, len(t.attacks))
 	attackRel := func(i int) [][]uint32 {
 		if !attackDone[i] {
 			attackDone[i] = true
-			attackRels[i] = plan.RelsT(c.attackDFAs[i].dfa, b, c4)
+			attackRels[i] = plan.RelsT(t.attacks[i].dfa, b, c4)
 		}
 		return attackRels[i]
 	}
@@ -834,8 +841,8 @@ func (c *Checker) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.
 		cx := s.cg.Fwd[x]
 
 		// Check 1: odd number of unescaped quotes.
-		if nonempty(oddRel, c.oddQuotes, cx) {
-			w := witness(CheckUnconfinableQuotes, x, c.oddQuotes)
+		if nonempty(oddRel, t.oddQuotes, cx) {
+			w := witness(CheckUnconfinableQuotes, x, t.oddQuotes)
 			res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckUnconfinableQuotes, Witness: w, Source: scratch.RawName(x)})
 			continue
 		}
@@ -846,22 +853,22 @@ func (c *Checker) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.
 			continue
 		}
 		if literalOnly {
-			if nonempty(unescRel, c.unescQuote, cx) {
-				w := witness(CheckLiteralEscape, x, c.unescQuote)
+			if nonempty(unescRel, t.unescQuote, cx) {
+				w := witness(CheckLiteralEscape, x, t.unescQuote)
 				res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckLiteralEscape, Witness: w, Source: scratch.RawName(x)})
 			}
 			continue
 		}
 
 		// Check 3: numeric literals only.
-		if !nonempty(numRel, c.nonNumeric, cx) {
+		if !nonempty(numRel, t.nonNumeric, cx) {
 			continue
 		}
 
 		// Check 4: known-unconfinable fragments.
 		attacked := false
-		if c.attackUnion == nil || nonempty(unionRel, c.attackUnion, cx) {
-			for i, atk := range c.attackDFAs {
+		if t.attackUnion == nil || nonempty(unionRel, t.attackUnion, cx) {
+			for i, atk := range t.attacks {
 				if nonempty(attackRel(i), atk.dfa, cx) {
 					w := witness(CheckAttackString, x, atk.dfa)
 					res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckAttackString, Witness: w, Source: scratch.RawName(x)})
