@@ -14,6 +14,7 @@ FUZZ_TARGETS = \
 	FuzzImage:./internal/fst \
 	FuzzByteClasses:./internal/rx \
 	FuzzServerRequest:./internal/server \
+	FuzzDecodeRequest:./internal/server \
 	FuzzPackLoad:./internal/enforce \
 	FuzzEarley:./internal/deriv \
 	FuzzDeterminize:./internal/automata

@@ -77,14 +77,27 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// encodeBody renders a request body as JSON without encoding/json's HTML
+// escaping: PHP sources are full of '<', '>' and '&', and each would
+// otherwise cross the wire as a six-byte \u003c-style escape.
+func encodeBody(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("sqlcheckd client: encode: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // do runs one request and decodes the JSON body into out (or the error
 // envelope into an *APIError).
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
+		data, err := encodeBody(body)
 		if err != nil {
-			return fmt.Errorf("sqlcheckd client: encode: %w", err)
+			return err
 		}
 		rd = bytes.NewReader(data)
 	}
@@ -209,9 +222,9 @@ func (c *Client) ServerStats(ctx context.Context) (*ServerStats, error) {
 // response headers; for the full stats alongside the findings use Analyze
 // with Options.EmitPack instead.
 func (c *Client) Pack(ctx context.Context, req *AnalyzeRequest) ([]byte, error) {
-	data, err := json.Marshal(req)
+	data, err := encodeBody(req)
 	if err != nil {
-		return nil, fmt.Errorf("sqlcheckd client: encode: %w", err)
+		return nil, err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/pack", bytes.NewReader(data))
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,6 +54,8 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add([]byte(`{"sources":{"a.php":"\xff\xfe not utf8"},"entries":["a.php"]}`))
 	f.Add([]byte(`{"sources":{"a.php":"<?php while(1){} ?>"},"entries":["a.php"],"options":{"parallel":999999}}`))
 	f.Add(bytes.Repeat([]byte(`{"sources":{"a.php":"p"}}`), 100))
+	f.Add([]byte(`{"sources":{"a.php":"x"}}}`))
+	f.Add([]byte(`{"sources":{"a.php":"x"},"entries":["a.php"]}]]]}}}`))
 
 	// One shared server for the whole run: small body cap so the fuzzer can
 	// reach the 413 path, a tiny step ceiling so adversarial PHP cannot make
@@ -116,32 +119,36 @@ func truncate(b []byte) string {
 
 // TestOversizedBody413 covers the one path the in-process fuzz harness
 // cannot reach realistically: a body larger than MaxBodyBytes arriving over
-// a real connection must answer 413 with the structured envelope (the
-// MaxBytesReader trips mid-decode).
+// a real connection must answer 413 with the structured envelope, whether
+// its Content-Length declares the size (refused before it is read) or it
+// arrives chunked (refused once the cap is passed).
 func TestOversizedBody413(t *testing.T) {
 	_, client := newTestService(t, server.Config{Workers: 1, MaxBodyBytes: 1 << 16})
 	ctx := context.Background()
-	// Oversized body → 413 with the structured envelope.
 	httpClient := http.DefaultClient
-	// Well-formed JSON bigger than the cap, so the decoder reads up to the
-	// MaxBytesReader limit instead of failing on a syntax error first.
+	// Well-formed JSON bigger than the cap, so the 413 cannot come from a
+	// syntax error.
 	body := []byte(`{"sources":{"a.php":"` + strings.Repeat("x", 1<<17) + `"},"entries":["a.php"]}`)
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
-		client.BaseURL+"/v1/analyze", bytes.NewReader(body))
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		t.Fatalf("oversized POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
-	}
-	var env struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code == "" {
-		t.Fatalf("413 body not a structured envelope: %v", err)
+	for name, rd := range map[string]io.Reader{
+		"declared": bytes.NewReader(body),
+		"chunked":  struct{ io.Reader }{bytes.NewReader(body)}, // hides the length
+	} {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, client.BaseURL+"/v1/analyze", rd)
+		resp, err := httpClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s oversized POST: %v", name, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s oversized body: status %d, want 413", name, resp.StatusCode)
+		}
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code == "" {
+			t.Fatalf("%s 413 body not a structured envelope: %v", name, err)
+		}
 	}
 }

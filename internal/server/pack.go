@@ -48,7 +48,7 @@ func (s *Server) handlePackGet(w http.ResponseWriter, r *http.Request) {
 // (inline sources or root); emit_pack is forced on and the response is the
 // raw pack bytes instead of the JSON report.
 func (s *Server) handlePackPost(w http.ResponseWriter, r *http.Request) {
-	req, aerr := s.decodeBody(w, r)
+	req, aerr := s.decodeBody(r)
 	if aerr != nil {
 		s.writeError(w, r, aerr)
 		return

@@ -8,7 +8,10 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -140,6 +143,77 @@ func TestServedDifferential(t *testing.T) {
 		assertSame(t, app.Name+"/async-cold", ref, analyzeAsync(t, clientB, app), false)
 		assertSame(t, app.Name+"/sync-warm", ref, analyzeSync(t, clientB, app), true)
 	}
+}
+
+// TestHTMLCharactersRoundTrip sends PHP full of '<', '>' and '&' through the
+// library client. The body must carry them as they are, not as
+// encoding/json's default \u003c-style escapes, and the served findings
+// must match an in-process run.
+func TestHTMLCharactersRoundTrip(t *testing.T) {
+	app := &corpus.App{
+		Name: "html",
+		Sources: map[string]string{
+			"page.php": `<?php
+$id = $_GET['id'];
+if ($id > 0 && $id < 100) { echo "<b>" . $id . "</b> &amp; more"; }
+mysql_query("SELECT * FROM t WHERE a<>b AND id='$id'");
+?>
+<html><body>&lt;done&gt;</body></html>
+`,
+			"safe.php": `<?php
+$id = (int)$_GET['id'];
+if ($id >= 1 && $id <= 9) { mysql_query("SELECT * FROM t WHERE id=$id & 255"); }
+?>
+`,
+		},
+		Entries: []string{"page.php", "safe.php"},
+	}
+	_, client := newTestService(t, server.Config{Workers: 1})
+	rec := &bodyRecorder{}
+	client.HTTPClient = &http.Client{Transport: rec}
+
+	ref := reference(t, app)
+	if len(ref.Findings) == 0 {
+		t.Fatal("the in-process run reports nothing; the app should have a finding")
+	}
+	assertSame(t, app.Name, ref, analyzeSync(t, client, app), true)
+	if _, err := client.Pack(context.Background(), &sqlciv.AnalyzeRequest{Sources: app.Sources, Entries: app.Entries}); err != nil {
+		t.Fatalf("Pack: %v", err)
+	}
+	if len(rec.bodies) != 2 {
+		t.Fatalf("saw %d request bodies, want 2", len(rec.bodies))
+	}
+	for _, body := range rec.bodies {
+		for _, esc := range []string{`\u003c`, `\u003e`, `\u0026`} {
+			if bytes.Contains(body, []byte(esc)) {
+				t.Errorf("request body carries %s escapes: %.80s...", esc, body)
+			}
+		}
+		if !bytes.Contains(body, []byte("a<>b AND")) || !bytes.Contains(body, []byte("&amp;")) {
+			t.Errorf("request body lost the raw characters: %.80s...", body)
+		}
+	}
+}
+
+// bodyRecorder is a client transport that keeps a copy of every request
+// body it sends.
+type bodyRecorder struct {
+	bodies [][]byte
+}
+
+func (b *bodyRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.GetBody != nil {
+		rc, err := r.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		body, err := io.ReadAll(rc)
+		if err != nil {
+			return nil, err
+		}
+		b.bodies = append(b.bodies, body)
+	}
+	return http.DefaultTransport.RoundTrip(r)
 }
 
 // TestWarmRepeatHitsCache pins the amortization claim: a repeat submission

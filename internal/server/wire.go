@@ -7,10 +7,7 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -404,25 +401,13 @@ func errf(status int, code, format string, args ...any) *apiError {
 	return &apiError{status: status, code: code, message: fmt.Sprintf(format, args...)}
 }
 
-// decodeRequest reads and validates one analysis request body. Every
-// failure is a structured *apiError — the fuzz target asserts the decoder
-// can never panic or produce a bare 500.
-func decodeRequest(r io.Reader) (*Request, *apiError) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
+// decodeRequest decodes (see decode.go) and validates one analysis request
+// body. Every failure is a structured *apiError — the fuzz target asserts
+// the decoder can never panic or produce a bare 500.
+func decodeRequest(body []byte) (*Request, *apiError) {
 	var req Request
-	if err := dec.Decode(&req); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return nil, errf(http.StatusRequestEntityTooLarge, CodeBodyTooBig,
-				"request body exceeds %d bytes", maxErr.Limit)
-		}
+	if err := parseRequest(body, &req); err != nil {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest, "invalid JSON: %v", err)
-	}
-	// Trailing garbage after the JSON document is a malformed request, not
-	// something to silently ignore.
-	if dec.More() {
-		return nil, errf(http.StatusBadRequest, CodeBadRequest, "trailing data after JSON body")
 	}
 	if len(req.Sources) == 0 && req.Root == "" {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest, "one of sources or root is required")
