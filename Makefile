@@ -11,6 +11,7 @@ FUZZ_TARGETS = \
 	FuzzParseCompile:./internal/rx \
 	FuzzAnalyze:./internal/analysis \
 	FuzzIntersect:./internal/grammar \
+	FuzzWitness:./internal/grammar \
 	FuzzImage:./internal/fst \
 	FuzzByteClasses:./internal/rx \
 	FuzzServerRequest:./internal/server \

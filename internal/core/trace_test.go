@@ -260,6 +260,47 @@ func TestTigerCheck5EarleyWork(t *testing.T) {
 	}
 }
 
+// witnessSink counts "witness" spans and totals the intersection counters
+// of every span.
+type witnessSink struct {
+	spans        int
+	items, rules int64
+}
+
+func (s *witnessSink) Emit(e *obs.Event) {
+	if e.Cat == "witness" {
+		s.spans++
+	}
+	s.items += e.Counters["intersect.items"]
+	s.rules += e.Counters["intersect.rules"]
+}
+
+func (s *witnessSink) Close() error { return nil }
+
+// TestTigerWitnessWork pins the work witness extraction does on the corpus:
+// a cold Tiger run extracts 8 witnesses, whose Figure 7 worklists discover
+// 33,192 items over 14,879 normalized rules, and under a step budget too
+// large to trip its hotspot checks consume an exact step count. A witness
+// rewrite that claims unchanged discovery must leave all four unchanged.
+func TestTigerWitnessWork(t *testing.T) {
+	app := corpus.Tiger()
+	sink := &witnessSink{}
+	tr := obs.New(sink)
+	res, err := AnalyzeApp(analysis.NewMapResolver(app.Sources), app.Entries,
+		Options{Tracer: tr, Budget: budget.Limits{MaxSteps: 1 << 40}})
+	if err != nil {
+		t.Fatalf("AnalyzeApp: %v", err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close tracer: %v", err)
+	}
+	const wantSpans, wantItems, wantRules, wantSteps = 8, 33192, 14879, 2911511
+	if sink.spans != wantSpans || sink.items != wantItems || sink.rules != wantRules || res.BudgetSteps != wantSteps {
+		t.Fatalf("witnesses on Tiger: %d spans, %d items, %d rules, %d budget steps; want %d, %d, %d, %d",
+			sink.spans, sink.items, sink.rules, res.BudgetSteps, wantSpans, wantItems, wantRules, wantSteps)
+	}
+}
+
 // tablesSink counts "policy"/"tables" spans and records whether each one
 // sits directly below a hotspot span.
 type tablesSink struct {

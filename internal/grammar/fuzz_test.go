@@ -121,3 +121,26 @@ func FuzzIntersect(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWitness holds the witness read off the worklist's items
+// (IntersectWitness) to its materializing reference — extract, intersect
+// into the copy, WitnessString — on FuzzIntersect's grammars and automata:
+// both must agree on emptiness and return the same string.
+func FuzzWitness(f *testing.F) {
+	f.Add([]byte{0, 2, 'a', 'b', 1, 1, 'c', 0x0f, 0, 'a', 1, 1, 'b', 0})
+	f.Add([]byte{0, 1, 128, 0, 2, 'x', 131, 0, 0, 0xff, 2, 'x', 2})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 3, 'a', 129, 'a', 1, 1, 'q', 0x02, 1, 'q', 1})
+	f.Add([]byte{0, 3, 129, 129, 'b', 1, 2, 'a', 'a', 1, 0, 0x0c, 0, 'a', 1, 1, 'a', 2, 2, 'b', 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 96 {
+			data = data[:96]
+		}
+		g, root, rest := fuzzGrammar(data)
+		d := fuzzDFA(rest)
+		want, wok := intersectWitnessRef(g, root, d)
+		if got, ok := IntersectWitness(g, root, d); ok != wok || got != want {
+			t.Fatalf("IntersectWitness = %q,%t; materialized %q,%t\n%s", got, ok, want, wok, g.String())
+		}
+	})
+}

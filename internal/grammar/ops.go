@@ -62,13 +62,13 @@ func (g *Grammar) Empty(nt Sym) bool {
 // Memory is linear in the grammar plus the witness: only each nonterminal's
 // chosen production is memoized, tied candidates are compared by walking
 // their expansions lazily, and the witness is written in one walk into one
-// buffer of its exact length.
+// buffer sized from its cost, which bounds its length (up to 64 Ki).
 func (g *Grammar) Witness(nt Sym) ([]Sym, bool) {
 	w, n, ok := g.shortestDerivation(nt)
 	if !ok {
 		return nil, false
 	}
-	out := make([]Sym, 0, n)
+	out := make([]Sym, 0, min(n, 1<<16))
 	for s := w.next(); s >= 0; s = w.next() {
 		out = append(out, s)
 	}
@@ -81,54 +81,49 @@ func (g *Grammar) WitnessString(nt Sym) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	var b strings.Builder
-	b.Grow(int(n))
-	for s := w.next(); s >= 0; s = w.next() {
-		if s == MarkerSym {
-			b.WriteString("•")
-		} else {
-			b.WriteByte(byte(s))
+	return w.string(n), true
+}
+
+// derivations is what chooseShortest reads: each node's alternatives in
+// order, right-hand sides whose symbols are terminals and nodes (node v is
+// the symbol NumTerminals+v). A Grammar's nodes are its nonterminals; the
+// witness consumer presents a Figure 7 construction's items (witness.go).
+type derivations interface {
+	numProdsAt(v int) int
+	rhsAt(v, k int) []Sym
+}
+
+// prodCost is the cost of expanding rhs once: one for the production, a
+// terminal costs witnessSizeWeight and a node its cost, or MaxInt64 when a
+// node of rhs has none (yet).
+func prodCost(cost []int64, rhs []Sym) int64 {
+	total := int64(1)
+	for _, s := range rhs {
+		if IsTerminal(s) {
+			total += witnessSizeWeight
+			continue
 		}
+		c := cost[int(s)-NumTerminals]
+		if c == math.MaxInt64 {
+			return math.MaxInt64
+		}
+		total += c
 	}
-	return b.String(), true
+	return total
 }
 
 // shortestDerivation fixes, for every nonterminal the witness of nt can
 // reach, the production Witness expands it by, and returns a walk over the
-// witness's terminals together with the witness length.
+// witness's terminals together with a bound on its length.
 func (g *Grammar) shortestDerivation(nt Sym) (*derivWalk, int64, bool) {
 	n := g.NumNTs()
-	// cost = length*sizeWeight + treeSize; treeSize bounds recursion.
-	const sizeWeight = 1 << 20
-	cost := make([]int64, n)
-	for i := range cost {
-		cost[i] = math.MaxInt64
-	}
-	// prodCost is the cost of expanding rhs once, or MaxInt64 when some
-	// nonterminal of rhs derives nothing (yet).
-	prodCost := func(rhs []Sym) int64 {
-		total := int64(1) // production application
-		for _, s := range rhs {
-			if IsTerminal(s) {
-				total += sizeWeight
-				continue
-			}
-			c := cost[g.ntIndex(s)]
-			if c == math.MaxInt64 {
-				return math.MaxInt64
-			}
-			total += c
-		}
-		return total
-	}
-	changed := true
-	for changed {
+	cost := fill[int64](nil, n, math.MaxInt64)
+	for changed := true; changed; {
 		changed = false
 		for i := 0; i < n; i++ {
 			for pi := 0; pi < g.numProdsAt(i); pi++ {
-				if total := prodCost(g.rhsAt(i, pi)); total < cost[i] {
-					cost[i] = total
-					changed = true
+				if total := prodCost(cost, g.rhsAt(i, pi)); total < cost[i] {
+					cost[i], changed = total, true
 				}
 			}
 		}
@@ -137,22 +132,28 @@ func (g *Grammar) shortestDerivation(nt Sym) (*derivWalk, int64, bool) {
 	if cost[root] == math.MaxInt64 {
 		return nil, 0, false
 	}
+	w, length := chooseShortest(g, cost, fill[int32](nil, n, -1), root)
+	return w, length, true
+}
 
-	// Every nonterminal of an exactly-minimal production costs strictly less
-	// than its LHS (the production itself contributes +1), so deciding the
-	// reachable nonterminals in ascending cost order decides each one's
-	// constituents first.
-	choice := make([]int32, n)
-	for i := range choice {
-		choice[i] = -1
-	}
+// chooseShortest fixes, for every node some minimum-cost derivation of root
+// reaches, the alternative the witness expands it by: the first of its
+// minimum-cost alternatives unless a later one's expansion is
+// lexicographically smaller (a proper prefix is smaller). cost holds every
+// node's least cost; choice must be all -1. It returns a walk over the
+// witness's terminals and cost[root]/witnessSizeWeight, which bounds the
+// witness length and equals it unless the derivation has over 2²⁰ nodes.
+func chooseShortest(d derivations, cost []int64, choice []int32, root int) (*derivWalk, int64) {
+	// Every node of an exactly-minimal alternative costs strictly less than
+	// its own node (the alternative contributes +1), so deciding the reached
+	// nodes in ascending cost order decides each one's constituents first.
 	order := []int32{int32(root)}
 	choice[root] = 0 // reached; decided below
 	for k := 0; k < len(order); k++ {
 		i := int(order[k])
-		for pi := 0; pi < g.numProdsAt(i); pi++ {
-			rhs := g.rhsAt(i, pi)
-			if prodCost(rhs) != cost[i] {
+		for pi := 0; pi < d.numProdsAt(i); pi++ {
+			rhs := d.rhsAt(i, pi)
+			if prodCost(cost, rhs) != cost[i] {
 				continue
 			}
 			for _, s := range rhs {
@@ -165,10 +166,7 @@ func (g *Grammar) shortestDerivation(nt Sym) (*derivWalk, int64, bool) {
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(cost[a], cost[b]) })
 
-	// Among i's exactly-minimal productions the first in production order
-	// wins unless a later one's expansion is lexicographically smaller (a
-	// proper prefix is smaller).
-	wa, wb := &derivWalk{g: g, choice: choice}, &derivWalk{g: g, choice: choice}
+	wa, wb := &derivWalk{d: d, choice: choice}, &derivWalk{d: d, choice: choice}
 	less := func(i, pa, pb int) bool {
 		wa.start(i, pa)
 		wb.start(i, pb)
@@ -181,42 +179,24 @@ func (g *Grammar) shortestDerivation(nt Sym) (*derivWalk, int64, bool) {
 	}
 	for _, i32 := range order {
 		i, best := int(i32), -1
-		for pi := 0; pi < g.numProdsAt(i); pi++ {
-			if prodCost(g.rhsAt(i, pi)) != cost[i] {
-				continue
-			}
-			if best < 0 || less(i, pi, best) {
+		for pi := 0; pi < d.numProdsAt(i); pi++ {
+			if prodCost(cost, d.rhsAt(i, pi)) == cost[i] && (best < 0 || less(i, pi, best)) {
 				best = pi
 			}
 		}
 		choice[i] = int32(best)
 	}
 
-	// The costs are spent: reuse the slots for witness lengths, again
-	// constituents first.
-	for _, i32 := range order {
-		i := int(i32)
-		l := int64(0)
-		for _, s := range g.rhsAt(i, int(choice[i])) {
-			if IsTerminal(s) {
-				l++
-			} else {
-				l += cost[g.ntIndex(s)]
-			}
-		}
-		cost[i] = l
-	}
 	wa.start(root, int(choice[root]))
-	return wa, cost[root], true
+	return wa, cost[root] / witnessSizeWeight
 }
 
-// derivWalk yields, one terminal at a time, the expansion of a production
-// in which every nonterminal expands by its chosen production. The stack
-// holds one frame per pending non-final nonterminal; a nonterminal in final
-// position replaces its parent's frame, so right-linear chains walk in
-// constant space.
+// derivWalk yields, one terminal at a time, the expansion of an alternative
+// in which every node expands by its chosen alternative. The stack holds
+// one frame per pending non-final node; a node in final position replaces
+// its parent's frame, so right-linear chains walk in constant space.
 type derivWalk struct {
-	g      *Grammar
+	d      derivations
 	choice []int32
 	stack  []derivFrame
 	rhs    []Sym // right-hand side of the top frame
@@ -226,11 +206,10 @@ type derivFrame struct {
 	nt, prod, pos int32
 }
 
-// start positions the walk at the beginning of nonterminal index i's
-// production pi.
+// start positions the walk at the beginning of node i's alternative pi.
 func (w *derivWalk) start(i, pi int) {
 	w.stack = append(w.stack[:0], derivFrame{nt: int32(i), prod: int32(pi)})
-	w.rhs = w.g.rhsAt(i, pi)
+	w.rhs = w.d.rhsAt(i, pi)
 }
 
 // next returns the walk's next terminal, or -1 when it is exhausted.
@@ -241,7 +220,7 @@ func (w *derivWalk) next() Sym {
 			w.stack = w.stack[:len(w.stack)-1]
 			if len(w.stack) > 0 {
 				top := w.stack[len(w.stack)-1]
-				w.rhs = w.g.rhsAt(int(top.nt), int(top.prod))
+				w.rhs = w.d.rhsAt(int(top.nt), int(top.prod))
 			}
 			continue
 		}
@@ -250,16 +229,32 @@ func (w *derivWalk) next() Sym {
 		if IsTerminal(s) {
 			return s
 		}
-		j := w.g.ntIndex(s)
+		j := int(s) - NumTerminals
 		child := derivFrame{nt: int32(j), prod: w.choice[j]}
 		if int(f.pos) == len(w.rhs) {
 			*f = child
 		} else {
 			w.stack = append(w.stack, child)
 		}
-		w.rhs = w.g.rhsAt(j, int(child.prod))
+		w.rhs = w.d.rhsAt(j, int(child.prod))
 	}
 	return -1
+}
+
+// string renders the rest of the walk with the marker as "•". n bounds its
+// length and sizes the buffer, up to 64 Ki: an ε-heavy derivation's bound
+// can be far above its length.
+func (w *derivWalk) string(n int64) string {
+	var b strings.Builder
+	b.Grow(int(min(n, 1<<16)))
+	for s := w.next(); s >= 0; s = w.next() {
+		if s == MarkerSym {
+			b.WriteString("•")
+		} else {
+			b.WriteByte(byte(s))
+		}
+	}
+	return b.String()
 }
 
 // Reachable returns the set of nonterminals reachable from root (including

@@ -1,14 +1,8 @@
 package grammar
 
-// Open-addressing hash containers. u64set deduplicates packed uint64 work
-// items for Earley recognition and canonical fingerprinting; ProdSet
-// deduplicates the productions the Figure 7 intersection and the FST image
-// emit. Both probe a power-of-two slice instead of a Go map's bucket chains.
-
-import (
-	"slices"
-	"sync"
-)
+// Open-addressing hash sets of Earley and fingerprinting work items
+// (u64set) and of Figure 7 hyperedges (edgeSet): they probe a power-of-two
+// slice instead of a Go map's bucket chains.
 
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
@@ -76,53 +70,24 @@ func (s *u64set) grow() {
 	}
 }
 
-// ProdSet adds each production to a grammar at most once: it is an exact
-// set of the (lhs, rhs) productions added through it. The Figure 7
-// intersection (IntersectIntoT) and the FST image (fst.ImageInto) take one
-// per construction and add every production of an item's fresh nonterminal
-// through it, so deduplication costs expected O(|rhs|) per probe whatever
-// the item's production count. A slot holds a 32-bit hash and the member's
-// position in the grammar; a hash match is confirmed against the grammar's
-// stored right-hand side in full, because taking a collision for a
-// duplicate would drop a production and with it part of the language.
-//
-// Sets are recycled through a pool: Release hands the table back, and an
-// acquired set is emptied by bumping its generation, so a construction never
-// pays for table growth or zeroing once an earlier one has sized the table.
-type ProdSet struct {
-	g     *Grammar
-	slots []prodSlot
-	gen   uint32 // a slot is live iff its gen equals this
+// edgeSet is the exact set of a Figure 7 worklist's hyperedges. A slot packs
+// a 16-bit generation (live iff the set's, so a recycled table starts empty
+// uncleared), a 16-bit hash fingerprint and the index in the edge list,
+// which a probe reads only on a fingerprint match: taking a collision for a
+// member would drop a production.
+type edgeSet struct {
+	slots []uint64
+	gen   uint64
 	n     int
 }
 
-// prodSlot locates one member: production number prod of lhs.
-type prodSlot struct {
-	gen, hash uint32
-	lhs       Sym
-	prod      int32
-}
+const edgeGenBits = 16
 
-// prodSetPoolMaxSlots caps the table a released set may keep: a
-// pathological construction's table is left to the collector rather than
-// held for the rest of the process.
-const prodSetPoolMaxSlots = 1 << 20
-
-var prodSetPool = sync.Pool{New: func() any { return &ProdSet{slots: make([]prodSlot, 64)} }}
-
-// NewProdSet returns an empty set adding to g, recycled from an earlier
-// construction when one is free. Productions of g added other than through
-// the set are not members.
-func NewProdSet(g *Grammar) *ProdSet {
-	s := prodSetPool.Get().(*ProdSet)
-	s.reset(g)
-	return s
-}
-
-// reset empties s by starting a new generation.
-func (s *ProdSet) reset(g *Grammar) {
-	s.g = g
-	s.gen++
+func (s *edgeSet) reset() {
+	if s.slots == nil {
+		s.slots = make([]uint64, 64)
+	}
+	s.gen = (s.gen + 1) & (1<<edgeGenBits - 1)
 	if s.gen == 0 { // wrapped: stale slots could match again
 		clear(s.slots)
 		s.gen = 1
@@ -130,62 +95,43 @@ func (s *ProdSet) reset(g *Grammar) {
 	s.n = 0
 }
 
-// Release returns s to the pool; s must not be used afterwards.
-func (s *ProdSet) Release() {
-	s.g = nil
-	if len(s.slots) <= prodSetPoolMaxSlots {
-		prodSetPool.Put(s)
-	}
+func (e Edge) hash() uint64 {
+	return mix64(uint64(uint32(e.Item))<<32|uint64(uint32(e.A))) ^
+		mix64(uint64(uint32(e.C))<<2|uint64(e.Kind))
 }
 
-// Add appends the production lhs → rhs to the grammar unless it is already
-// a member, and reports whether it appended it. The grammar copies rhs; the
-// caller may reuse it.
-func (s *ProdSet) Add(lhs Sym, rhs []Sym) bool {
-	h := prodHash(lhs, rhs)
-	li := s.g.ntIndex(lhs)
-	mask := uint32(len(s.slots) - 1)
+// add appends e to *edges unless it is there, and reports whether it
+// appended it.
+func (s *edgeSet) add(edges *[]Edge, e Edge) bool {
+	h := e.hash()
+	tag := s.gen<<48 | h>>48<<32
+	mask := uint64(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if sl.gen != s.gen {
-			*sl = prodSlot{gen: s.gen, hash: h, lhs: lhs, prod: int32(s.g.numProdsAt(li))}
-			s.g.Add(lhs, rhs...)
-			s.n++
-			if s.n*2 >= len(s.slots) {
-				s.grow()
+		v := s.slots[i]
+		if v>>48 != s.gen {
+			s.slots[i] = tag | uint64(len(*edges))
+			*edges = append(*edges, e)
+			if s.n++; s.n*2 >= len(s.slots) {
+				s.grow(*edges)
 			}
 			return true
 		}
-		if sl.hash == h && sl.lhs == lhs && slices.Equal(s.g.rhsAt(li, int(sl.prod)), rhs) {
+		if v&^(1<<32-1) == tag && (*edges)[uint32(v)] == e {
 			return false
 		}
 	}
 }
 
-func prodHash(lhs Sym, rhs []Sym) uint32 {
-	h := uint64(uint32(lhs))<<32 | uint64(len(rhs))
-	for _, x := range rhs {
-		h = (h ^ uint64(uint32(x))) * 0x9e3779b97f4a7c15
-	}
-	return uint32(mix64(h))
-}
-
-// grow doubles the table, re-placing the live members by their stored
-// hashes into a fresh table that restarts the generation count.
-func (s *ProdSet) grow() {
-	old, gen := s.slots, s.gen
-	s.slots = make([]prodSlot, len(old)*2)
+func (s *edgeSet) grow(edges []Edge) {
+	s.slots = make([]uint64, 2*len(s.slots))
 	s.gen = 1
-	mask := uint32(len(s.slots) - 1)
-	for _, sl := range old {
-		if sl.gen != gen {
-			continue
-		}
-		i := sl.hash & mask
-		for s.slots[i].gen == 1 {
+	mask := uint64(len(s.slots) - 1)
+	for idx, e := range edges {
+		h := e.hash()
+		i := h & mask
+		for s.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		sl.gen = 1
-		s.slots[i] = sl
+		s.slots[i] = 1<<48 | h>>48<<32 | uint64(idx)
 	}
 }

@@ -195,10 +195,33 @@ func TestWitnessMatchesOracle(t *testing.T) {
 			g, root = randomGrammar(r)
 		}
 		check(trial, g)
+		// The witness read off the worklist must be the materialized one,
+		// from every nonterminal.
+		for i := 0; i < g.NumNTs(); i++ {
+			nt := Sym(NumTerminals + i)
+			want, wok := intersectWitnessRef(g, nt, abEven)
+			if got, ok := IntersectWitness(g, nt, abEven); ok != wok || got != want {
+				t.Fatalf("trial %d N%d: IntersectWitness = %q,%t; materialized %q,%t\n%s",
+					trial, i, got, ok, want, wok, g.String())
+			}
+		}
 		// The intersection's items tie often: the same string spans the
 		// automaton through different helper chains.
 		if _, ok := IntersectInto(g, root, abEven); ok {
 			check(trial, g)
 		}
 	}
+}
+
+// intersectWitnessRef is the materializing witness that IntersectWitnessT
+// replaced, kept as its differential reference: copy the root's
+// sub-grammar, build the intersection into the copy, and read WitnessString
+// off its root.
+func intersectWitnessRef(g *Grammar, root Sym, d *automata.DFA) (string, bool) {
+	scratch, remap := g.Extract(root)
+	nr, ok := IntersectInto(scratch, remap[root], d)
+	if !ok {
+		return "", false
+	}
+	return scratch.WitnessString(nr)
 }

@@ -63,9 +63,11 @@ type Regex struct {
 	Source          string
 }
 
-// maxCounted bounds {m,n} expansion so pathological bounds cannot explode
-// the automaton.
-const maxCounted = 128
+// maxExpansion bounds a pattern's size with its counted repetitions {m,n}
+// expanded, nested counts multiplied: its automaton is linear in that size.
+// Parse rejects a larger pattern, and its callers over-approximate, rather
+// than compile an automaton that large or one of a smaller language.
+const maxExpansion = 1024
 
 // Parse parses pattern (without delimiters). ci selects case-insensitive
 // matching.
@@ -87,6 +89,9 @@ func Parse(pattern string, ci bool) (*Regex, error) {
 	}
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("rx: %q: unexpected %q at %d", pattern, p.src[p.pos], p.pos)
+	}
+	if expansion(ast) > maxExpansion {
+		return nil, fmt.Errorf("rx: %q: counted repetitions expand past %d nodes", pattern, maxExpansion)
 	}
 	re.AST = ast
 	re.NumGroups = p.groups
@@ -118,6 +123,32 @@ func ParsePHP(pattern string) (*Regex, error) {
 		}
 	}
 	return Parse(body, ci)
+}
+
+// expansion returns the node count of n with its counted repetitions
+// expanded — a repetition without an upper bound counts its minimum plus
+// one starred copy — or maxExpansion+1 when that is larger.
+func expansion(n Node) int {
+	size := 1
+	switch v := n.(type) {
+	case *Cat:
+		for _, sub := range v.Subs {
+			size += expansion(sub)
+		}
+	case *Alt:
+		for _, sub := range v.Subs {
+			size += expansion(sub)
+		}
+	case *Grp:
+		size += expansion(v.Sub)
+	case *Rep:
+		copies := v.Max
+		if copies < 0 {
+			copies = v.Min + 1
+		}
+		size += copies * expansion(v.Sub)
+	}
+	return min(size, maxExpansion+1)
 }
 
 // escapedAt reports whether s[i] is preceded by an odd number of
@@ -229,8 +260,8 @@ func (p *parser) parseBounds() (int, int, error) {
 			v = v*10 + int(p.src[p.pos]-'0')
 			p.pos++
 			any = true
-			if v > maxCounted {
-				v = maxCounted
+			if v > maxExpansion { // past the bound whatever it repeats
+				v = maxExpansion + 1
 			}
 		}
 		return v, any

@@ -1,6 +1,7 @@
 package rx
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +52,8 @@ func TestQuantifiers(t *testing.T) {
 		{"a{2,}", []string{"aa", "aaaa"}, []string{"a"}},
 		{"a{1,3}", []string{"a", "aa", "aaa"}, []string{"", "aaaa"}},
 		{"a*?b", []string{"b", "aab"}, []string{"a"}},
+		{"'{129}", []string{strings.Repeat("'", 129)}, []string{strings.Repeat("'", 128), strings.Repeat("'", 130)}},
+		{"a{1,255}", []string{"a", strings.Repeat("a", 255)}, []string{"", strings.Repeat("a", 256)}},
 	}
 	for _, tc := range cases {
 		n := mustParse(t, tc.pat, false).NFA()
@@ -217,6 +220,9 @@ func TestRejects(t *testing.T) {
 	for _, pat := range []string{
 		"a(b", "a)b" /* dangling */, "*a", "a{2,1}", "a{", "[a-", "[z-a]",
 		`a\`, "a^b", `(?=x)`, `(\1)`,
+		// Counted repetitions expanding past maxExpansion nodes, nested
+		// counts multiplied.
+		"a{1025}", "a{0,99999999999999999999}", "(a{100}){100}", "((a{10}){10}){11}",
 	} {
 		if _, err := Parse(pat, false); err == nil {
 			t.Errorf("Parse(%q) should fail", pat)

@@ -89,6 +89,8 @@ func classifyEndpoint(r *http.Request) string {
 		return "/v1/jobs"
 	case strings.HasPrefix(p, "/v1/jobs/"):
 		return "/v1/jobs/{id}"
+	case p == "/v1/pack":
+		return "/v1/pack"
 	case p == "/healthz":
 		return "/healthz"
 	case p == "/metrics":

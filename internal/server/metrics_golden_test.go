@@ -94,8 +94,9 @@ func TestGoldenMetricsExposition(t *testing.T) {
 }
 
 // TestMetricsCountsExact pins the countable side of the exposition: three
-// requests in, exactly three request samples recorded with the right
-// statuses and endpoints.
+// analyze requests in, exactly three request samples recorded with the right
+// statuses and endpoints; and pack requests, GET and POST, counted under
+// their own endpoint rather than with unknown paths.
 func TestMetricsCountsExact(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Close()
@@ -108,7 +109,21 @@ func TestMetricsCountsExact(t *testing.T) {
 	if code, _ := post(t, srv, "/v1/analyze", "{"); code != http.StatusBadRequest {
 		t.Fatal(code)
 	}
+	if code, _ := get(t, srv, "/v1/pack", ""); code != http.StatusBadRequest {
+		t.Fatal(code) // no root
+	}
+	if code, _ := post(t, srv, "/v1/pack", "{"); code != http.StatusBadRequest {
+		t.Fatal(code)
+	}
 	snap := srv.MetricsSnapshot()
+	if v := snap["sqlcheckd_requests_total{endpoint=/v1/pack,status=400}"]; v != 2 {
+		t.Errorf("pack 400s = %v, want 2", v)
+	}
+	for k := range snap {
+		if strings.Contains(k, "endpoint=other") {
+			t.Errorf("pack traffic counted as other: %s", k)
+		}
+	}
 	if v := snap["sqlcheckd_requests_total{endpoint=/v1/analyze,status=200}"]; v != 2 {
 		t.Errorf("200s = %v, want 2", v)
 	}

@@ -10,9 +10,12 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sqlciv/internal/analysis"
+	"sqlciv/internal/budget"
 	"sqlciv/internal/core"
+	"sqlciv/internal/policy"
 	"sqlciv/internal/sqlgram"
 )
 
@@ -216,6 +219,25 @@ mysql_query("SELECT * FROM t WHERE id=" . $id);`,
 		}
 		if res.Verified() {
 			t.Fatalf("%s: demonstrably vulnerable page verified (unsound)", tc.name)
+		}
+	}
+}
+
+// TestCountedGuardKeepsLanguage: every string the guard admits is n quotes,
+// which leaves the query an odd quote count, so the page must be reported
+// whether n is below the old 128-copy cap or above it; a count is never cut
+// down to a smaller language. A guard whose nested counts expand past the
+// regex bound gets no refinement and is reported too, without expanding it.
+func TestCountedGuardKeepsLanguage(t *testing.T) {
+	for _, pat := range []string{`^'{127}$`, `^'{129}$`, `^(a{100}){100}$`} {
+		src := `<?php $id = $_GET['id']; if (preg_match("/` + pat + `/", $id)) { mysql_query("SELECT * FROM t WHERE id=" . $id); }`
+		res, err := core.AnalyzeApp(analysis.NewMapResolver(map[string]string{"p.php": src}),
+			[]string{"p.php"}, core.Options{Budget: budget.Limits{Timeout: time.Minute}})
+		if err != nil {
+			t.Fatalf("%s: %v", pat, err)
+		}
+		if len(res.Findings) != 1 || res.Findings[0].Check != policy.CheckUnconfinableQuotes {
+			t.Fatalf("%s: findings %v; want one %s", pat, res.Findings, policy.CheckUnconfinableQuotes)
 		}
 	}
 }
