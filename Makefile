@@ -12,6 +12,7 @@ FUZZ_TARGETS = \
 	FuzzAnalyze:./internal/analysis \
 	FuzzIntersect:./internal/grammar \
 	FuzzWitness:./internal/grammar \
+	FuzzRecognize:./internal/grammar \
 	FuzzImage:./internal/fst \
 	FuzzByteClasses:./internal/rx \
 	FuzzServerRequest:./internal/server \

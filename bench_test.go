@@ -357,7 +357,7 @@ func BenchmarkFig7_IntersectTaint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dfa := re.MatchDFA()
+	dfa, _ := re.MatchDFA()
 	for i := 0; i < b.N; i++ {
 		g, u := fig7Grammar()
 		root, ok := grammar.IntersectInto(g, u, dfa)

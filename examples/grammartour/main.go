@@ -43,7 +43,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refined, ok := grammar.IntersectInto(g, userid, re.MatchDFA())
+	m, _ := re.MatchDFA()
+	refined, ok := grammar.IntersectInto(g, userid, m)
 	if !ok {
 		log.Fatal("intersection unexpectedly empty")
 	}

@@ -823,8 +823,9 @@ func (a *analyzer) doInclude(e env, inc *php.IncludeExpr) termKind {
 		// (paper §4) — every project file whose path is in the argument's
 		// language is a candidate.
 		argSym := a.evalExpr(e, inc.Arg)
+		rec := grammar.NewRecognizer(a.g, argSym)
 		for _, path := range a.resolver.Files() {
-			if a.g.DerivesString(argSym, path) {
+			if rec.RecognizeString(argSym, path) {
 				candidates = append(candidates, path)
 			}
 		}

@@ -882,7 +882,7 @@ func (a *analyzer) refineGuardCall(e env, v *php.Call, branch bool) {
 			return // not a refinable location
 		}
 	}
-	var dfa *dfaPair
+	var d *automata.DFA
 	if g.PatternArg >= 0 {
 		if g.PatternArg >= len(v.Args) {
 			return
@@ -895,18 +895,20 @@ func (a *analyzer) refineGuardCall(e env, v *php.Call, branch bool) {
 		if err != nil {
 			return
 		}
-		dfa = a.guardDFAs(pat, int(g.Dialect), func() *dfaPair {
-			return &dfaPair{match: re.MatchDFA(), non: re.ComplementMatchDFA()}
-		})
+		if branch {
+			d, ok = re.MatchDFA()
+		} else {
+			d, ok = re.ComplementMatchDFA()
+		}
+		if !ok {
+			return // past rx's DFA state cap: refine nothing, as for an unparseable pattern
+		}
 	} else {
-		dfa = a.guardDFAs(v.Name, -1, func() *dfaPair {
-			m := g.FixedLang().Determinize().Minimize()
-			return &dfaPair{match: m, non: m.Complement().Minimize()}
-		})
-	}
-	d := dfa.match
-	if !branch {
-		d = dfa.non
+		p := a.fixedGuardDFAs(v.Name, g)
+		d = p.match
+		if !branch {
+			d = p.non
+		}
 	}
 	e[key] = a.deferOp(&opApp{kind: opIntersect, dfa: d, arg: old, desc: "guard " + v.Name})
 }
@@ -940,23 +942,25 @@ type dfaPair struct {
 }
 
 // guardCache and noSubCache hold the conditional-refinement automata at
-// package level rather than per analyzer: the same guard patterns and
-// sanitizer fragments recur on every page of an app, and the DFAs are
+// package level rather than per analyzer: the same fixed-language guards
+// and sanitizer fragments recur on every page of an app, and the DFAs are
 // immutable after construction, so one build (and one class-indexed slab)
 // serves the whole process. Racing builders compute identical automata and
-// the first store wins.
+// the first store wins. Pattern guards need no cache here: rx caches their
+// DFAs under (flags, body), which every dialect reduces to.
 var (
-	guardCache sync.Map // string -> *dfaPair
+	guardCache sync.Map // guard function name -> *dfaPair
 	noSubCache sync.Map // string -> *automata.DFA
 )
 
-// guardDFAs caches the match/non-match DFA pair per guard pattern.
-func (a *analyzer) guardDFAs(pattern string, dialect int, build func() *dfaPair) *dfaPair {
-	key := string(rune(dialect+2)) + pattern
-	if p, ok := guardCache.Load(key); ok {
+// fixedGuardDFAs caches the match/non-match DFA pair of a fixed-language
+// guard.
+func (a *analyzer) fixedGuardDFAs(name string, g *phplib.GuardSpec) *dfaPair {
+	if p, ok := guardCache.Load(name); ok {
 		return p.(*dfaPair)
 	}
-	v, _ := guardCache.LoadOrStore(key, build())
+	m := g.FixedLang().Determinize().Minimize()
+	v, _ := guardCache.LoadOrStore(name, &dfaPair{match: m, non: m.Complement().Minimize()})
 	return v.(*dfaPair)
 }
 

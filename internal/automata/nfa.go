@@ -172,6 +172,13 @@ func (n *NFA) Determinize() *DFA {
 	return d
 }
 
+// DeterminizeWithin is Determinize under a bound on DFA states, the dead
+// state included: past maxStates it aborts and returns (nil, false).
+// Under the bound it returns Determinize's DFA, numbering included.
+func (n *NFA) DeterminizeWithin(maxStates int) (*DFA, bool) {
+	return n.determinize(false, maxStates)
+}
+
 // DeterminizeCapped is the subset construction the enforcement compiler
 // runs on whole-grammar over-approximations, with a bound on DFA states: if
 // the construction would exceed maxStates (0 means unlimited) it aborts and

@@ -79,9 +79,11 @@ type Limits struct {
 	// MaxSteps bounds the abstract step count of one unit: Earley items
 	// added plus intersection items discovered plus fixpoint iterations.
 	MaxSteps int64
-	// MaxMemBytes bounds one unit's estimated memory high-water mark
-	// (tracked for the dominant structures: intersection items and Earley
-	// item sets).
+	// MaxMemBytes bounds one unit's estimated memory high-water mark. The
+	// estimate covers the Figure 7 worklist behind intersection, the FST
+	// image and witnesses: its items, its hyperedges and the productions
+	// it materializes. Nothing else is counted; Earley parses are bounded
+	// by MaxSteps.
 	MaxMemBytes int64
 }
 

@@ -83,13 +83,14 @@ type Options struct {
 	// of a fresh one — the long-lived-daemon path: a resident checker keeps
 	// its in-memory fingerprint-keyed verdict memo warm across requests, so
 	// repeat submissions of unchanged apps answer from memo hits without
-	// touching disk. The caller owns its configuration (Memoize, Compact,
-	// Disk — VerdictCache is ignored when Checker is set) and may share one
-	// checker across concurrent runs; verdicts are content-addressed, so
-	// sharing can only add cache hits, never change findings. The cache
-	// counters on AppResult are per-run deltas either way, though under
-	// concurrent runs on one shared checker a delta attributes overlapping
-	// traffic to whichever run reads it — observability data, not results.
+	// touching disk. The caller owns its configuration (Memoize, Disk,
+	// UseMarkerConstruction — VerdictCache is ignored when Checker is set)
+	// and may share one checker across concurrent runs; verdicts are
+	// content-addressed, so sharing can only add cache hits, never change
+	// findings. The cache counters on AppResult are per-run deltas either
+	// way, though under concurrent runs on one shared checker a delta
+	// attributes overlapping traffic to whichever run reads it —
+	// observability data, not results.
 	Checker *policy.Checker
 }
 

@@ -95,7 +95,7 @@ func (s *Session) Pages() int {
 // orphans page summaries too, and any analysis option that changes phase-1
 // output keys the memo.
 func optionsTag(a analysis.Options) string {
-	return fmt.Sprintf("%s|incr-v1|guard=%t|depth=%d|slice=%t|mq=%t",
+	return fmt.Sprintf("%s|incr-v2|guard=%t|depth=%d|slice=%t|mq=%t",
 		policy.CacheVersion, a.DisableGuardRefinement, a.MaxIncludeDepth, a.SliceToSinks, a.MagicQuotes)
 }
 

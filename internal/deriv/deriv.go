@@ -15,121 +15,52 @@
 package deriv
 
 import (
-	"sync"
-
 	"sqlciv/internal/budget"
 	"sqlciv/internal/grammar"
 	"sqlciv/internal/obs"
 )
 
-// Checker holds a reference grammar and search budgets. The reference
-// tables (nullable sets, the Earley item-slot tables) are derived once per
-// reference grammar and shared; after New returns, a Checker is read-only
-// and safe for concurrent Derivable calls.
+// Checker holds a reference grammar's Earley recognizer and search budgets.
+// After New returns, a Checker is read-only and safe for concurrent
+// Derivable calls.
 type Checker struct {
 	ref *grammar.Grammar
+	rec *grammar.Recognizer
 	// MaxFlattenProds caps the flattened production count.
 	MaxFlattenProds int
 	// MaxFormLen caps the length of a flattened sentential form.
 	MaxFormLen int
 	// MaxParses caps the number of Earley runs in refinement + search.
 	MaxParses int
-
-	tab *refTables
 }
 
-// refTables are the precomputed, immutable tables of one reference grammar
-// that the Earley parser runs on. Every dotted production — an item slot —
-// has a dense id; the slots of one production are consecutive, in dot
-// order, so advancing an item's dot is slot+1.
-type refTables struct {
-	nullable []bool        // per nonterminal index
-	first    [][]int32     // per nonterminal index: the dot-0 slot of each production, in order
-	next     []grammar.Sym // per slot: the symbol after the dot, or endMark
-	lhs      []grammar.Sym // per slot: the production's left-hand side
-}
-
-// endMark is the refTables.next entry of a slot whose dot ends its
-// production.
-const endMark grammar.Sym = -1
-
-// tableCache memoizes refTables per reference grammar instance; reference
-// grammars (sqlgram.Get) are immutable singletons, so pointer identity is a
-// sound key.
-var tableCache sync.Map // *grammar.Grammar -> *refTables
-
-func tablesFor(ref *grammar.Grammar) *refTables {
-	if t, ok := tableCache.Load(ref); ok {
-		return t.(*refTables)
-	}
-	t := &refTables{nullable: computeNullable(ref), first: make([][]int32, ref.NumNTs())}
-	ref.ForEachProd(func(lhs grammar.Sym, rhs []grammar.Sym) {
-		i := int(lhs) - grammar.NumTerminals
-		t.first[i] = append(t.first[i], int32(len(t.next)))
-		t.next = append(t.next, rhs...)
-		t.next = append(t.next, endMark)
-		for range len(rhs) + 1 {
-			t.lhs = append(t.lhs, lhs)
-		}
-	})
-	actual, _ := tableCache.LoadOrStore(ref, t)
-	return actual.(*refTables)
-}
-
-func computeNullable(g *grammar.Grammar) []bool {
-	nullable := make([]bool, g.NumNTs())
-	changed := true
-	for changed {
-		changed = false
-		g.ForEachProd(func(lhs grammar.Sym, rhs []grammar.Sym) {
-			li := int(lhs) - grammar.NumTerminals
-			if nullable[li] {
-				return
-			}
-			for _, s := range rhs {
-				if grammar.IsTerminal(s) || !nullable[int(s)-grammar.NumTerminals] {
-					return
-				}
-			}
-			nullable[li] = true
-			changed = true
-		})
-	}
-	return nullable
-}
-
-// New returns a Checker against ref with default budgets.
-func New(ref *grammar.Grammar) *Checker {
-	return &Checker{ref: ref, MaxFlattenProds: 4000, MaxFormLen: 600, MaxParses: 50000, tab: tablesFor(ref)}
+// New returns a Checker against the reference grammar of rec with default
+// budgets. rec must hold every nonterminal of its grammar (NewRecognizer
+// without roots): refinement parses from each of them.
+func New(rec *grammar.Recognizer) *Checker {
+	return &Checker{ref: rec.Grammar(), rec: rec, MaxFlattenProds: 4000, MaxFormLen: 600, MaxParses: 50000}
 }
 
 // form is a sentential form over the reference alphabet plus variables:
-// values >= 0 encode terminals / would-be ref symbols, values < 0 encode
-// variable ids as -(id+1).
-type form []int32
+// values >= 0 are reference symbols, values < 0 variable ids as -(id+1) —
+// the input grammar.Parser.Parse takes.
+type form []grammar.Sym
 
-func varID(v int32) (int, bool) {
+func varID(v grammar.Sym) (int, bool) {
 	if v < 0 {
 		return int(-v - 1), true
 	}
 	return 0, false
 }
 
-// session carries the mutable state of one Derivable call — the parse
-// budget counter, the caller's resource budget, and the reusable Earley
-// scratch — so a single Checker can serve many goroutines at once.
+// session carries the mutable state of one Derivable call — the caller's
+// resource budget and one Earley parse session, which counts the parses
+// and items — so a single Checker can serve many goroutines at once.
 type session struct {
-	c      *Checker
-	b      *budget.Budget
-	parses int
-	items  int64 // Earley items admitted across all parses
-	earley *earleyScratch
+	c *Checker
+	b *budget.Budget
+	p *grammar.Parser
 }
-
-// scratchPool recycles Earley workspaces across Derivable calls: one check
-// can run tens of thousands of parses, and the per-position item sets and
-// order lists dominate its allocation profile when rebuilt per call.
-var scratchPool = sync.Pool{New: func() any { return &earleyScratch{} }}
 
 // Derivable reports whether the sub-grammar of g rooted at root is
 // derivable from the checker's reference grammar with F(root) drawn from
@@ -152,11 +83,11 @@ func (c *Checker) Derivable(g *grammar.Grammar, root grammar.Sym, targets []gram
 // cost stays one integer increment next to the existing budget probe. A nil
 // sp records nothing.
 func (c *Checker) DerivableT(g *grammar.Grammar, root grammar.Sym, targets []grammar.Sym, b *budget.Budget, sp *obs.Span) (grammar.Sym, bool) {
-	s := &session{c: c, b: b, earley: scratchPool.Get().(*earleyScratch)}
+	s := &session{c: c, b: b, p: c.rec.NewParser(b)}
 	defer func() {
-		scratchPool.Put(s.earley)
-		sp.Count("earley.parses", int64(s.parses))
-		sp.Count("earley.items", s.items)
+		s.p.Release()
+		sp.Count("earley.parses", int64(s.p.Parses))
+		sp.Count("earley.items", s.p.Items)
 	}()
 	sub, remap := g.Extract(root)
 	nroot := remap[root]
@@ -216,7 +147,7 @@ func (c *Checker) DerivableT(g *grammar.Grammar, root grammar.Sym, targets []gra
 				return 0, false
 			}
 		}
-		if s.parses > c.MaxParses {
+		if s.p.Parses > c.MaxParses {
 			return 0, false
 		}
 	}
@@ -266,17 +197,35 @@ func (s *session) feasible(cand grammar.Sym, prods []form, candOf [][]bool) bool
 	return true
 }
 
-func symCanBe(v int32, want grammar.Sym, candOf [][]bool) bool {
+func symCanBe(v, want grammar.Sym, candOf [][]bool) bool {
 	if id, isVar := varID(v); isVar {
 		return candOf[id][int(want)]
 	}
-	return grammar.Sym(v) == want
+	return v == want
+}
+
+// parse reports whether start ⇒* some instantiation of f. A one-symbol
+// form that can be start itself is accepted in zero steps (F(X) ⇒* F(X)),
+// which the Earley parser, deciding ⇒+, does not do. It is metered as the
+// parse it stands for, which stops once start's productions are seeded: a
+// step for the parse and one per seeded item.
+func (s *session) parse(start grammar.Sym, f form, sets [][]bool) bool {
+	if len(f) == 1 && symCanBe(f[0], start, sets) {
+		s.p.Parses++
+		s.b.Step(1)
+		for range s.c.ref.NumProdsOf(start) {
+			s.p.Items++
+			s.b.Step(1)
+		}
+		return true
+	}
+	return s.p.Parse(start, f, sets)
 }
 
 // search assigns variables depth-first, verifying all productions whose
 // variables are fully assigned as soon as possible.
 func (s *session) search(vi, nvars int, assign []int32, candOf [][]bool, rules [][]form) bool {
-	if s.parses > s.c.MaxParses {
+	if s.p.Parses > s.c.MaxParses {
 		return false
 	}
 	if vi == nvars {
@@ -315,7 +264,7 @@ func (s *session) search(vi, nvars int, assign []int32, candOf [][]bool, rules [
 			return true
 		}
 		assign[vi] = -1
-		if s.parses > s.c.MaxParses {
+		if s.p.Parses > s.c.MaxParses {
 			return false
 		}
 	}

@@ -29,7 +29,7 @@ func TestDerivableSafeLiteral(t *testing.T) {
 		g.AddString(x, "42")
 		g.AddString(x, "hello")
 	})
-	c := New(sql.G)
+	c := New(sql.Rec)
 	tgt, ok := c.Derivable(g, q, []grammar.Sym{sql.Start})
 	if !ok {
 		t.Fatal("plain literal content should be derivable")
@@ -44,7 +44,7 @@ func TestNotDerivableQuoteEscape(t *testing.T) {
 	g, q, _ := buildQueryGrammar(func(g *grammar.Grammar, x grammar.Sym) {
 		g.AddString(x, "1'; DROP TABLE t; --")
 	})
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); ok {
 		t.Fatal("attack content must not be derivable")
 	}
@@ -64,7 +64,7 @@ func TestDerivableRecursiveValueList(t *testing.T) {
 	g.AddString(l, "1")
 	lrhs := grammar.TermString("1, ")
 	g.Add(l, append(lrhs, l)...)
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); !ok {
 		t.Fatal("recursive IN-list should be derivable")
 	}
@@ -84,7 +84,7 @@ func TestNotDerivableSigmaStar(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		g.Add(x, grammar.T(byte(c)), x)
 	}
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); ok {
 		t.Fatal("sigma* in unquoted position must not be derivable")
 	}
@@ -102,7 +102,7 @@ func TestDerivableNumericPosition(t *testing.T) {
 	g.Add(q, append(rhs, x)...)
 	g.AddString(x, "7")
 	g.Add(x, grammar.T('7'), x)
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); !ok {
 		t.Fatal("digit recursion in numeric position should be derivable")
 	}
@@ -113,7 +113,7 @@ func TestBudgetExhaustionIsConservative(t *testing.T) {
 	g, q, _ := buildQueryGrammar(func(g *grammar.Grammar, x grammar.Sym) {
 		g.AddString(x, "42")
 	})
-	c := New(sql.G)
+	c := New(sql.Rec)
 	c.MaxParses = 1
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); ok {
 		t.Fatal("budget exhaustion must answer not-derivable")
@@ -125,7 +125,7 @@ func TestFlattenCapIsConservative(t *testing.T) {
 	g, q, _ := buildQueryGrammar(func(g *grammar.Grammar, x grammar.Sym) {
 		g.AddString(x, "42")
 	})
-	c := New(sql.G)
+	c := New(sql.Rec)
 	c.MaxFormLen = 3
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); ok {
 		t.Fatal("flatten cap must answer not-derivable")
@@ -139,7 +139,7 @@ func TestDerivabilityImpliesMembership(t *testing.T) {
 	g, q, _ := buildQueryGrammar(func(g *grammar.Grammar, x grammar.Sym) {
 		g.AddString(x, "abc")
 	})
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); !ok {
 		t.Fatal("should be derivable")
 	}
@@ -159,7 +159,7 @@ func TestTerminalCandidate(t *testing.T) {
 	g.AddString(x, "7")
 	rhs := grammar.TermString("SELECT * FROM t WHERE id=4")
 	g.Add(q, append(rhs, x)...)
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); !ok {
 		t.Fatal("digit suffix should be derivable (47 is a number)")
 	}
@@ -181,7 +181,7 @@ func TestMultipleVariablesInteract(t *testing.T) {
 	rhs = append(rhs, grammar.TermString("' AND b=")...)
 	rhs = append(rhs, b)
 	g.Add(q, rhs...)
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.Start}); !ok {
 		t.Fatal("two-variable query should be derivable")
 	}
@@ -193,7 +193,7 @@ func TestTargetRestriction(t *testing.T) {
 	g := grammar.New()
 	q := g.NewNT("query")
 	g.AddString(q, "SELECT * FROM t")
-	c := New(sql.G)
+	c := New(sql.Rec)
 	if _, ok := c.Derivable(g, q, []grammar.Sym{sql.NumLit}); ok {
 		t.Fatal("a full query cannot map to NumLit")
 	}

@@ -15,16 +15,20 @@ import (
 // admitting the same number of items. It returns the answer.
 func parsePair(t testing.TB, c *Checker, start grammar.Sym, input form, sets [][]bool) bool {
 	t.Helper()
-	fast := &session{c: c, earley: &earleyScratch{}}
-	ref := &session{c: c}
+	fast := &session{c: c, p: c.rec.NewParser(nil)}
+	defer fast.p.Release()
 	got := fast.parse(start, input, sets)
-	want := parseReference(ref, &refScratch{}, start, input, sets)
-	if got != want || fast.items != ref.items {
+	want, items := parseReference(c.ref, sqlNullable, start, input, sets)
+	if got != want || fast.p.Items != items {
 		t.Fatalf("parse(%s, %v): answer %v after %d items; reference %v after %d items",
-			c.ref.Name(start), input, got, fast.items, want, ref.items)
+			c.ref.Name(start), input, got, fast.p.Items, want, items)
 	}
 	return got
 }
+
+// sqlNullable is the reference SQL grammar's nullable table, which every
+// checker these tests build parses against.
+var sqlNullable = nullables(sqlgram.Get().G)
 
 // allSets returns nvars candidate sets over the reference alphabet with
 // every symbol admitted — the sets refinement starts from.
@@ -70,7 +74,7 @@ func randomForm(r *rand.Rand, g *grammar.Grammar, start grammar.Sym, depth int) 
 			return
 		}
 		if grammar.IsTerminal(s) || d == 0 || r.Intn(5) == 0 {
-			out = append(out, int32(s))
+			out = append(out, s)
 			return
 		}
 		for _, x := range g.Rhs(s, r.Intn(g.NumProdsOf(s))) {
@@ -87,7 +91,7 @@ func randomForm(r *rand.Rand, g *grammar.Grammar, start grammar.Sym, depth int) 
 // candidate sets, some bytes mutated so that most forms are rejected.
 func TestParseMatchesReference(t *testing.T) {
 	sql := sqlgram.Get()
-	c := New(sql.G)
+	c := New(sql.Rec)
 	r := rand.New(rand.NewSource(16))
 	nnt := sql.G.NumNTs()
 	accepts := 0
@@ -107,10 +111,10 @@ func TestParseMatchesReference(t *testing.T) {
 				if r.Intn(4) != 0 {
 					sets[id][f[k]] = true // usually keep the form derivable
 				}
-				f[k] = int32(-(id + 1))
+				f[k] = grammar.Sym(-(id + 1))
 			case 1:
 				if r.Intn(4) == 0 {
-					f[k] = int32(r.Intn(128)) // a random ASCII byte
+					f[k] = grammar.Sym(r.Intn(128)) // a random ASCII byte
 				}
 			}
 		}
@@ -161,7 +165,7 @@ func tigerCheck5Slices(t *testing.T) []tigerSlice {
 // candidate sets refinement starts from and with random ones.
 func TestParseMatchesReferenceOnTiger(t *testing.T) {
 	sql := sqlgram.Get()
-	c := New(sql.G)
+	c := New(sql.Rec)
 	r := rand.New(rand.NewSource(5))
 	nnt := sql.G.NumNTs()
 	for gi, sl := range tigerCheck5Slices(t) {
@@ -194,7 +198,7 @@ func TestParseMatchesReferenceOnTiger(t *testing.T) {
 // terminal byte. seed draws the four variables' candidate sets.
 func FuzzEarley(f *testing.F) {
 	sql := sqlgram.Get()
-	c := New(sql.G)
+	c := New(sql.Rec)
 	nnt := sql.G.NumNTs()
 	f.Add(uint8(sql.Start-grammar.NumTerminals), uint64(1), []byte("SELECT * FROM t WHERE id='\xf0'"))
 	f.Add(uint8(sql.Start-grammar.NumTerminals), uint64(2), []byte("SELECT a FROM t WHERE a=\xf1 AND b='\xf2'"))
@@ -211,11 +215,11 @@ func FuzzEarley(f *testing.F) {
 		for _, b := range data {
 			switch {
 			case b >= 0xF0:
-				in = append(in, int32(-(int(b&3) + 1)))
+				in = append(in, grammar.Sym(-(int(b&3) + 1)))
 			case b >= 0xC0:
-				in = append(in, int32(grammar.NumTerminals+int(b-0xC0)%nnt))
+				in = append(in, grammar.Sym(grammar.NumTerminals+int(b-0xC0)%nnt))
 			default:
-				in = append(in, int32(b))
+				in = append(in, grammar.Sym(b))
 			}
 		}
 		start := grammar.Sym(grammar.NumTerminals + int(startIdx)%nnt)

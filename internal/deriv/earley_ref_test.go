@@ -4,106 +4,96 @@ import "sqlciv/internal/grammar"
 
 // parseReference is the structural Earley parser check 5 ran before the
 // flat-table rewrite, kept as the differential oracle for session.parse. It
-// walks the reference grammar through grammar.Rhs and NumProdsOf and
-// completes an item by scanning every item at its origin. It admits items
-// through the same packed (slot, origin) keys (refTables.first holds the
-// same slot ids the old prodBase table did), so its item count and verdict
-// must equal parse's on every input.
-func parseReference(s *session, sc *refScratch, start grammar.Sym, input form, sets [][]bool) bool {
-	s.parses++
-	s.b.Step(1)
-	c := s.c
-	g := c.ref
-	tab := c.tab
-
-	type item = refItem
-	n := len(input)
-	sc.reset(n + 1)
-	add := func(k int, it item) {
-		slot := tab.first[int(it.nt)-grammar.NumTerminals][it.prod] + it.dot
-		key := uint64(uint32(slot))<<32 | uint64(uint32(it.origin))
-		if sc.sets[k].add(key) {
-			s.b.Step(1)
-			s.items++
-			sc.order[k] = append(sc.order[k], it)
-		}
+// walks the reference grammar through grammar.Rhs and NumProdsOf, predicts
+// a nonterminal's productions from every item that waits on it, and
+// completes an item by scanning every item at its origin. It applies the
+// zero-step rule after seeding, as check 5 always has, and returns its
+// answer with the number of distinct items it admitted, which must equal
+// session.parse's on every input.
+func parseReference(g *grammar.Grammar, nullable []bool, start grammar.Sym, input form, sets [][]bool) (bool, int64) {
+	type item struct {
+		nt             grammar.Sym
+		prod, dot, org int32
 	}
-	matches := func(k int, expected grammar.Sym) bool {
-		v := input[k]
-		if id, isVar := varID(v); isVar {
-			return sets[id][int(expected)]
+	n := len(input)
+	seen := make([]map[item]bool, n+1)
+	order := make([][]item, n+1)
+	add := func(k int, it item) {
+		if seen[k] == nil {
+			seen[k] = map[item]bool{}
 		}
-		return grammar.Sym(v) == expected
+		if !seen[k][it] {
+			seen[k][it] = true
+			order[k] = append(order[k], it)
+		}
 	}
 	for pi := 0; pi < g.NumProdsOf(start); pi++ {
 		add(0, item{start, int32(pi), 0, 0})
 	}
+	items := func() (c int64) {
+		for _, m := range seen {
+			c += int64(len(m))
+		}
+		return c
+	}
 	// Top-level: the whole input may be the single symbol `start` itself
 	// (F(X) ⇒* F(X) in zero steps).
-	if n == 1 && matches(0, start) {
-		return true
+	if n == 1 && symCanBe(input[0], start, sets) {
+		return true, items()
 	}
 	for k := 0; k <= n; k++ {
-		for idx := 0; idx < len(sc.order[k]); idx++ {
-			it := sc.order[k][idx]
+		for idx := 0; idx < len(order[k]); idx++ {
+			it := order[k][idx]
 			rhs := g.Rhs(it.nt, int(it.prod))
 			if int(it.dot) < len(rhs) {
 				next := rhs[it.dot]
 				// scan: both terminals and nonterminals can be scanned —
 				// a nonterminal in the derived sentential form stays
 				// unexpanded when it matches the input position.
-				if k < n && matches(k, next) {
-					add(k+1, item{it.nt, it.prod, it.dot + 1, it.origin})
+				if k < n && symCanBe(input[k], next, sets) {
+					add(k+1, item{it.nt, it.prod, it.dot + 1, it.org})
 				}
 				if !grammar.IsTerminal(next) {
 					for pi := 0; pi < g.NumProdsOf(next); pi++ {
 						add(k, item{next, int32(pi), 0, int32(k)})
 					}
-					if tab.nullable[int(next)-grammar.NumTerminals] {
-						add(k, item{it.nt, it.prod, it.dot + 1, it.origin})
+					if nullable[int(next)-grammar.NumTerminals] {
+						add(k, item{it.nt, it.prod, it.dot + 1, it.org})
 					}
 				}
 				continue
 			}
-			for _, back := range sc.order[it.origin] {
+			for _, back := range order[it.org] {
 				brhs := g.Rhs(back.nt, int(back.prod))
 				if int(back.dot) < len(brhs) && brhs[back.dot] == it.nt {
-					add(k, item{back.nt, back.prod, back.dot + 1, back.origin})
+					add(k, item{back.nt, back.prod, back.dot + 1, back.org})
 				}
 			}
 		}
 	}
-	for _, it := range sc.order[n] {
-		if it.nt == start && it.origin == 0 && int(it.dot) == len(g.Rhs(start, int(it.prod))) {
-			return true
+	for _, it := range order[n] {
+		if it.nt == start && it.org == 0 && int(it.dot) == len(g.Rhs(start, int(it.prod))) {
+			return true, items()
 		}
 	}
-	return false
+	return false, items()
 }
 
-// refItem is one structural Earley item: a dotted reference production
-// plus the input position its recognition started at.
-type refItem struct {
-	nt     grammar.Sym
-	prod   int32
-	dot    int32
-	origin int32
-}
-
-// refScratch is parseReference's workspace: one packed-key set and one
-// discovery-ordered item list per input position.
-type refScratch struct {
-	sets  []u64set
-	order [][]refItem
-}
-
-func (sc *refScratch) reset(m int) {
-	for len(sc.sets) < m {
-		sc.sets = append(sc.sets, u64set{})
-		sc.order = append(sc.order, nil)
+// nullables returns, per nonterminal index of g, whether it derives ε.
+func nullables(g *grammar.Grammar) []bool {
+	nullable := make([]bool, g.NumNTs())
+	for changed := true; changed; {
+		changed = false
+		g.ForEachProd(func(lhs grammar.Sym, rhs []grammar.Sym) {
+			for _, s := range rhs {
+				if grammar.IsTerminal(s) || !nullable[int(s)-grammar.NumTerminals] {
+					return
+				}
+			}
+			if li := int(lhs) - grammar.NumTerminals; !nullable[li] {
+				nullable[li], changed = true, true
+			}
+		})
 	}
-	for i := 0; i < m; i++ {
-		sc.sets[i].reset()
-		sc.order[i] = sc.order[i][:0]
-	}
+	return nullable
 }

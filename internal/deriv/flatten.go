@@ -12,138 +12,88 @@ import "sqlciv/internal/grammar"
 func (c *Checker) flatten(sub *grammar.Grammar, root grammar.Sym) (vars []grammar.Sym, rules [][]form, ok bool) {
 	n := sub.NumNTs()
 	inCycle := sub.InCycle()
-	isVar := make([]bool, n)
-	for i := 0; i < n; i++ {
-		nt := grammar.Sym(grammar.NumTerminals + i)
-		if nt == root || inCycle[i] || sub.LabelOf(nt) != 0 {
-			isVar[i] = true
-		}
-	}
-	varIdx := make([]int, n)
+	varIdx := make([]int, n) // -1 for a nonterminal that is inlined
 	for i := range varIdx {
 		varIdx[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if isVar[i] {
+		nt := grammar.Sym(grammar.NumTerminals + i)
+		if nt == root || inCycle[i] || sub.LabelOf(nt) != 0 {
 			varIdx[i] = len(vars)
-			vars = append(vars, grammar.Sym(grammar.NumTerminals+i))
+			vars = append(vars, nt)
 		}
 	}
 
-	// expansions[i] for non-variable i: all expanded forms (cross product of
-	// constituent expansions), capped.
+	// expansions[i] for an inlined i: all expanded forms (the cross product
+	// of its constituents' expansions), capped.
 	const maxFormsPerNT = 16
 	expansions := make([][]form, n)
-	var expand func(i int) bool
 	visiting := make([]bool, n)
+	var expand func(i int) bool
+	// forms appends the forms of one right-hand side to dst, failing past
+	// limit forms of it or MaxFormLen symbols.
+	forms := func(dst []form, rhs []grammar.Sym, limit int) ([]form, bool) {
+		partial := []form{{}}
+		for _, s := range rhs {
+			var pieces []form
+			switch j := int(s) - grammar.NumTerminals; {
+			case j < 0:
+				pieces = []form{{s}}
+			case varIdx[j] >= 0:
+				pieces = []form{{grammar.Sym(-(varIdx[j] + 1))}}
+			case !expand(j):
+				return nil, false
+			default:
+				pieces = expansions[j]
+			}
+			var next []form
+			for _, p := range partial {
+				for _, q := range pieces {
+					if len(p)+len(q) > c.MaxFormLen {
+						return nil, false
+					}
+					f := make(form, 0, len(p)+len(q))
+					next = append(next, append(append(f, p...), q...))
+				}
+			}
+			if partial = next; len(partial) > limit {
+				return nil, false
+			}
+		}
+		return append(dst, partial...), true
+	}
 	expand = func(i int) bool {
-		if expansions[i] != nil || isVar[i] {
+		if expansions[i] != nil || varIdx[i] >= 0 {
 			return true
 		}
 		if visiting[i] {
-			// Acyclicity of non-variables guarantees this cannot happen;
-			// bail conservatively if it somehow does.
+			// Acyclicity of inlined nonterminals guarantees this cannot
+			// happen; bail conservatively if it somehow does.
 			return false
 		}
 		visiting[i] = true
 		defer func() { visiting[i] = false }()
 		nt := grammar.Sym(grammar.NumTerminals + i)
-		var out []form
-		for pi := 0; pi < sub.NumProdsOf(nt); pi++ {
-			partial := []form{{}}
-			for _, s := range sub.Rhs(nt, pi) {
-				var pieces []form
-				if grammar.IsTerminal(s) {
-					pieces = []form{{int32(s)}}
-				} else {
-					j := int(s) - grammar.NumTerminals
-					if isVar[j] {
-						pieces = []form{{int32(-(varIdx[j] + 1))}}
-					} else {
-						if !expand(j) {
-							return false
-						}
-						pieces = expansions[j]
-					}
-				}
-				var next []form
-				for _, p := range partial {
-					for _, q := range pieces {
-						if len(p)+len(q) > c.MaxFormLen {
-							return false
-						}
-						f := make(form, 0, len(p)+len(q))
-						f = append(f, p...)
-						f = append(f, q...)
-						next = append(next, f)
-						if len(next) > maxFormsPerNT {
-							return false
-						}
-					}
-				}
-				partial = next
-			}
-			out = append(out, partial...)
-			if len(out) > maxFormsPerNT {
+		out := []form{} // non-nil even for an empty language: the memo mark
+		for pi := range sub.NumProdsOf(nt) {
+			var ok bool
+			if out, ok = forms(out, sub.Rhs(nt, pi), maxFormsPerNT); !ok || len(out) > maxFormsPerNT {
 				return false
 			}
 		}
 		expansions[i] = out
-		if expansions[i] == nil {
-			expansions[i] = []form{} // empty language: no forms
-		}
 		return true
 	}
 
 	total := 0
 	rules = make([][]form, len(vars))
-	for i := 0; i < n; i++ {
-		if !isVar[i] {
-			continue
+	for vi, nt := range vars {
+		for pi := range sub.NumProdsOf(nt) {
+			var ok bool
+			if rules[vi], ok = forms(rules[vi], sub.Rhs(nt, pi), maxFormsPerNT*4); !ok {
+				return nil, nil, false
+			}
 		}
-		nt := grammar.Sym(grammar.NumTerminals + i)
-		for pi := 0; pi < sub.NumProdsOf(nt); pi++ {
-			partial := []form{{}}
-			okRHS := true
-			for _, s := range sub.Rhs(nt, pi) {
-				var pieces []form
-				if grammar.IsTerminal(s) {
-					pieces = []form{{int32(s)}}
-				} else {
-					j := int(s) - grammar.NumTerminals
-					if isVar[j] {
-						pieces = []form{{int32(-(varIdx[j] + 1))}}
-					} else {
-						if !expand(j) {
-							return nil, nil, false
-						}
-						pieces = expansions[j]
-					}
-				}
-				var next []form
-				for _, p := range partial {
-					for _, q := range pieces {
-						if len(p)+len(q) > c.MaxFormLen {
-							return nil, nil, false
-						}
-						f := make(form, 0, len(p)+len(q))
-						f = append(f, p...)
-						f = append(f, q...)
-						next = append(next, f)
-					}
-				}
-				partial = next
-				if len(partial) > maxFormsPerNT*4 {
-					return nil, nil, false
-				}
-			}
-			if okRHS {
-				rules[varIdx[i]] = append(rules[varIdx[i]], partial...)
-				total += len(partial)
-				if total > c.MaxFlattenProds {
-					return nil, nil, false
-				}
-			}
+		if total += len(rules[vi]); total > c.MaxFlattenProds {
+			return nil, nil, false
 		}
 	}
 	return vars, rules, true

@@ -150,7 +150,8 @@ func TestIntvalApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notInt := intRe.MatchDFA().Complement()
+	m, _ := intRe.MatchDFA()
+	notInt := m.Complement()
 	bad := f.RangeNFA().Determinize().Intersect(notInt)
 	if !bad.IsEmpty() {
 		w, _ := bad.MinWord()

@@ -1,147 +1,141 @@
 package grammar
 
-// Earley recognition over arbitrary symbol sequences. The input may contain
-// terminals and nonterminals (a sentential form); an input nonterminal
-// matches a predicted symbol when they are equal. This generality is what
-// the derivability checker (paper §3.2.2) builds on: it parses sentential
-// forms in which generated-grammar nonterminals have been mapped to
-// reference-grammar symbols.
+import (
+	"fmt"
+	"sync"
 
-type earleyItem struct {
-	nt     Sym   // left-hand side
-	prod   int32 // index into nt's productions
-	dot    int32 // position in RHS
-	origin int32 // set index where this item started
-}
+	"sqlciv/internal/budget"
+)
 
-// earleyScratch holds the per-parse state: one packed-key dedup set and one
-// ordered item list per input position, reused across Recognize calls so a
-// session of repeated queries allocates only on high-water growth.
-type earleyScratch struct {
-	sets  []u64set
-	order [][]earleyItem
-}
+// Earley recognition over sentential forms, extended as the derivability
+// check of paper §3.2.2 needs it: an input position is a symbol of g, which
+// matches only itself, or a variable -(v+1), which matches any symbol s
+// with sets[v][s]. Parsing succeeds when start ⇒+ some instantiation of the
+// input, so a nonterminal in the input stays unexpanded when it matches the
+// symbol a production expects there. Plain recognition (Derives, dynamic
+// includes, the Def. 2.2 oracle) is the variable-free case.
+//
+// The parser runs on flat tables of the nonterminals reachable from the
+// Recognizer's roots, numbered in discovery order: every dotted production
+// — an item slot — has a dense id, the slots of one production are
+// consecutive in dot order, so advancing an item's dot is slot+1, and the
+// symbol after a dot is one table read. An item is an (item slot, origin)
+// pair, deduplicated per input position through a set of the packed
+// slot<<32|origin key. Completion follows Aycock and Horspool ("Practical
+// Earley Parsing", 2002): each position keeps, per nonterminal, a list of
+// the items there waiting on it, so completing A with origin j advances
+// exactly the items at j waiting on A, and an item waiting on a nullable
+// nonterminal advances at once. A completion with origin k at position k
+// needs no list of items not yet processed: its nonterminal derived ε, so
+// it is nullable, and the nullable advance moves every item that waits on
+// it at k. Each nonterminal is predicted once per position, by the first
+// item to wait on it there. The item sets are the closure of the Earley
+// rules, so they do not depend on processing order.
 
-func (s *earleyScratch) reset(m int) {
-	for len(s.sets) < m {
-		s.sets = append(s.sets, u64set{})
-		s.order = append(s.order, nil)
-	}
-	for i := 0; i < m; i++ {
-		s.sets[i].reset()
-		s.order[i] = s.order[i][:0]
-	}
-}
-
-type earleyParser struct {
+// Recognizer holds the Earley tables of one grammar's nonterminals
+// reachable from a set of roots. The tables are a snapshot of the grammar's
+// productions when it was built and are never written after, so one
+// Recognizer serves concurrent parses; each parse draws its workspace from
+// a pool.
+type Recognizer struct {
 	g        *Grammar
-	nullable []bool
-	prodBase []int64 // prodBase[ntIndex] = global slot of the NT's production 0
-	scratch  earleyScratch
+	local    map[Sym]int32 // nonterminal -> local id
+	firstEnd []int32       // per local a: its productions' dot-0 slots are first[firstEnd[a-1]:firstEnd[a]]
+	first    []int32
+	next     []Sym   // per slot: the symbol after the dot, or endMark
+	nextNT   []int32 // per slot: the local id of next when it is a nonterminal, else -1
+	lhs      []int32 // per slot: the local id of the production's left-hand side
+	nullable []bool  // per local
 }
 
-func newEarley(g *Grammar) *earleyParser {
-	p := &earleyParser{g: g}
-	p.nullable = make([]bool, g.NumNTs())
-	p.prodBase = make([]int64, g.NumNTs())
-	base := int64(0)
-	for i := range p.prodBase {
-		p.prodBase[i] = base
-		base += int64(g.numProdsAt(i))
+// endMark is the next entry of a slot whose dot ends its production.
+const endMark Sym = -1
+
+// NewRecognizer builds the tables of the nonterminals of g reachable from
+// roots, or of all of g's nonterminals, in index order, when roots is
+// empty. Parses may start only at those nonterminals.
+func NewRecognizer(g *Grammar, roots ...Sym) *Recognizer {
+	r := &Recognizer{g: g, local: map[Sym]int32{}}
+	var nts []Sym
+	see := func(s Sym) int32 {
+		id, ok := r.local[s]
+		if !ok {
+			id = int32(len(nts))
+			r.local[s] = id
+			nts = append(nts, s)
+		}
+		return id
 	}
-	changed := true
-	for changed {
+	if len(roots) == 0 {
+		for i := range g.NumNTs() {
+			see(Sym(NumTerminals + i))
+		}
+	}
+	for _, s := range roots {
+		see(s)
+	}
+	for a := 0; a < len(nts); a++ { // nts grows as productions reach new nonterminals
+		for pi := range g.NumProdsOf(nts[a]) {
+			r.first = append(r.first, int32(len(r.next)))
+			for _, s := range g.Rhs(nts[a], pi) {
+				nt := int32(-1)
+				if !IsTerminal(s) {
+					nt = see(s)
+				}
+				r.next, r.nextNT, r.lhs = append(r.next, s), append(r.nextNT, nt), append(r.lhs, int32(a))
+			}
+			r.next, r.nextNT, r.lhs = append(r.next, endMark), append(r.nextNT, -1), append(r.lhs, int32(a))
+		}
+		r.firstEnd = append(r.firstEnd, int32(len(r.first)))
+	}
+	// A production is nullable when every symbol of it is a nullable
+	// nonterminal. Later locals tend to be the earlier ones' constituents,
+	// so passes run backwards.
+	r.nullable = make([]bool, len(nts))
+	for changed := true; changed; {
 		changed = false
-		g.ForEachProd(func(lhs Sym, rhs []Sym) {
-			if p.nullable[g.ntIndex(lhs)] {
-				return
+		for i := len(r.first) - 1; i >= 0; i-- {
+			s := r.first[i]
+			for r.nextNT[s] >= 0 && r.nullable[r.nextNT[s]] {
+				s++
 			}
-			for _, s := range rhs {
-				if IsTerminal(s) || !p.nullable[g.ntIndex(s)] {
-					return
-				}
-			}
-			p.nullable[g.ntIndex(lhs)] = true
-			changed = true
-		})
-	}
-	return p
-}
-
-// itemKey packs an item into one dedup key: the production's global slot
-// identifies (nt, prod), then 20 bits each for dot and origin. Both are
-// bounded by the RHS length and input length, far below 1<<20 for every
-// caller, and slots fit the remaining 24 bits for any grammar this analysis
-// builds (≤16M productions).
-func (p *earleyParser) itemKey(it earleyItem) uint64 {
-	slot := uint64(p.prodBase[p.g.ntIndex(it.nt)] + int64(it.prod))
-	return slot<<40 | uint64(uint32(it.dot))<<20 | uint64(uint32(it.origin))
-}
-
-// Recognize reports whether start ⇒* input in g, where input is a sentential
-// form over g's symbols (an input nonterminal matches only itself). Not safe
-// for concurrent use on one parser; each Recognizer owns its scratch.
-func (p *earleyParser) Recognize(start Sym, input []Sym) bool {
-	g := p.g
-	n := len(input)
-	p.scratch.reset(n + 1)
-	sets, order := p.scratch.sets, p.scratch.order
-	add := func(k int, it earleyItem) {
-		if sets[k].add(p.itemKey(it)) {
-			order[k] = append(order[k], it)
-		}
-	}
-	for pi := 0; pi < g.NumProdsOf(start); pi++ {
-		add(0, earleyItem{start, int32(pi), 0, 0})
-	}
-	for k := 0; k <= n; k++ {
-		for idx := 0; idx < len(order[k]); idx++ {
-			it := order[k][idx]
-			rhs := g.Rhs(it.nt, int(it.prod))
-			if int(it.dot) < len(rhs) {
-				next := rhs[it.dot]
-				if IsTerminal(next) {
-					// scan
-					if k < n && input[k] == next {
-						add(k+1, earleyItem{it.nt, it.prod, it.dot + 1, it.origin})
-					}
-					continue
-				}
-				// An input nonterminal can also be scanned if it matches.
-				if k < n && input[k] == next {
-					add(k+1, earleyItem{it.nt, it.prod, it.dot + 1, it.origin})
-				}
-				// predict
-				for pi := 0; pi < g.NumProdsOf(next); pi++ {
-					add(k, earleyItem{next, int32(pi), 0, int32(k)})
-				}
-				// Aycock–Horspool: if next is nullable, advance directly.
-				if p.nullable[g.ntIndex(next)] {
-					add(k, earleyItem{it.nt, it.prod, it.dot + 1, it.origin})
-				}
-				continue
-			}
-			// complete
-			for _, back := range order[it.origin] {
-				brhs := g.Rhs(back.nt, int(back.prod))
-				if int(back.dot) < len(brhs) && brhs[back.dot] == it.nt {
-					add(k, earleyItem{back.nt, back.prod, back.dot + 1, back.origin})
-				}
+			if a := r.lhs[s]; r.next[s] == endMark && !r.nullable[a] {
+				r.nullable[a], changed = true, true
 			}
 		}
 	}
-	for _, it := range order[n] {
-		if it.nt == start && it.origin == 0 && int(it.dot) == len(g.Rhs(start, int(it.prod))) {
-			return true
-		}
-	}
-	return false
+	return r
 }
 
-// Derives reports whether start ⇒* input in g. It is a fresh-parser
-// convenience; hold a Recognizer for repeated queries.
+// Grammar returns the grammar r was built from.
+func (r *Recognizer) Grammar() *Grammar { return r.g }
+
+// firsts returns the dot-0 slots of local a's productions, in order.
+func (r *Recognizer) firsts(a int32) []int32 {
+	lo := int32(0)
+	if a > 0 {
+		lo = r.firstEnd[a-1]
+	}
+	return r.first[lo:r.firstEnd[a]]
+}
+
+// Recognize reports whether start ⇒+ input, where input is a sentential
+// form over g's symbols (an input nonterminal matches only itself).
+func (r *Recognizer) Recognize(start Sym, input []Sym) bool {
+	p := r.NewParser(nil)
+	defer p.Release()
+	return p.Parse(start, input, nil)
+}
+
+// RecognizeString reports whether start derives the byte string s.
+func (r *Recognizer) RecognizeString(start Sym, s string) bool {
+	return r.Recognize(start, TermString(s))
+}
+
+// Derives reports whether start ⇒+ input in g. It builds the tables of the
+// nonterminals start reaches; hold a Recognizer for repeated queries.
 func (g *Grammar) Derives(start Sym, input []Sym) bool {
-	return newEarley(g).Recognize(start, input)
+	return NewRecognizer(g, start).Recognize(start, input)
 }
 
 // DerivesString reports whether start derives exactly the byte string s.
@@ -149,20 +143,150 @@ func (g *Grammar) DerivesString(start Sym, s string) bool {
 	return g.Derives(start, TermString(s))
 }
 
-// Recognizer is a reusable Earley recognizer for one grammar. The grammar
-// must not change between Recognize calls, and one Recognizer must not be
-// shared across goroutines (it reuses internal scratch between calls).
-type Recognizer struct{ p *earleyParser }
-
-// NewRecognizer builds a Recognizer for g.
-func NewRecognizer(g *Grammar) *Recognizer { return &Recognizer{p: newEarley(g)} }
-
-// Recognize reports whether start ⇒* input.
-func (r *Recognizer) Recognize(start Sym, input []Sym) bool {
-	return r.p.Recognize(start, input)
+// Parser is one goroutine's session of parses on a Recognizer, with one
+// pooled workspace, metered by b (nil is unlimited): a step per parse and
+// per admitted item. Parses and Items count the same two, for the caller's
+// span. Release returns the workspace.
+type Parser struct {
+	r      *Recognizer
+	b      *budget.Budget
+	sc     *earleyScratch
+	Parses int
+	Items  int64
 }
 
-// RecognizeString reports whether start derives the byte string s.
-func (r *Recognizer) RecognizeString(start Sym, s string) bool {
-	return r.p.Recognize(start, TermString(s))
+var earleyPool = sync.Pool{New: func() any { return new(earleyScratch) }}
+
+// NewParser starts a parse session on r metered by b.
+func (r *Recognizer) NewParser(b *budget.Budget) *Parser {
+	return &Parser{r: r, b: b, sc: earleyPool.Get().(*earleyScratch)}
+}
+
+// Release recycles p's workspace; p must not parse after.
+func (p *Parser) Release() {
+	earleyPool.Put(p.sc)
+	p.sc = nil
+}
+
+// Parse reports whether start ⇒+ some instantiation of input, whose
+// negative entries -(v+1) are variables over the candidate sets sets[v]
+// (indexed by symbol). On exhaustion the budget panics with
+// *budget.Exceeded.
+func (p *Parser) Parse(start Sym, input []Sym, sets [][]bool) bool {
+	r, sc := p.r, p.sc
+	p.Parses++
+	p.b.Step(1)
+	s0, ok := r.local[start]
+	if !ok {
+		panic(fmt.Sprintf("grammar: Earley start %d is not among the recognizer's nonterminals", start))
+	}
+	n, nnt := len(input), len(r.firstEnd)
+	sc.reset(n+1, nnt)
+	add := func(k int, slot, origin int32) {
+		if sc.sets[k].add(uint64(uint32(slot))<<32 | uint64(uint32(origin))) {
+			p.b.Step(1)
+			p.Items++
+			sc.order[k] = append(sc.order[k], earleyItem{slot, origin})
+		}
+	}
+	for _, f := range r.firsts(s0) {
+		add(0, f, 0)
+	}
+	accepted := false
+	for k := 0; k <= n; k++ {
+		// The input at k: a variable's candidate set, or one symbol. Past
+		// the end it is endMark, which the scan below never meets.
+		var cand []bool
+		sym := endMark
+		if k < n {
+			if x := input[k]; x < 0 {
+				cand = sets[-x-1]
+			} else {
+				sym = x
+			}
+		}
+		for idx := 0; idx < len(sc.order[k]); idx++ {
+			it := sc.order[k][idx]
+			next := r.next[it.slot]
+			if next == endMark {
+				a := r.lhs[it.slot]
+				if a == s0 && it.origin == 0 && k == n {
+					accepted = true
+				}
+				if int(it.origin) == k {
+					continue // a nullable completion: see the comment atop this file
+				}
+				for w := sc.head[int(it.origin)*nnt+int(a)]; w != 0; {
+					e := sc.waits[w-1]
+					add(k, e.slot+1, e.origin)
+					w = e.prev
+				}
+				continue
+			}
+			if next == sym || (cand != nil && cand[next]) {
+				add(k+1, it.slot+1, it.origin)
+			}
+			b := r.nextNT[it.slot]
+			if b < 0 {
+				continue
+			}
+			h := k*nnt + int(b)
+			if sc.head[h] == 0 {
+				sc.touched = append(sc.touched, h)
+				for _, f := range r.firsts(b) {
+					add(k, f, int32(k))
+				}
+			}
+			sc.waits = append(sc.waits, waitEntry{it.slot, it.origin, sc.head[h]})
+			sc.head[h] = int32(len(sc.waits))
+			if r.nullable[b] {
+				add(k, it.slot+1, it.origin)
+			}
+		}
+	}
+	return accepted
+}
+
+// earleyItem is one Earley item: an item slot (a dotted production) plus
+// the input position its recognition started at.
+type earleyItem struct {
+	slot, origin int32
+}
+
+// waitEntry links an item into the list of items waiting on one
+// nonterminal at one position.
+type waitEntry struct {
+	slot, origin int32
+	prev         int32 // 1 + index of the previous entry of the same list; 0 ends it
+}
+
+// earleyScratch is one parse session's workspace: per input position a
+// packed-key item set and a discovery-ordered item list, and the waiting
+// lists — head holds, per (position, local nonterminal), 1 + the index of
+// the list's newest entry in waits, or 0 when no item waits there. touched
+// lists the heads a parse set, so the next reset clears only those.
+type earleyScratch struct {
+	sets    []u64set
+	order   [][]earleyItem
+	head    []int32
+	touched []int
+	waits   []waitEntry
+}
+
+func (sc *earleyScratch) reset(m, nnt int) {
+	for len(sc.sets) < m {
+		sc.sets = append(sc.sets, u64set{})
+		sc.order = append(sc.order, nil)
+	}
+	for i := range m {
+		sc.sets[i].reset()
+		sc.order[i] = sc.order[i][:0]
+	}
+	for _, h := range sc.touched {
+		sc.head[h] = 0
+	}
+	if cap(sc.head) < m*nnt {
+		sc.head = make([]int32, m*nnt)
+	}
+	sc.head, sc.touched, sc.waits = sc.head[:m*nnt], sc.touched[:0], sc.waits[:0]
 }

@@ -88,7 +88,7 @@ func (g *Grammar) colorize(order []Sym) (color []uint64, prodHash [][]uint64) {
 		for _, nt := range order {
 			seen.add(of[g.ntIndex(nt)])
 		}
-		return seen.n
+		return len(seen.used)
 	}
 	classes := 0
 	for round := 0; round < maxColorRounds; round++ {

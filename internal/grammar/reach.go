@@ -81,9 +81,18 @@ type Edge struct {
 }
 
 // intersectItemBytes estimates the footprint of one discovered item: the
-// record, its index and hyperedge entries, and the fresh nonterminal and
-// production bookkeeping a materializing consumer adds.
+// record, its index entries, and the fresh nonterminal a materializing
+// consumer adds.
 const intersectItemBytes = 96
+
+// intersectEdgeBytes estimates one recorded hyperedge: its Edge and its
+// share of the dedup table, which stays at most half full. A materializing
+// consumer adds the production it makes of the edge: prodBytes for its
+// reference, plus 4 bytes a right-hand-side symbol.
+const (
+	intersectEdgeBytes = 16 + 2*8
+	prodBytes          = 8
+)
 
 // reachPoolMaxItems caps the tables a released Reach may keep at about a
 // witness's size. Larger phase-1 tables go to the collector rather than to
@@ -94,8 +103,9 @@ var reachPool = sync.Pool{New: func() any { return new(Reach) }}
 
 // NewReach normalizes the sub-grammar of g reachable from root for a
 // construction over an automaton with nq states, metered by b (nil is
-// unlimited): a step per discovered item and per worklist pop, and
-// intersectItemBytes per item. On exhaustion b panics with *budget.Exceeded.
+// unlimited): a step per discovered item and per worklist pop,
+// intersectItemBytes per item and intersectEdgeBytes per hyperedge, more
+// when it is materialized. On exhaustion b panics with *budget.Exceeded.
 func NewReach(g *Grammar, root Sym, nq int, b *budget.Budget) *Reach {
 	r := reachPool.Get().(*Reach)
 	r.g, r.b, r.nq = g, b, int32(nq)
@@ -380,18 +390,23 @@ func (r *Reach) discover(x, i, j int32, e Edge) {
 		}
 	}
 	e.Item = it
-	if !r.dedup.add(&r.edges, e) || r.seedRHS == nil {
+	if !r.dedup.add(&r.edges, e) {
+		return
+	}
+	r.b.Grow(intersectEdgeBytes)
+	if r.seedRHS == nil {
 		return
 	}
 	switch e.Kind {
 	case PairEdge:
-		r.g.Add(r.nts[it], r.nts[e.A], r.nts[e.C])
+		r.rhs = append(r.rhs[:0], r.nts[e.A], r.nts[e.C])
 	case UnitEdge:
-		r.g.Add(r.nts[it], r.nts[e.A])
+		r.rhs = append(r.rhs[:0], r.nts[e.A])
 	default:
 		r.rhs = r.seedRHS(e, r.rhs[:0])
-		r.g.Add(r.nts[it], r.rhs...)
 	}
+	r.b.Grow(prodBytes + 4*int64(len(r.rhs)))
+	r.g.Add(r.nts[it], r.rhs...)
 }
 
 // The item index chains the items of each local that start, and those that

@@ -14,19 +14,20 @@ func mix64(x uint64) uint64 {
 }
 
 // u64set is a set of uint64 keys. Key 0 is reserved as the empty slot, so
-// the table stores key+1 (all packed keys here are < 1<<63).
+// the table stores key+1 (all packed keys here are < 1<<63). used lists the
+// occupied slots, so a reset clears what the last use filled however large
+// an earlier use grew the table: pooled Earley sets cost each parse only
+// what it touches.
 type u64set struct {
-	tab []uint64
-	n   int
+	tab  []uint64
+	used []int32
 }
 
 func (s *u64set) reset() {
-	if s.tab == nil {
-		s.tab = make([]uint64, 64)
-	} else {
-		clear(s.tab)
+	for _, i := range s.used {
+		s.tab[i] = 0
 	}
-	s.n = 0
+	s.used = s.used[:0]
 }
 
 // add inserts key and reports whether it was absent.
@@ -35,14 +36,17 @@ func (s *u64set) add(key uint64) bool {
 	if k == 0 {
 		k = 1 // fold MaxUint64 onto 0's slot rather than the empty marker
 	}
+	if s.tab == nil {
+		s.tab = make([]uint64, 64)
+	}
 	mask := uint64(len(s.tab) - 1)
 	i := mix64(k) & mask
 	for {
 		v := s.tab[i]
 		if v == 0 {
 			s.tab[i] = k
-			s.n++
-			if s.n*2 >= len(s.tab) {
+			s.used = append(s.used, int32(i))
+			if len(s.used)*2 >= len(s.tab) {
 				s.grow()
 			}
 			return true
@@ -58,15 +62,14 @@ func (s *u64set) grow() {
 	old := s.tab
 	s.tab = make([]uint64, len(old)*2)
 	mask := uint64(len(s.tab) - 1)
-	for _, k := range old {
-		if k == 0 {
-			continue
-		}
+	for j, o := range s.used {
+		k := old[o]
 		i := mix64(k) & mask
 		for s.tab[i] != 0 {
 			i = (i + 1) & mask
 		}
 		s.tab[i] = k
+		s.used[j] = int32(i)
 	}
 }
 

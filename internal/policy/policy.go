@@ -243,7 +243,7 @@ func buildTables() *tables {
 	sql := sqlgram.Get()
 	t := &tables{
 		sql:        sql,
-		deriv:      deriv.New(sql.G),
+		deriv:      deriv.New(sql.Rec),
 		oddQuotes:  buildQuoteParityDFA(),
 		unescQuote: buildUnescapedQuoteDFA(),
 		evenCtx:    buildEvenContextDFA(),
@@ -252,7 +252,8 @@ func buildTables() *tables {
 	if err != nil {
 		panic("policy: numeric pattern: " + err.Error())
 	}
-	t.nonNumeric = re.MatchDFA().Complement().Minimize()
+	m, _ := re.MatchDFA() // a few states, far under the cap
+	t.nonNumeric = m.Complement().Minimize()
 	var frags *automata.NFA
 	for _, frag := range []string{"--", "DROP", "UNION", ";", "/*", " OR ", " or 1=1"} {
 		f := automata.FromString(frag)

@@ -49,7 +49,7 @@ func TestDifferentialAgainstStdlib(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rx rejected %q: %v", pat, err)
 		}
-		dfa := ours.MatchDFA()
+		dfa := matchDFA(t, ours)
 		for trial := 0; trial < 300; trial++ {
 			in := randInput(r)
 			want := std.MatchString(in)
@@ -70,7 +70,7 @@ func TestDifferentialCaseInsensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dfa := ours.MatchDFA()
+		dfa := matchDFA(t, ours)
 		for trial := 0; trial < 200; trial++ {
 			in := randInput(r)
 			if dfa.AcceptsString(in) != std.MatchString(in) {

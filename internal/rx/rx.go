@@ -617,14 +617,20 @@ func (re *Regex) MatchLang() *automata.NFA {
 }
 
 // matchDFACache and nonMatchDFACache hold the compiled guard DFAs keyed by
-// (case-insensitivity, pattern source). The same guard pattern recurs across
-// pages and apps; one build serves every call site, and the automaton is
-// additionally interned by structural fingerprint so even distinct patterns
-// with the same language share one transition slab.
+// (case-insensitivity, pattern source), a nil DFA for a pattern past
+// maxDFAStates. The same guard pattern recurs across pages and apps; one
+// build serves every call site, and the automaton is additionally interned
+// by structural fingerprint so even distinct patterns with the same
+// language share one transition slab.
 var (
 	matchDFACache    sync.Map // string -> *automata.DFA
 	nonMatchDFACache sync.Map
 )
+
+// maxDFAStates bounds the subset construction of a match DFA. Some small
+// patterns determinize exponentially (^.*a.{n}$ takes 2^(n+1)+2 states);
+// the largest guard DFA the corpus and the tests build has 131.
+const maxDFAStates = 4096
 
 func (re *Regex) cacheKey() string {
 	if re.CaseInsensitive {
@@ -633,29 +639,37 @@ func (re *Regex) cacheKey() string {
 	return "-\x00" + re.Source
 }
 
-// MatchDFA returns the minimized DFA of MatchLang. The result is cached per
+// MatchDFA returns the minimized DFA of MatchLang, or false when its subset
+// construction exceeds maxDFAStates states. The result is cached per
 // (pattern, flags) and shared.
-func (re *Regex) MatchDFA() *automata.DFA {
+func (re *Regex) MatchDFA() (*automata.DFA, bool) {
 	k := re.cacheKey()
-	if v, ok := matchDFACache.Load(k); ok {
-		return v.(*automata.DFA)
+	v, ok := matchDFACache.Load(k)
+	if !ok {
+		var d *automata.DFA
+		if full, within := re.MatchLang().DeterminizeWithin(maxDFAStates); within {
+			d = automata.Intern(full.Minimize())
+		}
+		v, _ = matchDFACache.LoadOrStore(k, d)
 	}
-	d := automata.Intern(re.MatchLang().Determinize().Minimize())
-	v, _ := matchDFACache.LoadOrStore(k, d)
-	return v.(*automata.DFA)
+	d := v.(*automata.DFA)
+	return d, d != nil
 }
 
 // ComplementMatchDFA returns the minimized DFA of the strings on which the
-// pattern does NOT match — the language of the else branch of a guard. The
-// result is cached and shared like MatchDFA.
-func (re *Regex) ComplementMatchDFA() *automata.DFA {
+// pattern does NOT match — the language of the else branch of a guard — or
+// false when MatchDFA fails. The result is cached and shared like MatchDFA.
+func (re *Regex) ComplementMatchDFA() (*automata.DFA, bool) {
 	k := re.cacheKey()
 	if v, ok := nonMatchDFACache.Load(k); ok {
-		return v.(*automata.DFA)
+		return v.(*automata.DFA), true
 	}
-	d := automata.Intern(re.MatchDFA().Complement().Minimize())
-	v, _ := nonMatchDFACache.LoadOrStore(k, d)
-	return v.(*automata.DFA)
+	m, ok := re.MatchDFA()
+	if !ok {
+		return nil, false
+	}
+	v, _ := nonMatchDFACache.LoadOrStore(k, automata.Intern(m.Complement().Minimize()))
+	return v.(*automata.DFA), true
 }
 
 // compile translates an AST node to an NFA.

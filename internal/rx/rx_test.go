@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"sqlciv/internal/automata"
 )
 
 func mustParse(t *testing.T, pat string, ci bool) *Regex {
@@ -13,6 +15,26 @@ func mustParse(t *testing.T, pat string, ci bool) *Regex {
 		t.Fatalf("Parse(%q): %v", pat, err)
 	}
 	return re
+}
+
+// matchDFA returns re's match DFA, failing t when it is past the state cap.
+func matchDFA(t testing.TB, re *Regex) *automata.DFA {
+	t.Helper()
+	d, ok := re.MatchDFA()
+	if !ok {
+		t.Fatalf("%q: match DFA past the state cap", re.Source)
+	}
+	return d
+}
+
+// complementDFA is matchDFA for ComplementMatchDFA.
+func complementDFA(t testing.TB, re *Regex) *automata.DFA {
+	t.Helper()
+	d, ok := re.ComplementMatchDFA()
+	if !ok {
+		t.Fatalf("%q: complement DFA past the state cap", re.Source)
+	}
+	return d
 }
 
 func TestLiteralAndConcat(t *testing.T) {
@@ -149,7 +171,7 @@ func TestAnchorsAndMatchLang(t *testing.T) {
 	if re.AnchorStart || re.AnchorEnd {
 		t.Fatal("spurious anchors")
 	}
-	m := re.MatchDFA()
+	m := matchDFA(t, re)
 	for _, s := range []string{"123", "abc1", "1'; DROP TABLE x; --"} {
 		if !m.AcceptsString(s) {
 			t.Errorf("unanchored match should accept %q", s)
@@ -163,12 +185,12 @@ func TestAnchorsAndMatchLang(t *testing.T) {
 	if !re2.AnchorStart || !re2.AnchorEnd {
 		t.Fatal("anchors not detected")
 	}
-	m2 := re2.MatchDFA()
+	m2 := matchDFA(t, re2)
 	if !m2.AcceptsString("42") || m2.AcceptsString("4 2") || m2.AcceptsString("1'; --") {
 		t.Fatal("anchored match language wrong")
 	}
 	// Complement of the anchored match.
-	c2 := re2.ComplementMatchDFA()
+	c2 := complementDFA(t, re2)
 	if c2.AcceptsString("42") || !c2.AcceptsString("1'; --") {
 		t.Fatal("complement wrong")
 	}
@@ -176,8 +198,8 @@ func TestAnchorsAndMatchLang(t *testing.T) {
 
 func TestComplementIsExactComplement(t *testing.T) {
 	re := mustParse(t, "[0-9]+", false)
-	m := re.MatchDFA()
-	c := re.ComplementMatchDFA()
+	m := matchDFA(t, re)
+	c := complementDFA(t, re)
 	f := func(b []byte) bool {
 		syms := make([]int, len(b))
 		for i, v := range b {
@@ -277,14 +299,14 @@ func TestDollarEscapeNotAnchor(t *testing.T) {
 func TestEregiStyle(t *testing.T) {
 	// The paper's Figure 2 guard: eregi('[0-9]+', $userid) — unanchored, ci.
 	re := mustParse(t, "[0-9]+", true)
-	m := re.MatchDFA()
+	m := matchDFA(t, re)
 	if !m.AcceptsString("1'; DROP TABLE unp_user; --") {
 		t.Fatal("the Figure 2 attack must pass the unanchored guard")
 	}
 }
 
 func TestPOSIXClasses(t *testing.T) {
-	d := mustParse(t, `^[[:digit:]]+$`, false).MatchDFA()
+	d := matchDFA(t, mustParse(t, `^[[:digit:]]+$`, false))
 	if !d.AcceptsString("42") || d.AcceptsString("4a") {
 		t.Fatal("[:digit:] wrong")
 	}
@@ -313,6 +335,27 @@ func TestPOSIXClassMalformed(t *testing.T) {
 	for _, pat := range []string{"[[:]", "[[:", "[[::]", "[[:]]"} {
 		if _, err := Parse(pat, false); err == nil {
 			t.Errorf("Parse(%q) should fail", pat)
+		}
+	}
+}
+
+// TestMatchDFAStateCap: ^.*a.{n}$ determinizes to 2^(n+1)+2 states, so
+// n = 12 (8,194) is past the cap and both DFAs report failure, while
+// n = 10 (2,050) is built exactly.
+func TestMatchDFAStateCap(t *testing.T) {
+	re := mustParse(t, `^.*a.{12}$`, false)
+	if _, ok := re.MatchDFA(); ok {
+		t.Fatal("MatchDFA built a DFA past the state cap")
+	}
+	if _, ok := re.ComplementMatchDFA(); ok {
+		t.Fatal("ComplementMatchDFA built a DFA past the state cap")
+	}
+	under := mustParse(t, `^.*a.{10}$`, false)
+	m, c := matchDFA(t, under), complementDFA(t, under)
+	for _, s := range []string{"a0123456789", "xxa0123456789", "a012345678", "ab0123456789"} {
+		want := len(s) >= 11 && s[len(s)-11] == 'a'
+		if m.AcceptsString(s) != want || c.AcceptsString(s) == want {
+			t.Fatalf("%q: match %t, complement %t; want match %t", s, m.AcceptsString(s), c.AcceptsString(s), want)
 		}
 	}
 }

@@ -19,6 +19,9 @@ import (
 // derivability checker needs.
 type SQL struct {
 	G *grammar.Grammar
+	// Rec holds G's Earley tables, over every nonterminal, built once with
+	// the grammar: check 5 and the confinement oracle below share them.
+	Rec *grammar.Recognizer
 	// Start derives one SQL statement (optionally followed by ; and more
 	// statements — attackers piggyback statements, the grammar must parse
 	// them so the oracle can recognize attacks as well-formed queries).
@@ -309,6 +312,7 @@ func build() *SQL {
 
 	return &SQL{
 		G:          g,
+		Rec:        grammar.NewRecognizer(g),
 		Start:      query,
 		Value:      value,
 		StringBody: strBody,
@@ -321,7 +325,7 @@ func build() *SQL {
 // ParsesQuery reports whether q is a well-formed query of the reference
 // grammar.
 func (s *SQL) ParsesQuery(q string) bool {
-	return grammar.NewRecognizer(s.G).RecognizeString(s.Start, q)
+	return s.Rec.RecognizeString(s.Start, q)
 }
 
 // Confined implements the paper's Definition 2.2 as a test oracle: the
@@ -332,17 +336,16 @@ func (s *SQL) Confined(q string, i, j int) bool {
 	if i < 0 || j < i || j > len(q) {
 		return false
 	}
-	rec := grammar.NewRecognizer(s.G)
 	mid := q[i:j]
 	for nt := 0; nt < s.G.NumNTs(); nt++ {
 		x := grammar.Sym(grammar.NumTerminals + nt)
-		if !rec.RecognizeString(x, mid) {
+		if !s.Rec.RecognizeString(x, mid) {
 			continue
 		}
 		form := grammar.TermString(q[:i])
 		form = append(form, x)
 		form = append(form, grammar.TermString(q[j:])...)
-		if rec.Recognize(s.Start, form) {
+		if s.Rec.Recognize(s.Start, form) {
 			return true
 		}
 	}

@@ -162,7 +162,8 @@ func buildPre() {
 	if err != nil {
 		panic("xss: ident pattern: " + err.Error())
 	}
-	pre.nonIdent = identRe.MatchDFA().Complement().Minimize()
+	m, _ := identRe.MatchDFA() // a few states, far under the cap
+	pre.nonIdent = m.Complement().Minimize()
 }
 
 // CheckAutomaton names one prebuilt XSS check DFA.

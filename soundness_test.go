@@ -7,6 +7,7 @@
 package sqlciv
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,6 +241,45 @@ func TestCountedGuardKeepsLanguage(t *testing.T) {
 			t.Fatalf("%s: findings %v; want one %s", pat, res.Findings, policy.CheckUnconfinableQuotes)
 		}
 	}
+}
+
+// TestOverCapGuardRefinesNothing: ^.*a.{20}$ determinizes to 2^21+2
+// states, past rx's cap, so the guard refines nothing, exactly as a guard
+// whose pattern does not parse.
+func TestOverCapGuardRefinesNothing(t *testing.T) {
+	findings := func(pat string) string {
+		src := `<?php $id = $_GET['id']; if (preg_match('/` + pat + `/', $id)) mysql_query("SELECT * FROM t WHERE id='" . $id . "'");`
+		res, err := core.AnalyzeApp(analysis.NewMapResolver(map[string]string{"p.php": src}),
+			[]string{"p.php"}, core.Options{Budget: budget.Limits{Timeout: time.Minute}})
+		if err != nil {
+			t.Fatalf("%s: %v", pat, err)
+		}
+		if res.DegradedPages+res.DegradedHotspots != 0 || len(res.Findings) == 0 {
+			t.Fatalf("%s: %d degraded pages, %d degraded hotspots, findings %v",
+				pat, res.DegradedPages, res.DegradedHotspots, res.Findings)
+		}
+		return fmt.Sprint(res.Findings)
+	}
+	if got, want := findings(`^.*a.{20}$`), findings(`^.*a.{20$`); got != want {
+		t.Fatalf("over-cap guard: findings %s; unparseable guard: %s", got, want)
+	}
+}
+
+// TestGuardBlowupTripsMemoryBudget: intersecting with ^.*a.{5}$'s 65-state
+// DFA materializes about two million productions in phase 1, which the
+// memory budget must bound, not only the items it discovers.
+func TestGuardBlowupTripsMemoryBudget(t *testing.T) {
+	src := `<?php $id = $_GET['id']; if (preg_match('/^.*a.{5}$/', $id)) mysql_query("SELECT * FROM t WHERE id='" . $id . "'");`
+	opts := core.Options{}
+	opts.Budget.MaxMemBytes = 32 << 20
+	res, err := core.AnalyzeApp(analysis.NewMapResolver(map[string]string{"p.php": src}), []string{"p.php"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedPages != 1 {
+		t.Fatalf("DegradedPages = %d, want 1 (degradations %v)", res.DegradedPages, res.Degradations)
+	}
+	requireDegradedNotVerified(t, res, budget.ReasonMemory)
 }
 
 // TestMagicQuotesSoundness: a page the analyzer verifies only under
