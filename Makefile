@@ -170,10 +170,12 @@ trace-smoke:
 	$(GO) run ./cmd/sqlcheck -table1 -trace table1-trace.jsonl -trace-format jsonl > /dev/null
 
 # fuzz-smoke runs every fuzz target for FUZZ_TIME each — long enough to
-# shake out shallow regressions, short enough for CI.
+# shake out shallow regressions, short enough for CI. Minimizing a new
+# input may take at most 5s (go's default is 60s, which let a target spend
+# its whole FUZZ_TIME minimizing instead of executing).
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \
 		echo "== $$name ($$pkg)"; \
-		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZ_TIME) $$pkg; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 5s $$pkg; \
 	done

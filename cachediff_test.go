@@ -1,7 +1,10 @@
 package sqlciv
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sqlciv/internal/analysis"
@@ -82,6 +85,72 @@ func TestWarmRunMatchesColdOnCorpus(t *testing.T) {
 		}
 		if !reflect.DeepEqual(cold.Findings, warm.Findings) {
 			t.Errorf("%s: warm findings diverged from cold\ncold: %+v\nwarm: %+v",
+				app.Name, cold.Findings, warm.Findings)
+		}
+	}
+}
+
+// TestRetaggedCacheIsRewritten is a policy-version bump on a warm cache:
+// every entry is retagged as if an older checker had written it. The next
+// run must miss each one and recompute it, and its Flush must replace the
+// stale files, so the run after that answers every checked hotspot from
+// disk with the cold run's findings.
+func TestRetaggedCacheIsRewritten(t *testing.T) {
+	for _, app := range corpus.Apps() {
+		dir := t.TempDir()
+		store, err := vcache.Open(dir)
+		if err != nil {
+			t.Fatalf("vcache.Open: %v", err)
+		}
+		opts := core.Options{VerdictCache: store}
+		resolver := analysis.NewMapResolver(app.Sources)
+		run := func(label string) *core.AppResult {
+			res, err := core.AnalyzeApp(resolver, app.Entries, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", app.Name, label, err)
+			}
+			if err := store.Flush(); err != nil {
+				t.Fatalf("%s %s flush: %v", app.Name, label, err)
+			}
+			return res
+		}
+		cold := run("cold")
+
+		current := `"tag":"` + policy.CacheVersion + `"`
+		retagged := 0
+		if err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".json") {
+				return err
+			}
+			data, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			old := strings.Replace(string(data), current, `"tag":"sqlciv-policy-v0"`, 1)
+			if old == string(data) {
+				t.Fatalf("%s: %s has no %s", app.Name, p, current)
+			}
+			retagged++
+			return os.WriteFile(p, []byte(old), 0o644)
+		}); err != nil {
+			t.Fatalf("%s: retagging: %v", app.Name, err)
+		}
+		if retagged == 0 {
+			t.Fatalf("%s: cold run wrote no entries", app.Name)
+		}
+
+		stale := run("stale")
+		if stale.DiskCacheHits != 0 || stale.DiskCacheMisses == 0 {
+			t.Errorf("%s: run over retagged entries had %d disk hits, %d misses; want all misses",
+				app.Name, stale.DiskCacheHits, stale.DiskCacheMisses)
+		}
+		warm := run("warm")
+		if warm.DiskCacheMisses != 0 || warm.DiskCacheHits != stale.DiskCacheMisses {
+			t.Errorf("%s: run after the rewrite had %d disk hits, %d misses; want %d hits, no misses",
+				app.Name, warm.DiskCacheHits, warm.DiskCacheMisses, stale.DiskCacheMisses)
+		}
+		if !reflect.DeepEqual(cold.Findings, warm.Findings) {
+			t.Errorf("%s: findings after the rewrite diverged from cold\ncold: %+v\nwarm: %+v",
 				app.Name, cold.Findings, warm.Findings)
 		}
 	}

@@ -141,27 +141,9 @@ func run() int {
 	// Persistent verdict cache: on by default, content-addressed, so a bad
 	// or missing cache directory only costs speed — warn and run cold.
 	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			d, err := vcache.DefaultDir()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sqlcheck: verdict cache disabled:", err)
-			}
-			dir = d
-		}
-		if dir != "" {
-			store, err := vcache.Open(dir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sqlcheck: verdict cache disabled:", err)
-			} else {
-				defer func() {
-					if err := store.Close(); err != nil {
-						fmt.Fprintln(os.Stderr, "sqlcheck: verdict cache flush:", err)
-					}
-				}()
-				opts.VerdictCache = store
-			}
-		}
+		store := openStore(*cacheDir, "vcache", "verdict cache")
+		defer closeStore(store, "verdict cache")
+		opts.VerdictCache = store
 	}
 
 	// Incremental re-analysis: a session memoizes per-page outcomes keyed by
@@ -173,29 +155,9 @@ func run() int {
 		*incremental = true
 	}
 	if *incremental {
-		var sumStore *incr.Store
-		dir := *incrDir
-		if dir == "" {
-			d, err := incr.DefaultDir()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sqlcheck: summary store disabled:", err)
-			}
-			dir = d
-		}
-		if dir != "" {
-			s, err := incr.Open(dir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sqlcheck: summary store disabled:", err)
-			} else {
-				defer func() {
-					if err := s.Close(); err != nil {
-						fmt.Fprintln(os.Stderr, "sqlcheck: summary store flush:", err)
-					}
-				}()
-				sumStore = s
-			}
-		}
-		opts.Session = core.NewSession(core.SessionConfig{Summaries: sumStore})
+		store := openStore(*incrDir, "incr", "summary store")
+		defer closeStore(store, "summary store")
+		opts.Session = core.NewSession(core.SessionConfig{Summaries: store})
 	}
 
 	tracer, stopTracing, err := setupTracer(*traceFile, *traceFormat, *progress, *debugAddr)
@@ -284,6 +246,34 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// openStore opens the record store at dir, or at the default directory
+// called name under the user cache dir when dir is empty. A store that
+// cannot be opened only costs speed: it warns and returns nil, which
+// disables persistence.
+func openStore(dir, name, what string) *vcache.Store {
+	if dir == "" {
+		d, err := vcache.DefaultDir(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sqlcheck: %s disabled: %v\n", what, err)
+			return nil
+		}
+		dir = d
+	}
+	store, err := vcache.Open(dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sqlcheck: %s disabled: %v\n", what, err)
+		return nil
+	}
+	return store
+}
+
+// closeStore flushes what the run left pending in store.
+func closeStore(store *vcache.Store, what string) {
+	if err := store.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "sqlcheck: %s flush: %v\n", what, err)
+	}
 }
 
 // runWatch re-checks the directory whenever any file's content hash changes

@@ -153,7 +153,7 @@ func run() int {
 	if !*noCache {
 		dir := *cacheDir
 		if dir == "" {
-			d, err := vcache.DefaultDir()
+			d, err := vcache.DefaultDir("vcache")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "sqlcheckd: verdict cache disabled:", err)
 			}

@@ -65,12 +65,6 @@ type Options struct {
 	// Invalid or stale entries are ignored, never trusted — a bad cache can
 	// cost time, not findings. nil disables persistence.
 	VerdictCache *vcache.Store
-	// Incremental enables content-hash incremental re-analysis for this
-	// call. With no Session set, an ephemeral session is created per call —
-	// useful only with a persistent summary store wired by the caller via
-	// Session; prefer setting Session directly for in-process reuse. The
-	// flag is implied by a non-nil Session.
-	Incremental bool
 	// Session, when set, carries incremental state (per-page dependency
 	// memos, a cross-run parse cache, optionally a persistent summary
 	// store) across runs: pages whose include closure is byte-identical to
@@ -78,6 +72,7 @@ type Options struct {
 	// re-checking; only dirtied pages recompute. Requires a resolver that
 	// exposes its sources for hashing (analysis.MapResolver does); other
 	// resolvers silently run cold. Safe to share across concurrent runs.
+	// It is the one switch for incremental re-analysis: nil runs cold.
 	Session *Session
 	// Checker, when set, is the policy checker the run executes on instead
 	// of a fresh one — the long-lived-daemon path: a resident checker keeps
@@ -367,11 +362,7 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 	// recorded dependency closure is byte-identical from the session memo
 	// (or the persistent summary store) instead of re-analyzing it. inc is
 	// nil on cold runs and when the resolver cannot expose sources.
-	ses := opts.Session
-	if ses == nil && opts.Incremental {
-		ses = NewSession(SessionConfig{})
-	}
-	inc := ses.begin(resolver, entries, opts.Analysis)
+	inc := opts.Session.begin(resolver, entries, opts.Analysis)
 
 	type parseCacheStats interface{ ParseCacheStats() (int64, int64) }
 	var parseHits0, parseMisses0 int64

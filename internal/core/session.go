@@ -7,22 +7,22 @@ import (
 	"sync"
 
 	"sqlciv/internal/analysis"
-	"sqlciv/internal/grammar"
 	"sqlciv/internal/incr"
 	"sqlciv/internal/policy"
+	"sqlciv/internal/vcache"
 )
 
 // SessionConfig configures a reusable incremental session.
 type SessionConfig struct {
 	// Summaries, when set, persists per-page analysis summaries across
-	// processes (see internal/incr): a fresh session probes the store before
+	// processes (see incr.Open): a fresh session probes the store before
 	// recomputing a page, and clean recomputed pages are buffered back via
 	// Put. The caller owns the store's lifecycle and must Flush (or Close)
 	// it — or call Session.Flush — for this session's summaries to reach
 	// disk. Corrupt, truncated, or version-mismatched summaries degrade to a
 	// cold recompute, never a wrong reuse. nil keeps the session in-memory
 	// only.
-	Summaries *incr.Store
+	Summaries *vcache.Store
 }
 
 // Session carries incremental-analysis state across AnalyzeAppCtx runs: a
@@ -72,7 +72,7 @@ func (s *Session) Flush() error {
 
 // Summaries returns the session's persistent summary store (nil when the
 // session is in-memory only).
-func (s *Session) Summaries() *incr.Store {
+func (s *Session) Summaries() *vcache.Store {
 	if s == nil {
 		return nil
 	}
@@ -91,11 +91,11 @@ func (s *Session) Pages() int {
 
 // optionsTag renders the analysis configuration a memo is valid under. It
 // shares the verdict cache's version-bump discipline by embedding
-// policy.CacheVersion: a checker change that orphans cached verdicts
-// orphans page summaries too, and any analysis option that changes phase-1
-// output keys the memo.
+// policy.CacheVersion: a checker change that invalidates cached verdicts
+// invalidates page summaries too, and any analysis option that changes
+// phase-1 output keys the memo.
 func optionsTag(a analysis.Options) string {
-	return fmt.Sprintf("%s|incr-v2|guard=%t|depth=%d|slice=%t|mq=%t",
+	return fmt.Sprintf("%s|incr-v3|guard=%t|depth=%d|slice=%t|mq=%t",
 		policy.CacheVersion, a.DisableGuardRefinement, a.MaxIncludeDepth, a.SliceToSinks, a.MagicQuotes)
 }
 
@@ -112,7 +112,7 @@ type incRun struct {
 	recs     []*incr.Recorder // per entry; nil for replayed entries
 
 	replaySrc  []string // "memory" or "store", for trace attrs
-	store0     incr.StoreStats
+	store0     vcache.Stats
 	parseHits0 int64
 	parseMiss0 int64
 }
@@ -155,16 +155,12 @@ func (r *incRun) replay(i int, entry string) (PageResult, bool) {
 		r.replayed[i], r.replaySrc[i] = true, "memory"
 		return m.replay(), true
 	}
-	ps, ok := s.cfg.Summaries.Get(entry, r.tag)
-	if !ok {
-		return PageResult{}, false
-	}
-	deps, dynamic, layout, ok := summaryDeps(ps)
-	if !ok || !r.snap.Validate(deps, dynamic, layout) {
+	ps, ok := incr.Get(s.cfg.Summaries, entry, r.tag)
+	if !ok || !r.snap.Validate(ps.Deps, ps.Dynamic, ps.Layout) {
 		return PageResult{}, false
 	}
 	page := pageFromSummary(ps)
-	m = &pageMemo{tag: r.tag, deps: deps, dynamic: dynamic, layout: layout, page: clonePage(page)}
+	m = &pageMemo{tag: r.tag, deps: ps.Deps, dynamic: ps.Dynamic, layout: ps.Layout, page: clonePage(page)}
 	s.mu.Lock()
 	s.pages[entry] = m
 	s.mu.Unlock()
@@ -213,12 +209,8 @@ func (r *incRun) commit(pages []PageResult, res *AppResult) {
 		r.ses.mu.Unlock()
 		if store := r.ses.cfg.Summaries; store != nil {
 			ps := summaryFromPage(page)
-			ps.Deps = depEntries(m.deps)
-			ps.Dynamic = m.dynamic
-			if m.dynamic {
-				ps.Layout = m.layout.Hex()
-			}
-			store.Put(r.tag, ps)
+			ps.Deps, ps.Dynamic, ps.Layout = m.deps, m.dynamic, m.layout
+			incr.Put(store, r.tag, ps)
 		}
 	}
 	h, mi := r.ses.parse.Stats()
@@ -264,45 +256,6 @@ func memoizable(page *PageResult) bool {
 	return true
 }
 
-// summaryDeps decodes a summary's dependency closure. The store validated
-// the hex fields structurally; a decode failure here still degrades to a
-// recompute.
-func summaryDeps(ps *incr.PageSummary) (deps []incr.Dep, dynamic bool, layout incr.Hash, ok bool) {
-	deps = make([]incr.Dep, 0, len(ps.Deps))
-	for _, d := range ps.Deps {
-		dep := incr.Dep{Path: d.Path, Missing: d.Missing}
-		if !d.Missing {
-			h, hok := incr.ParseHex(d.Hash)
-			if !hok {
-				return nil, false, incr.Hash{}, false
-			}
-			dep.Hash = h
-		}
-		deps = append(deps, dep)
-	}
-	if ps.Dynamic {
-		h, hok := incr.ParseHex(ps.Layout)
-		if !hok {
-			return nil, false, incr.Hash{}, false
-		}
-		layout = h
-	}
-	return deps, ps.Dynamic, layout, true
-}
-
-// depEntries serializes a dependency closure for the summary store.
-func depEntries(deps []incr.Dep) []incr.DepEntry {
-	out := make([]incr.DepEntry, 0, len(deps))
-	for _, d := range deps {
-		e := incr.DepEntry{Path: d.Path, Missing: d.Missing}
-		if !d.Missing {
-			e.Hash = d.Hash.Hex()
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // summaryFromPage serializes a clean page outcome for the persistent store.
 // The caller fills the dependency fields.
 func summaryFromPage(page *PageResult) *incr.PageSummary {
@@ -313,12 +266,11 @@ func summaryFromPage(page *PageResult) *incr.PageSummary {
 		NumProds:       page.Analysis.NumProds,
 	}
 	for _, hr := range page.Hotspots {
-		h := incr.HotspotSummary{
+		ps.Hotspots = append(ps.Hotspots, incr.HotspotSummary{
 			File:          hr.File,
 			Line:          hr.Line,
 			Call:          hr.Call,
-			Verdict:       hr.Policy.Verdict.String(),
-			LabeledNTs:    hr.Policy.LabeledNTs,
+			VerdictRecord: policy.ToRecord(hr.Policy),
 			CheckTimeNS:   int64(hr.Policy.CheckTime),
 			SliceNTs:      hr.Policy.SliceNTs,
 			SliceProds:    hr.Policy.SliceProds,
@@ -326,16 +278,7 @@ func summaryFromPage(page *PageResult) *incr.PageSummary {
 			CompactProds:  hr.Policy.CompactProds,
 			BudgetSteps:   hr.Policy.BudgetSteps,
 			BudgetMemHigh: hr.Policy.BudgetMemHigh,
-		}
-		for _, rep := range hr.Policy.Reports {
-			h.Reports = append(h.Reports, incr.Report{
-				Label:   uint8(rep.Label),
-				Check:   int(rep.Check),
-				Witness: rep.Witness,
-				Source:  rep.Source,
-			})
-		}
-		ps.Hotspots = append(ps.Hotspots, h)
+		})
 	}
 	return ps
 }
@@ -345,8 +288,7 @@ func summaryFromPage(page *PageResult) *incr.PageSummary {
 // its hotspot roots are zero: phase 2 skips a replayed page, findings key on
 // file/line/label (exactly as vcache replay relies on), and PackEntries
 // turns a page without a grammar into unavailable entries, which fail
-// closed. Report.NT is likewise left zero, mirroring policy's
-// resultFromEntry.
+// closed. Report.NT is likewise left zero (see policy.FromRecord).
 func pageFromSummary(ps *incr.PageSummary) PageResult {
 	ar := &analysis.Result{
 		AnalysisTime: time.Duration(ps.AnalysisTimeNS),
@@ -355,30 +297,11 @@ func pageFromSummary(ps *incr.PageSummary) PageResult {
 	}
 	hs := make([]HotspotResult, 0, len(ps.Hotspots))
 	for _, h := range ps.Hotspots {
-		pr := &policy.Result{
-			LabeledNTs:    h.LabeledNTs,
-			CheckTime:     time.Duration(h.CheckTimeNS),
-			SliceNTs:      h.SliceNTs,
-			SliceProds:    h.SliceProds,
-			CompactNTs:    h.CompactNTs,
-			CompactProds:  h.CompactProds,
-			BudgetSteps:   h.BudgetSteps,
-			BudgetMemHigh: h.BudgetMemHigh,
-		}
-		for _, rep := range h.Reports {
-			pr.Reports = append(pr.Reports, policy.Report{
-				Label:   grammar.Label(rep.Label),
-				Check:   policy.Check(rep.Check),
-				Witness: rep.Witness,
-				Source:  rep.Source,
-			})
-		}
-		if len(pr.Reports) == 0 {
-			pr.Verified = true
-			pr.Verdict = policy.VerdictVerified
-		} else {
-			pr.Verdict = policy.VerdictVulnerable
-		}
+		pr := policy.FromRecord(&h.VerdictRecord)
+		pr.CheckTime = time.Duration(h.CheckTimeNS)
+		pr.SliceNTs, pr.SliceProds = h.SliceNTs, h.SliceProds
+		pr.CompactNTs, pr.CompactProds = h.CompactNTs, h.CompactProds
+		pr.BudgetSteps, pr.BudgetMemHigh = h.BudgetSteps, h.BudgetMemHigh
 		hot := analysis.Hotspot{File: h.File, Line: h.Line, Call: h.Call}
 		ar.Hotspots = append(ar.Hotspots, hot)
 		hs = append(hs, HotspotResult{Hotspot: hot, Policy: pr})

@@ -20,15 +20,16 @@
 //     runs, so even the pages that do have to re-lower only re-parse the
 //     files that actually changed.
 //
-// The persistent page-summary store (store.go) extends the reuse across
-// process restarts, with the same corruption discipline as vcache: anything
-// unreadable, truncated, stale, or version-mismatched is a miss — a bad
-// store can cost time, never findings.
+// Page summaries (summary.go) extend the reuse across process restarts.
+// They are records in a vcache.Store, with its corruption discipline:
+// anything unreadable, truncated, stale, or version-mismatched is a miss —
+// a bad store can cost time, never findings.
 package incr
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,19 @@ func HashBytes(src string) Hash { return sha256.Sum256([]byte(src)) }
 
 // Hex renders the hash for storage and diagnostics.
 func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
+
+// MarshalText renders the hash as hex, its form in stored summaries.
+func (h Hash) MarshalText() ([]byte, error) { return []byte(h.Hex()), nil }
+
+// UnmarshalText decodes a stored hash; anything malformed is an error.
+func (h *Hash) UnmarshalText(b []byte) error {
+	v, ok := ParseHex(string(b))
+	if !ok {
+		return errors.New("incr: malformed hash")
+	}
+	*h = v
+	return nil
+}
 
 // ParseHex decodes a stored hash; reports false on anything malformed.
 func ParseHex(s string) (Hash, bool) {
@@ -61,9 +75,9 @@ func ParseHex(s string) (Hash, bool) {
 // marks a path that did not exist when recorded (the load's failure is part
 // of the analysis result — the file appearing later is a change).
 type Dep struct {
-	Path    string
-	Hash    Hash
-	Missing bool
+	Path    string `json:"path"`
+	Hash    Hash   `json:"hash"`
+	Missing bool   `json:"missing,omitempty"`
 }
 
 // Snapshot is the hashed state of one project: path → content hash, plus a

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sqlciv/internal/vcache"
 )
 
 const tag = "incr-test-v1"
@@ -148,13 +150,14 @@ func TestParseCacheReusesByContent(t *testing.T) {
 func summary(entry string) *PageSummary {
 	return &PageSummary{
 		Entry:          entry,
-		Deps:           []DepEntry{{Path: entry, Hash: HashBytes("src").Hex()}, {Path: "gone.php", Missing: true}},
+		Deps:           []Dep{{Path: entry, Hash: HashBytes("src")}, {Path: "gone.php", Missing: true}},
 		AnalysisTimeNS: 1000,
 		NumNTs:         3,
 		NumProds:       4,
 		Hotspots: []HotspotSummary{{
-			File: entry, Line: 4, Call: "mysql_query", Verdict: "vulnerable", LabeledNTs: 2,
-			Reports:     []Report{{Label: 1, Check: 1, Witness: "a'b", Source: "_GET[id]"}},
+			File: entry, Line: 4, Call: "mysql_query",
+			VerdictRecord: vcache.VerdictRecord{Verdict: "vulnerable", LabeledNTs: 2,
+				Reports: []vcache.Report{{Label: 1, Check: 1, Witness: "a'b", Source: "_GET[id]"}}},
 			CheckTimeNS: 500, SliceNTs: 5, SliceProds: 6, CompactNTs: 2, CompactProds: 3,
 		}},
 	}
@@ -165,15 +168,15 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(tag, summary("page.php"))
-	// Pending summaries are invisible until Flush, mirroring vcache.
-	if _, ok := s.Get("page.php", tag); ok {
+	Put(s, tag, summary("page.php"))
+	// Pending summaries are invisible until Flush.
+	if _, ok := Get(s, "page.php", tag); ok {
 		t.Fatal("pending summary visible before Flush")
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get("page.php", tag)
+	got, ok := Get(s, "page.php", tag)
 	if !ok {
 		t.Fatal("flushed summary not found")
 	}
@@ -191,34 +194,33 @@ func TestStoreOverwriteOnFlush(t *testing.T) {
 	// entry path: the newest analysis must supersede the old one.
 	dir := t.TempDir()
 	s1, _ := Open(dir)
-	s1.Put(tag, summary("page.php"))
+	Put(s1, tag, summary("page.php"))
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2, _ := Open(dir)
 	updated := summary("page.php")
 	updated.Hotspots[0].Reports[0].Witness = "z'z"
-	s2.Put(tag, updated)
+	Put(s2, tag, updated)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Get("page.php", tag)
+	got, ok := Get(s2, "page.php", tag)
 	if !ok || got.Hotspots[0].Reports[0].Witness != "z'z" {
 		t.Fatalf("newest summary did not win: %+v", got)
 	}
 }
 
 // TestInvalidSummariesMiss: every flavor of bad summary is a miss that
-// degrades to a cold recompute, never a wrong reuse — the vcache corruption
-// suite, mirrored.
+// degrades to a cold recompute, never a wrong reuse.
 func TestInvalidSummariesMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	s.Put(tag, summary("page.php"))
+	Put(s, tag, summary("page.php"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	path := s.path("page.php")
+	path := recordFile(t, dir)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +269,7 @@ func TestInvalidSummariesMiss(t *testing.T) {
 			tc.corrupt(t)
 			defer restore()
 			before := s.CacheStats().Errors
-			if _, ok := s.Get("page.php", tag); ok {
+			if _, ok := Get(s, "page.php", tag); ok {
 				t.Fatalf("%s summary accepted", tc.name)
 			}
 			if s.CacheStats().Errors != before+1 {
@@ -277,11 +279,11 @@ func TestInvalidSummariesMiss(t *testing.T) {
 	}
 
 	// Stale tag (intact file; the analyzer configuration moved on).
-	if _, ok := s.Get("page.php", "incr-test-v2"); ok {
+	if _, ok := Get(s, "page.php", "incr-test-v2"); ok {
 		t.Fatal("stale-tag summary accepted")
 	}
 	// Sanity: the untouched summary still hits under the right tag.
-	if _, ok := s.Get("page.php", tag); !ok {
+	if _, ok := Get(s, "page.php", tag); !ok {
 		t.Fatal("valid summary lost after corruption round-trips")
 	}
 }
@@ -291,28 +293,28 @@ func TestDynamicSummaryNeedsLayout(t *testing.T) {
 	s, _ := Open(dir)
 	ps := summary("menu.php")
 	ps.Dynamic = true // but no Layout recorded: structurally invalid
-	s.Put(tag, ps)
+	Put(s, tag, ps)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("menu.php", tag); ok {
+	if _, ok := Get(s, "menu.php", tag); ok {
 		t.Fatal("dynamic summary without layout hash accepted")
 	}
 }
 
 func TestNilStoreSafe(t *testing.T) {
-	var s *Store
-	if _, ok := s.Get("page.php", tag); ok {
+	var s *vcache.Store
+	if _, ok := Get(s, "page.php", tag); ok {
 		t.Fatal("nil store hit")
 	}
-	s.Put(tag, summary("page.php"))
+	Put(s, tag, summary("page.php"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st != (StoreStats{}) {
+	if st := s.CacheStats(); st != (vcache.Stats{}) {
 		t.Fatalf("nil stats = %+v", st)
 	}
 	if s.Dir() != "" {
@@ -323,7 +325,7 @@ func TestNilStoreSafe(t *testing.T) {
 func TestTempFilesCleanedUp(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	s.Put(tag, summary("page.php"))
+	Put(s, tag, summary("page.php"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -352,4 +354,14 @@ func TestParseHex(t *testing.T) {
 			t.Fatalf("ParseHex(%q) accepted", bad)
 		}
 	}
+}
+
+// recordFile returns the one record file under a store directory.
+func recordFile(t *testing.T, dir string) string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("record files = %v, %v; want one", files, err)
+	}
+	return files[0]
 }

@@ -39,8 +39,9 @@ import (
 // the policy logic that produced them. It MUST be bumped whenever anything
 // that feeds a verdict changes: the cascade structure, a check DFA, the
 // attack-fragment list, the reference SQL grammar, the derivability checker
-// or its caps, or witness selection. A mismatched tag orphans old entries —
-// they are ignored, never migrated.
+// or its caps, or witness selection. An entry under another tag is a miss,
+// never migrated: the run that recomputes its verdict rewrites it under this
+// tag.
 const CacheVersion = "sqlciv-policy-v1"
 
 // Check identifies which stage of the cascade produced a report.
@@ -570,7 +571,7 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 			c.diskHits.Add(1)
 			sp.SetAttr("disk-cache", "hit")
 			sp.Count("verdict.cache.disk.hits", 1)
-			s.hit = resultFromEntry(ent, s)
+			s.hit = FromRecord(&ent.VerdictRecord)
 			return s
 		}
 		c.diskMisses.Add(1)
@@ -622,7 +623,8 @@ func (c *Checker) checkSlice(s *Slice, b *budget.Budget, sp *obs.Span) *Result {
 	if s.hit != nil {
 		out := *s.hit
 		if s.cg != nil {
-			// Disk hit: the slice census was computed locally this run.
+			// Cache hit on the compacted path: the slice census was
+			// computed locally this run.
 			setSliceStats(&out, s)
 		}
 		out.CheckTime = time.Since(s.start)
@@ -672,7 +674,7 @@ func (c *Checker) checkSlice(s *Slice, b *budget.Budget, sp *obs.Span) *Result {
 		c.verdicts.LoadOrStore(s.fp, res)
 	}
 	if c.Disk != nil && s.haveCFP {
-		c.Disk.Put(s.cfp, CacheVersion, entryFromResult(s, res))
+		c.Disk.Put(s.cfp, CacheVersion, &vcache.Entry{VerdictRecord: ToRecord(res)})
 	}
 	return res
 }
@@ -685,28 +687,29 @@ func setSliceStats(res *Result, s *Slice) {
 	res.CompactProds = s.cstats.ProdsOut
 }
 
-// entryFromResult serializes a computed verdict for the persistent cache.
-func entryFromResult(s *Slice, res *Result) *vcache.Entry {
-	e := &vcache.Entry{Verdict: res.Verdict.String(), LabeledNTs: res.LabeledNTs}
+// ToRecord converts a complete verdict to the record both persistent
+// stores embed: the verdict cache's entries and the page summaries.
+func ToRecord(res *Result) vcache.VerdictRecord {
+	v := vcache.VerdictRecord{Verdict: res.Verdict.String(), LabeledNTs: res.LabeledNTs}
 	for _, r := range res.Reports {
-		e.Reports = append(e.Reports, vcache.Report{
-			NTName:  s.scratch.RawName(r.NT),
+		v.Reports = append(v.Reports, vcache.Report{
 			Label:   uint8(r.Label),
 			Check:   int(r.Check),
 			Witness: r.Witness,
 			Source:  r.Source,
 		})
 	}
-	return e
+	return v
 }
 
-// resultFromEntry rebuilds a Result from a persisted verdict. Report.NT is
-// left zero — the nonterminal id was local to the run that filled the cache
-// and no consumer reads it (core keys findings on file/line/label); the
-// human-readable NTName travels in Source.
-func resultFromEntry(e *vcache.Entry, s *Slice) *Result {
-	res := &Result{LabeledNTs: e.LabeledNTs}
-	for _, r := range e.Reports {
+// FromRecord rebuilds a Result from a persisted verdict record; the caller
+// fills the census fields. Report.NT is left zero — the nonterminal id was
+// local to the run that stored the record and no consumer reads it (core
+// keys findings on file/line/label); the human-readable name travels in
+// Source.
+func FromRecord(v *vcache.VerdictRecord) *Result {
+	res := &Result{LabeledNTs: v.LabeledNTs}
+	for _, r := range v.Reports {
 		res.Reports = append(res.Reports, Report{
 			Label:   grammar.Label(r.Label),
 			Check:   Check(r.Check),
@@ -720,7 +723,6 @@ func resultFromEntry(e *vcache.Entry, s *Slice) *Result {
 	} else {
 		res.Verdict = VerdictVulnerable
 	}
-	setSliceStats(res, s)
 	return res
 }
 

@@ -1,33 +1,48 @@
-// Package vcache is a persistent, content-addressed verdict cache. The
-// policy layer stores one entry per checked hotspot, keyed by the canonical
-// fingerprint of the hotspot's *compacted* query-grammar slice plus a policy
-// version tag, so repeat analyses of unchanged pages — and different pages
-// whose query grammars compact to the same canonical form — short-circuit
-// the entire check cascade across process runs.
+// Package vcache is the one on-disk record store behind the analysis
+// memos. It holds two kinds of record, each kind in its own Store:
 //
-// The design is crash- and corruption-tolerant rather than transactional:
+//   - Hotspot verdicts (Entry), keyed by the canonical fingerprint of a
+//     hotspot's *compacted* query-grammar slice and tagged with the policy
+//     version, so repeat analyses of unchanged pages — and different pages
+//     whose query grammars compact to the same canonical form — skip the
+//     check cascade across process runs.
+//   - Incremental page summaries (internal/incr), keyed by the SHA-256 of
+//     the entry path and tagged with the policy version and the analysis
+//     options.
 //
-//   - One file per entry under <dir>/<aa>/<fingerprint>.json (aa = first
-//     fingerprint byte), written via temp file + rename, so readers never
-//     observe a partial entry.
-//   - Get validates the format version, the policy tag, and the embedded
-//     fingerprint before trusting an entry; anything unreadable, truncated,
-//     corrupt, stale, or version-mismatched is reported as a miss (and
-//     counted on Stats().Errors). A bad cache can cost time, never findings.
-//   - Put buffers entries in memory; Flush (or Close) writes them out.
-//     Pending entries are deliberately invisible to Get, so the verdicts a
-//     cold run computes can never depend on which hotspot reached the cache
-//     first — cold results stay schedule-independent and byte-identical to
-//     an uncached run.
+// Both kinds embed one verdict record (VerdictRecord) with one validity
+// check. The store is crash- and corruption-tolerant rather than
+// transactional:
 //
-// Invalidation is purely content-addressed: editing a page changes its query
-// grammars, which changes their fingerprints, which misses the cache; old
-// entries are simply never read again. Changing the checker (new attack
-// patterns, new cascade logic) must bump the policy tag, which orphans every
-// existing entry.
+//   - One file per record under <dir>/<aa>/<hex key>.json (aa = first key
+//     byte), written via temp file + rename, so readers never observe a
+//     partial record.
+//   - Load vets a decoded record with the caller's check before trusting
+//     it; anything unreadable, truncated, corrupt, stale, or
+//     version-mismatched is reported as a miss (and counted on
+//     Stats().Errors). A bad store can cost time, never findings.
+//   - Save buffers records in memory; Flush (or Close) writes them out.
+//     Pending records are deliberately invisible to Load, so the verdicts a
+//     cold run computes can never depend on which hotspot reached the store
+//     first. When two records are saved under one key before a Flush, the
+//     smaller serialization is kept, so what is flushed is
+//     schedule-independent too.
+//   - Flush replaces whatever file holds a key. A record that a read
+//     rejected (a stale tag, corrupt bytes) is therefore rewritten by the
+//     next run that recomputes it.
+//
+// Verdict invalidation is content-addressed: editing a page changes its
+// query grammars, which changes their fingerprints, which misses the store;
+// old entries are simply never read again. Changing the checker (new attack
+// patterns, new cascade logic) must bump the policy tag: every old entry
+// then misses once, and the run that recomputes it writes it back under the
+// new tag. Summaries are keyed by location, so the newest analysis of a
+// page replaces the old one.
 package vcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,57 +58,95 @@ import (
 // different schema are ignored.
 const FormatVersion = 1
 
-// Entry is one cached hotspot verdict. Report fields mirror policy.Report
-// structurally (the policy package converts), keeping this package free of a
-// dependency cycle.
+// Entry is one cached hotspot verdict.
 type Entry struct {
-	Format  int    `json:"format"`
-	Tag     string `json:"tag"`
-	FP      string `json:"fp"`
+	Format int    `json:"format"`
+	Tag    string `json:"tag"`
+	FP     string `json:"fp"`
+	VerdictRecord
+}
+
+// VerdictRecord is one hotspot's persisted verdict, embedded by the verdict
+// cache's Entry and by each hotspot of a page summary. Report fields mirror
+// policy.Report structurally (the policy package converts), keeping this
+// package free of a dependency cycle.
+type VerdictRecord struct {
 	Verdict string `json:"verdict"` // "verified" or "vulnerable"
 	// LabeledNTs is the number of labeled nonterminals the cascade examined.
 	LabeledNTs int      `json:"labeled_nts"`
 	Reports    []Report `json:"reports,omitempty"`
 }
 
-// Report is one cached policy report.
+// Report is one persisted policy report. Entries written before the
+// write-only "nt" key was dropped still decode: the key is ignored.
 type Report struct {
-	NTName  string `json:"nt,omitempty"`
 	Label   uint8  `json:"label"`
 	Check   int    `json:"check"`
 	Witness string `json:"witness"`
 	Source  string `json:"source,omitempty"`
 }
 
-// Stats is a snapshot of a store's traffic counters.
-type Stats struct {
-	Hits    int64 // Get found a valid entry
-	Misses  int64 // Get found nothing usable
-	Errors  int64 // unreadable/invalid entries encountered (subset of Misses)
-	Puts    int64 // entries buffered
-	Written int64 // entries flushed to disk (skips existing files)
+// Valid reports whether v is a verdict a completed cascade can produce:
+// verified with no reports, or vulnerable with reports from the cascade
+// checks (policy.CheckUnconfinableQuotes through CheckNotDerivable, 1-4).
+// An unknown verdict is never stored: a degraded check could succeed on
+// retry, so replaying it would freeze a transient failure into the findings.
+func (v *VerdictRecord) Valid() bool {
+	switch v.Verdict {
+	case "verified":
+		if len(v.Reports) != 0 {
+			return false
+		}
+	case "vulnerable":
+		if len(v.Reports) == 0 {
+			return false
+		}
+	default:
+		return false
+	}
+	if v.LabeledNTs < 0 {
+		return false
+	}
+	for _, r := range v.Reports {
+		if r.Check < 1 || r.Check > 4 {
+			return false
+		}
+	}
+	return true
 }
 
-// Store is a verdict cache rooted at one directory. All methods are safe for
-// concurrent use and safe on a nil receiver (nil = caching disabled: every
-// Get misses, Put and Flush do nothing).
+// Key names one record: its file is <dir>/<aa>/<hex key>.json.
+type Key [sha256.Size]byte
+
+// Stats is a snapshot of a store's traffic counters.
+type Stats struct {
+	Hits    int64 // Load found a valid record
+	Misses  int64 // Load found nothing usable
+	Errors  int64 // unreadable/invalid records encountered (subset of Misses)
+	Puts    int64 // records buffered
+	Written int64 // records flushed to disk
+}
+
+// Store is a record store rooted at one directory. All methods are safe for
+// concurrent use and safe on a nil receiver (nil = persistence disabled:
+// every read misses, Save and Flush do nothing).
 type Store struct {
 	dir string
 
 	mu      sync.Mutex
-	pending map[grammar.Fingerprint][]byte // serialized entries awaiting Flush
+	pending map[Key][]byte // serialized records awaiting Flush
 
 	hits, misses, errs, puts, written atomic.Int64
 }
 
-// DefaultDir returns the default cache directory,
-// <os.UserCacheDir()>/sqlciv/vcache.
-func DefaultDir() (string, error) {
+// DefaultDir returns the default directory of the store called name,
+// <os.UserCacheDir()>/sqlciv/<name>.
+func DefaultDir(name string) (string, error) {
 	base, err := os.UserCacheDir()
 	if err != nil {
 		return "", fmt.Errorf("vcache: no user cache dir: %w", err)
 	}
-	return filepath.Join(base, "sqlciv", "vcache"), nil
+	return filepath.Join(base, "sqlciv", name), nil
 }
 
 // Open returns a Store rooted at dir, creating the directory if needed.
@@ -101,7 +154,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vcache: %w", err)
 	}
-	return &Store{dir: dir, pending: map[grammar.Fingerprint][]byte{}}, nil
+	return &Store{dir: dir, pending: map[Key][]byte{}}, nil
 }
 
 // Dir returns the store's root directory ("" on a nil store).
@@ -112,82 +165,48 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// path returns the entry file for fp.
-func (s *Store) path(fp grammar.Fingerprint) string {
-	hx := fp.Hex()
+// path returns the record file for k.
+func (s *Store) path(k Key) string {
+	hx := hex.EncodeToString(k[:])
 	return filepath.Join(s.dir, hx[:2], hx+".json")
 }
 
-// Get returns the valid on-disk entry for (fp, tag), if any. Entries
-// buffered by Put but not yet flushed are not visible. Any invalid entry —
-// wrong schema version, wrong tag (stale policy), wrong embedded fingerprint
-// (renamed or corrupted file), malformed JSON, out-of-range fields — counts
-// as a miss.
-func (s *Store) Get(fp grammar.Fingerprint, tag string) (*Entry, bool) {
+// Load decodes the on-disk record under k into rec (a pointer) and reports
+// whether it is usable: the file exists, decodes, and valid — which
+// inspects rec — accepts it. Records buffered by Save but not yet flushed
+// are not visible. Anything else counts as a miss, and everything but a
+// missing file as an error too.
+func (s *Store) Load(k Key, rec any, valid func() bool) bool {
 	if s == nil {
-		return nil, false
+		return false
 	}
-	data, err := os.ReadFile(s.path(fp))
+	data, err := os.ReadFile(s.path(k))
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			s.errs.Add(1)
 		}
 		s.misses.Add(1)
-		return nil, false
+		return false
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || !s.valid(&e, fp, tag) {
+	if err := json.Unmarshal(data, rec); err != nil || !valid() {
 		s.errs.Add(1)
 		s.misses.Add(1)
-		return nil, false
+		return false
 	}
 	s.hits.Add(1)
-	return &e, true
-}
-
-// valid vets a decoded entry against its expected identity and value ranges.
-func (s *Store) valid(e *Entry, fp grammar.Fingerprint, tag string) bool {
-	if e.Format != FormatVersion || e.Tag != tag || e.FP != fp.Hex() {
-		return false
-	}
-	switch e.Verdict {
-	case "verified":
-		if len(e.Reports) != 0 {
-			return false
-		}
-	case "vulnerable":
-		if len(e.Reports) == 0 {
-			return false
-		}
-	default:
-		return false
-	}
-	if e.LabeledNTs < 0 {
-		return false
-	}
-	for _, r := range e.Reports {
-		// Cacheable reports come from cascade checks 1-4 (analysis-incomplete
-		// results are never stored).
-		if r.Check < 1 || r.Check > 4 {
-			return false
-		}
-	}
 	return true
 }
 
-// Put buffers an entry for fp. The entry's identity fields (Format, Tag, FP)
-// are filled in here. When two goroutines put different entries under one
-// fingerprint in the same run (two structurally distinct hotspots whose
-// slices compact to the same canonical form), the lexicographically smaller
-// serialization wins, so the flushed cache content is schedule-independent.
-func (s *Store) Put(fp grammar.Fingerprint, tag string, e *Entry) {
-	if s == nil || e == nil {
+// Save buffers rec under k until the next Flush. When two records are saved
+// under one key before that Flush (two structurally distinct hotspots whose
+// slices compact to the same canonical form, or one page analyzed twice),
+// the lexicographically smaller serialization is kept, independent of
+// arrival order.
+func (s *Store) Save(k Key, rec any) {
+	if s == nil {
 		return
 	}
-	e.Format = FormatVersion
-	e.Tag = tag
-	e.FP = fp.Hex()
-	data, err := json.Marshal(e)
+	data, err := json.Marshal(rec)
 	if err != nil {
 		s.errs.Add(1)
 		return
@@ -195,37 +214,59 @@ func (s *Store) Put(fp grammar.Fingerprint, tag string, e *Entry) {
 	s.puts.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.pending[fp]; ok && string(prev) <= string(data) {
+	if prev, ok := s.pending[k]; ok && string(prev) <= string(data) {
 		return
 	}
-	s.pending[fp] = data
+	s.pending[k] = data
 }
 
-// Flush writes every pending entry to disk via temp file + rename. Files
-// that already exist are left untouched (first writer wins across runs).
-// The pending buffer is cleared even on error; the first error is returned.
+// Get returns the valid on-disk verdict entry for (fp, tag), if any. Any
+// invalid entry — wrong schema version, wrong tag (stale policy), wrong
+// embedded fingerprint (renamed or corrupted file), malformed JSON,
+// out-of-range fields — counts as a miss.
+func (s *Store) Get(fp grammar.Fingerprint, tag string) (*Entry, bool) {
+	e := new(Entry)
+	ok := s.Load(Key(fp), e, func() bool {
+		return e.Format == FormatVersion && e.Tag == tag && e.FP == fp.Hex() && e.Valid()
+	})
+	if !ok {
+		return nil, false
+	}
+	return e, true
+}
+
+// Put buffers a verdict entry for fp. The entry's identity fields (Format,
+// Tag, FP) are filled in here.
+func (s *Store) Put(fp grammar.Fingerprint, tag string, e *Entry) {
+	if s == nil || e == nil {
+		return
+	}
+	e.Format, e.Tag, e.FP = FormatVersion, tag, fp.Hex()
+	s.Save(Key(fp), e)
+}
+
+// Flush writes every pending record to disk via temp file + rename,
+// replacing whatever file held its key. The pending buffer is cleared even
+// on error; the first error is returned.
 func (s *Store) Flush() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	pending := s.pending
-	s.pending = map[grammar.Fingerprint][]byte{}
+	s.pending = map[Key][]byte{}
 	s.mu.Unlock()
 	var first error
-	for fp, data := range pending {
-		if err := s.write(fp, data); err != nil && first == nil {
+	for k, data := range pending {
+		if err := s.write(k, data); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-func (s *Store) write(fp grammar.Fingerprint, data []byte) error {
-	path := s.path(fp)
-	if _, err := os.Stat(path); err == nil {
-		return nil // first writer wins
-	}
+func (s *Store) write(k Key, data []byte) error {
+	path := s.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("vcache: %w", err)
 	}
@@ -247,7 +288,7 @@ func (s *Store) write(fp grammar.Fingerprint, data []byte) error {
 	return nil
 }
 
-// Close flushes pending entries.
+// Close flushes pending records.
 func (s *Store) Close() error { return s.Flush() }
 
 // CacheStats returns a snapshot of the store's counters.

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,11 +22,11 @@ func fpOf(b byte) grammar.Fingerprint {
 }
 
 func vulnerable() *Entry {
-	return &Entry{
+	return &Entry{VerdictRecord: VerdictRecord{
 		Verdict:    "vulnerable",
 		LabeledNTs: 2,
-		Reports:    []Report{{NTName: "_GET[id]", Label: 1, Check: 1, Witness: "a'b", Source: "_GET[id]"}},
-	}
+		Reports:    []Report{{Label: 1, Check: 1, Witness: "a'b", Source: "_GET[id]"}},
+	}}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -80,7 +81,7 @@ func TestInvalidEntriesMiss(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	path := s.path(fp)
+	path := s.path(Key(fp))
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -182,26 +183,71 @@ func TestPutConflictDeterministic(t *testing.T) {
 	}
 }
 
-// TestFirstWriterWinsOnDisk: Flush never overwrites an existing file, so a
-// populated cache is stable across runs.
-func TestFirstWriterWinsOnDisk(t *testing.T) {
-	dir := t.TempDir()
-	fp := fpOf(5)
-	s1, _ := Open(dir)
-	s1.Put(fp, tag, vulnerable())
-	if err := s1.Close(); err != nil {
+// TestStaleAndCorruptEntriesRewritten: Flush replaces whatever file holds
+// a key, so an entry under an old policy tag, or a file of garbage bytes, is
+// rewritten by the next run that recomputes the verdict, and then hits.
+func TestStaleAndCorruptEntriesRewritten(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, s *Store, fp grammar.Fingerprint)
+	}{
+		{"stale-tag", func(t *testing.T, s *Store, fp grammar.Fingerprint) {
+			s.Put(fp, "policy-test-v0", vulnerable())
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"garbage", func(t *testing.T, s *Store, fp grammar.Fingerprint) {
+			path := s.path(Key(fp))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte("\x00\xffnot an entry"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fp := fpOf(5)
+			s1, _ := Open(dir)
+			tc.plant(t, s1, fp)
+			if _, ok := s1.Get(fp, tag); ok {
+				t.Fatal("planted entry hit")
+			}
+			s1.Put(fp, tag, vulnerable())
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, _ := Open(dir)
+			got, ok := s2.Get(fp, tag)
+			if !ok || got.Reports[0].Witness != "a'b" {
+				t.Fatalf("entry not rewritten: %+v", got)
+			}
+		})
+	}
+}
+
+// TestParentFormatEntryHits: entries written before Report lost its
+// write-only "nt" key still hit; decoding ignores the key.
+func TestParentFormatEntryHits(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	fp := fpOf(8)
+	old := `{"format":1,"tag":"` + tag + `","fp":"` + fp.Hex() + `","verdict":"vulnerable","labeled_nts":2,` +
+		`"reports":[{"nt":"_GET[id]","label":1,"check":1,"witness":"a'b","source":"_GET[id]"}]}` + "\n"
+	path := s.path(Key(fp))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := Open(dir)
-	later := vulnerable()
-	later.Reports[0].Witness = "A'A" // lexicographically smaller, still loses
-	s2.Put(fp, tag, later)
-	if err := s2.Close(); err != nil {
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Get(fp, tag)
-	if !ok || got.Reports[0].Witness != "a'b" {
-		t.Fatalf("existing entry overwritten: %+v", got)
+	got, ok := s.Get(fp, tag)
+	if !ok {
+		t.Fatal("parent-format entry missed")
+	}
+	if want := vulnerable().VerdictRecord; !reflect.DeepEqual(got.VerdictRecord, want) {
+		t.Fatalf("parent-format entry decoded as %+v, want %+v", got.VerdictRecord, want)
 	}
 }
 
