@@ -102,9 +102,10 @@ func arenaRoundTrip(t *testing.T, where string, g *grammar.Grammar, roots []gram
 // on a grammar rebuilt from the plain per-nonterminal slice layout must give
 // a result DeepEqual to the check on the analysis-built arena — the policy
 // cascade may depend on the productions, labels and names alone, never on
-// how the slab and the intern pool happen to hold them.
+// how the slab and the intern pool happen to hold them. Each check runs on
+// a fresh checker, so both sides run the cascade instead of one reading the
+// other's memoized verdict.
 func TestArenaPreservesFindingsOnCorpus(t *testing.T) {
-	checker := policy.New()
 	hotspots := 0
 	for _, app := range corpus.Apps() {
 		resolver := analysis.NewMapResolver(app.Sources)
@@ -123,8 +124,8 @@ func TestArenaPreservesFindingsOnCorpus(t *testing.T) {
 			rebuilt := arenaRoundTrip(t, app.Name+" "+entry, ar.G, roots)
 			for _, h := range ar.Hotspots {
 				hotspots++
-				want := checker.CheckHotspot(ar.G, h.Root)
-				got := checker.CheckHotspot(rebuilt, h.Root)
+				want := policy.New().CheckHotspot(ar.G, h.Root)
+				got := policy.New().CheckHotspot(rebuilt, h.Root)
 				want.CheckTime, got.CheckTime = 0, 0
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s %s:%d: result diverged across the slice-layout rebuild\nrebuilt: %+v\narena:   %+v",

@@ -528,10 +528,10 @@ func BenchmarkScaling_CheckVsGrammarSize(b *testing.B) {
 			rhs = append(rhs, x, grammar.T('\''))
 			g.Add(q, rhs...)
 			g.SetStart(q)
-			checker := policy.New()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := checker.CheckHotspot(g, q)
+				// A fresh checker per call runs the cascade, not the memo.
+				res := policy.New().CheckHotspot(g, q)
 				if !res.Verified {
 					b.Fatal("literal values should verify")
 				}
@@ -680,10 +680,11 @@ func BenchmarkAblation_CascadeImplementation(b *testing.B) {
 			name = "marker-reference"
 		}
 		b.Run(name, func(b *testing.B) {
-			checker := policy.New()
-			checker.UseMarkerConstruction = marker
 			for i := 0; i < b.N; i++ {
 				for _, h := range ar.Hotspots {
+					// A fresh checker per call runs the cascade, not the memo.
+					checker := policy.New()
+					checker.UseMarkerConstruction = marker
 					res := checker.CheckHotspot(ar.G, h.Root)
 					if !res.Verified {
 						b.Fatal("forum page should verify")

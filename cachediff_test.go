@@ -20,11 +20,9 @@ import (
 // paper's marker construction, which runs every check over the uncompacted
 // slice. Compaction is language- and label-preserving, and
 // witnesses/derivability always run on the original slice, so any
-// divergence is a compaction (or fast-path) bug.
+// divergence is a compaction (or fast-path) bug. Each check runs on a fresh
+// checker, so neither side answers from a memoized verdict.
 func TestCompactionPreservesVerdictsOnCorpus(t *testing.T) {
-	on := policy.New()
-	off := policy.New()
-	off.UseMarkerConstruction = true
 	hotspots := 0
 	for _, app := range corpus.Apps() {
 		resolver := analysis.NewMapResolver(app.Sources)
@@ -35,8 +33,10 @@ func TestCompactionPreservesVerdictsOnCorpus(t *testing.T) {
 			}
 			for _, h := range ar.Hotspots {
 				hotspots++
-				got := on.CheckHotspot(ar.G, h.Root)
-				want := off.CheckHotspot(ar.G, h.Root)
+				got := policy.New().CheckHotspot(ar.G, h.Root)
+				ref := policy.New()
+				ref.UseMarkerConstruction = true
+				want := ref.CheckHotspot(ar.G, h.Root)
 				if got.Verdict != want.Verdict {
 					t.Errorf("%s %s:%d: verdict %v with compaction, %v on the marker reference",
 						app.Name, h.File, h.Line, got.Verdict, want.Verdict)

@@ -55,7 +55,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -191,7 +190,7 @@ func run() int {
 	}
 	pages := []string(entries)
 	if len(pages) == 0 {
-		pages = guessEntries(sources)
+		pages = core.GuessEntries(sources)
 	}
 	res, err := core.AnalyzeAppCtx(context.Background(), analysis.NewMapResolver(sources), pages, opts)
 	if err != nil {
@@ -295,7 +294,7 @@ func runWatch(dir string, entries []string, opts core.Options, interval time.Dur
 			first, last = false, digest
 			pages := entries
 			if len(pages) == 0 {
-				pages = guessEntries(sources)
+				pages = core.GuessEntries(sources)
 			}
 			res, err := core.AnalyzeAppCtx(ctx, analysis.NewMapResolver(sources), pages, opts)
 			if err != nil {
@@ -355,23 +354,6 @@ func loadDir(dir string) (map[string]string, error) {
 		return nil, fmt.Errorf("no .php files under %s", dir)
 	}
 	return sources, nil
-}
-
-func guessEntries(sources map[string]string) []string {
-	var out []string
-	for path := range sources {
-		base := filepath.Base(path)
-		dir := filepath.Dir(path)
-		if strings.HasPrefix(base, "common") || strings.HasPrefix(base, "class") ||
-			strings.HasPrefix(base, "lib") || strings.HasPrefix(base, "config") ||
-			strings.HasPrefix(base, "session") || strings.HasPrefix(base, "encode") ||
-			strings.Contains(dir, "includes") || strings.Contains(dir, "languages") {
-			continue
-		}
-		out = append(out, path)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func runTable1(opts core.Options, stats bool) {

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sqlciv/internal/automata"
@@ -87,57 +88,95 @@ type Resolver interface {
 	Files() []string
 }
 
-// MapResolver is a Resolver over an in-memory map of sources. It is safe
-// for concurrent use (pages can be analyzed in parallel), and it parses
-// each file at most once per application: a file included from many pages
-// is served from the parse cache after its first load.
-type MapResolver struct {
-	Sources map[string]string
-	mu      sync.Mutex
-	parsed  map[string]*php.File
-	hits    int64
-	misses  int64
+// ParseCache holds parse trees keyed by path, each valid for the content it
+// parsed: a load of changed content parses again and replaces the entry, so
+// the cache stays bounded by the project's size and one cache can serve
+// every run over an evolving project (a core.Session keeps one). Parse
+// failures are cached too, since the same content fails the same way. Safe
+// for concurrent use.
+type ParseCache struct {
+	mu    sync.Mutex
+	files map[string]parsed
 }
 
-// NewMapResolver returns a resolver over the given path→source map.
-func NewMapResolver(sources map[string]string) *MapResolver {
-	return &MapResolver{Sources: sources, parsed: map[string]*php.File{}}
+// parsed is one cached parse: the content it parsed and its tree, nil when
+// the parse failed.
+type parsed struct {
+	src  string
+	file *php.File
 }
+
+// NewParseCache returns an empty cache.
+func NewParseCache() *ParseCache { return &ParseCache{files: map[string]parsed{}} }
+
+// Resolver returns a resolver over sources that parses through c, with its
+// load counters at zero.
+func (c *ParseCache) Resolver(sources map[string]string) *MapResolver {
+	return &MapResolver{Sources: sources, cache: c}
+}
+
+// load returns the parse of src at path, and whether the cache served it.
+// Parsing runs outside the lock, so pages loading distinct files in parallel
+// never wait on each other; two loads racing on one uncached file both
+// parse it, and the later of the two equivalent trees stays.
+func (c *ParseCache) load(path, src string) (f *php.File, hit bool) {
+	c.mu.Lock()
+	p, ok := c.files[path]
+	c.mu.Unlock()
+	if ok && p.src == src {
+		return p.file, true
+	}
+	f, err := php.Parse(path, src)
+	if err != nil {
+		f = nil
+	}
+	c.mu.Lock()
+	c.files[path] = parsed{src: src, file: f}
+	c.mu.Unlock()
+	return f, false
+}
+
+// MapResolver is a Resolver over an in-memory map of sources that parses
+// through a ParseCache, so a file included from many pages is parsed once.
+// It is safe for concurrent use (pages can be analyzed in parallel), and it
+// counts its own loads: resolvers sharing one cache each report only their
+// own traffic.
+type MapResolver struct {
+	Sources      map[string]string
+	cache        *ParseCache
+	hits, misses atomic.Int64
+}
+
+// NewMapResolver returns a resolver over the given path→source map with a
+// fresh parse cache.
+func NewMapResolver(sources map[string]string) *MapResolver {
+	return NewParseCache().Resolver(sources)
+}
+
+// Cache returns the parse cache m loads through.
+func (m *MapResolver) Cache() *ParseCache { return m.cache }
 
 // Load implements Resolver.
 func (m *MapResolver) Load(path string) (*php.File, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f, ok := m.parsed[path]; ok {
-		m.hits++
-		return f, true
-	}
 	src, ok := m.Sources[path]
 	if !ok {
 		return nil, false
 	}
-	f, err := php.Parse(path, src)
-	if err != nil {
-		return nil, false
+	f, hit := m.cache.load(path, src)
+	if hit {
+		m.hits.Add(1)
+	} else {
+		m.misses.Add(1)
 	}
-	m.misses++
-	m.parsed[path] = f
-	return f, true
+	return f, f != nil
 }
 
-// ParseCacheStats returns how many Load calls were served from the parse
-// cache (hits) and how many had to parse (misses). Failed loads count as
-// neither.
+// ParseCacheStats returns how many of m's loads the parse cache served
+// (hits) and how many parsed (misses), failed parses included. A path with
+// no source counts as neither.
 func (m *MapResolver) ParseCacheStats() (hits, misses int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
+	return m.hits.Load(), m.misses.Load()
 }
-
-// SourceMap exposes the raw path→source map. The incremental layer hashes
-// it to decide which prior page analyses are still byte-for-byte valid;
-// resolvers that cannot expose their sources simply run cold.
-func (m *MapResolver) SourceMap() map[string]string { return m.Sources }
 
 // Files implements Resolver.
 func (m *MapResolver) Files() []string {

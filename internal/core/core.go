@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -69,23 +70,21 @@ type Options struct {
 	// memos, a cross-run parse cache, optionally a persistent summary
 	// store) across runs: pages whose include closure is byte-identical to
 	// a prior run replay their findings without re-parsing, re-lowering, or
-	// re-checking; only dirtied pages recompute. Requires a resolver that
-	// exposes its sources for hashing (analysis.MapResolver does); other
-	// resolvers silently run cold. Safe to share across concurrent runs.
-	// It is the one switch for incremental re-analysis: nil runs cold.
+	// re-checking; only dirtied pages recompute. Requires an
+	// analysis.MapResolver, whose sources are hashed; other resolvers
+	// silently run cold. Safe to share across concurrent runs. It is the one
+	// switch for incremental re-analysis: nil runs cold.
 	Session *Session
 	// Checker, when set, is the policy checker the run executes on instead
 	// of a fresh one — the long-lived-daemon path: a resident checker keeps
 	// its in-memory fingerprint-keyed verdict memo warm across requests, so
 	// repeat submissions of unchanged apps answer from memo hits without
-	// touching disk. The caller owns its configuration (Memoize, Disk,
+	// touching disk. The caller owns its configuration (Disk,
 	// UseMarkerConstruction — VerdictCache is ignored when Checker is set)
 	// and may share one checker across concurrent runs; verdicts are
 	// content-addressed, so sharing can only add cache hits, never change
-	// findings. The cache counters on AppResult are per-run deltas either
-	// way, though under concurrent runs on one shared checker a delta
-	// attributes overlapping traffic to whichever run reads it —
-	// observability data, not results.
+	// findings. The cache counters on AppResult count this run's own
+	// hotspot checks, whoever else shares the checker.
 	Checker *policy.Checker
 }
 
@@ -102,6 +101,26 @@ func AutoParallel(n int) int {
 		return 1
 	}
 	return n
+}
+
+// GuessEntries picks an application's top-level pages when the caller names
+// none, by the sqlcheck CLI convention: every source that is not obviously
+// an include or library file, in sorted order.
+func GuessEntries(sources map[string]string) []string {
+	var out []string
+	for path := range sources {
+		base := filepath.Base(path)
+		dir := filepath.Dir(path)
+		if strings.HasPrefix(base, "common") || strings.HasPrefix(base, "class") ||
+			strings.HasPrefix(base, "lib") || strings.HasPrefix(base, "config") ||
+			strings.HasPrefix(base, "session") || strings.HasPrefix(base, "encode") ||
+			strings.Contains(dir, "includes") || strings.Contains(dir, "languages") {
+			continue
+		}
+		out = append(out, path)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Finding is one deduplicated SQLCIV report.
@@ -209,8 +228,9 @@ type AppResult struct {
 	CheckTime          time.Duration
 	StringAnalysisWall time.Duration
 	CheckWall          time.Duration
-	// Verdict-cache and parse-cache traffic for this run. Hit counts depend
-	// on scheduling under parallelism (which of two identical hotspots
+	// Verdict-cache and parse-cache traffic for this run: the probes of the
+	// hotspots it checked and the loads of its pages. Hit counts depend on
+	// scheduling under parallelism (which of two identical hotspots
 	// computes and which hits), so they are observability data, not part of
 	// the analysis result proper.
 	VerdictCacheHits   int64
@@ -361,15 +381,21 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 	// Incremental mode: hash the project, then serve every page whose
 	// recorded dependency closure is byte-identical from the session memo
 	// (or the persistent summary store) instead of re-analyzing it. inc is
-	// nil on cold runs and when the resolver cannot expose sources.
-	inc := opts.Session.begin(resolver, entries, opts.Analysis)
-
-	type parseCacheStats interface{ ParseCacheStats() (int64, int64) }
-	var parseHits0, parseMisses0 int64
-	if inc == nil {
-		if pc, ok := resolver.(parseCacheStats); ok {
-			parseHits0, parseMisses0 = pc.ParseCacheStats()
-		}
+	// nil on cold runs and when the resolver is not a MapResolver.
+	mr, _ := resolver.(*analysis.MapResolver)
+	inc := opts.Session.begin(mr, entries, opts.Analysis)
+	// Pages load through a MapResolver of the run's own, over the session's
+	// parse cache or the caller's, so the parse counters it reports are this
+	// run's loads alone.
+	var loads *analysis.MapResolver
+	switch {
+	case inc != nil:
+		loads = inc.resolver
+	case mr != nil:
+		loads = mr.Cache().Resolver(mr.Sources)
+	}
+	if loads != nil {
+		resolver = loads
 	}
 	arena0 := grammar.ArenaStatsSnapshot()
 
@@ -417,9 +443,8 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 			// memory limits, but not by HotspotTimeout (a phase 2 knob).
 			pb := budget.New(ctx, budget.Limits{
 				MaxSteps: opts.Budget.MaxSteps, MaxMemBytes: opts.Budget.MaxMemBytes})
-			// Dirty pages load through the session's caching resolver behind
-			// a per-page dependency recorder, so their unchanged includes
-			// skip re-parsing and their closure is captured for next run.
+			// Dirty pages load behind a per-page dependency recorder, so
+			// their closure is captured for the next run.
 			var pageResolver analysis.Resolver = resolver
 			if inc != nil {
 				pageResolver = inc.recorder(i)
@@ -466,11 +491,8 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 	checker := opts.Checker
 	if checker == nil {
 		checker = policy.New()
-		checker.Memoize = true
 		checker.Disk = opts.VerdictCache
 	}
-	verdictHits0, verdictMisses0 := checker.VerdictCacheStats()
-	diskHits0, diskMisses0 := checker.DiskCacheStats()
 	type job struct{ page, slot int }
 	var jobs []job
 	for i := range pages {
@@ -492,10 +514,9 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 		hsp.SetLane(lane)
 		hb := budget.New(ctx, unitLimits)
 		pr := func() (pr *policy.Result) {
-			// CheckSlice recovers its own interior; this outer recovery
-			// isolates the hook, slice preparation (extraction, compaction,
-			// cache probes), and any future pre-check code, so one poisoned
-			// hotspot degrades alone instead of killing a worker.
+			// CheckHotspotT recovers its own interior; this outer recovery
+			// isolates the hook, so one poisoned hotspot degrades alone
+			// instead of killing a worker.
 			defer func() {
 				if r := recover(); r != nil {
 					pr = policy.DegradedResult(r, hb)
@@ -504,8 +525,7 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 			if opts.BeforeHotspotCheck != nil {
 				opts.BeforeHotspotCheck(h)
 			}
-			slice := checker.PrepareSlice(page.Analysis.G, h.Root, hb, hsp)
-			return checker.CheckSlice(slice, hb, hsp)
+			return checker.CheckHotspotT(page.Analysis.G, h.Root, hb, hsp)
 		}()
 		hsp.SetAttr("verdict", pr.Verdict.String())
 		if pr.Verdict == policy.VerdictUnknown {
@@ -538,19 +558,13 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 	}
 	p2.End()
 	res.CheckWall = time.Since(wall2)
-	vh, vm := checker.VerdictCacheStats()
-	res.VerdictCacheHits, res.VerdictCacheMisses = vh-verdictHits0, vm-verdictMisses0
-	dh, dm := checker.DiskCacheStats()
-	res.DiskCacheHits, res.DiskCacheMisses = dh-diskHits0, dm-diskMisses0
-	if inc != nil {
-		// Incremental loads went through the session parse cache, not the
-		// caller's resolver; report that cache's per-run delta under the
-		// same counters.
-		h, m := inc.resolver.ParseCacheStats()
-		res.ParseCacheHits, res.ParseCacheMisses = h-inc.parseHits0, m-inc.parseMiss0
-	} else if pc, ok := resolver.(parseCacheStats); ok {
-		h, m := pc.ParseCacheStats()
-		res.ParseCacheHits, res.ParseCacheMisses = h-parseHits0, m-parseMisses0
+	for _, jb := range jobs {
+		pr := pages[jb.page].Hotspots[jb.slot].Policy
+		count(pr.Memo, &res.VerdictCacheHits, &res.VerdictCacheMisses)
+		count(pr.Disk, &res.DiskCacheHits, &res.DiskCacheMisses)
+	}
+	if loads != nil {
+		res.ParseCacheHits, res.ParseCacheMisses = loads.ParseCacheStats()
 	}
 	arena1 := grammar.ArenaStatsSnapshot()
 	res.InternHits = arena1.InternHits - arena0.InternHits
@@ -645,6 +659,16 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 	}
 	tr.AddFindings(len(res.Findings))
 	return res, nil
+}
+
+// count adds one verdict-cache probe to a run's hit or miss counter.
+func count(p policy.Probe, hits, misses *int64) {
+	switch p {
+	case policy.ProbeHit:
+		*hits++
+	case policy.ProbeMiss:
+		*misses++
+	}
 }
 
 // firstLine trims s to its first line, keeping multi-line budget details

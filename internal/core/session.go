@@ -40,7 +40,7 @@ type SessionConfig struct {
 // efficiency, never correctness.
 type Session struct {
 	cfg   SessionConfig
-	parse *incr.ParseCache
+	parse *analysis.ParseCache
 
 	mu    sync.Mutex
 	pages map[string]*pageMemo
@@ -58,7 +58,7 @@ type pageMemo struct {
 
 // NewSession returns an empty incremental session.
 func NewSession(cfg SessionConfig) *Session {
-	return &Session{cfg: cfg, parse: incr.NewParseCache(), pages: map[string]*pageMemo{}}
+	return &Session{cfg: cfg, parse: analysis.NewParseCache(), pages: map[string]*pageMemo{}}
 }
 
 // Flush writes buffered page summaries (and nothing else) to the configured
@@ -100,47 +100,39 @@ func optionsTag(a analysis.Options) string {
 }
 
 // incRun is the incremental bookkeeping for one AnalyzeAppCtx call: the
-// run's content snapshot, the caching resolver phase 1 loads through, and
-// which entries replayed instead of recomputing.
+// run's content snapshot, the resolver phase 1 loads through (the run's own,
+// over the session's parse cache), and which entries replayed instead of
+// recomputing.
 type incRun struct {
 	ses      *Session
 	tag      string
 	snap     *incr.Snapshot
-	resolver *incr.Resolver
+	resolver *analysis.MapResolver
 	entries  []string
 	replayed []bool
 	recs     []*incr.Recorder // per entry; nil for replayed entries
 
-	replaySrc  []string // "memory" or "store", for trace attrs
-	store0     vcache.Stats
-	parseHits0 int64
-	parseMiss0 int64
+	replaySrc []string // "memory" or "store", for trace attrs
+	// summaries counts this run's summary-store lookups by what they found.
+	summaries [3]int64
 }
 
-// begin prepares incremental bookkeeping for one run. It returns nil — run
-// cold — when the resolver does not expose its sources for hashing.
-func (s *Session) begin(resolver analysis.Resolver, entries []string, aopts analysis.Options) *incRun {
-	if s == nil {
+// begin prepares incremental bookkeeping for one run over mr's sources. It
+// returns nil — run cold — without a session or a MapResolver.
+func (s *Session) begin(mr *analysis.MapResolver, entries []string, aopts analysis.Options) *incRun {
+	if s == nil || mr == nil {
 		return nil
 	}
-	sm, ok := resolver.(interface{ SourceMap() map[string]string })
-	if !ok {
-		return nil
-	}
-	snap := incr.NewSnapshot(sm.SourceMap())
-	r := &incRun{
+	return &incRun{
 		ses:       s,
 		tag:       optionsTag(aopts),
-		snap:      snap,
-		resolver:  incr.NewResolver(sm.SourceMap(), snap, s.parse),
+		snap:      incr.NewSnapshot(mr.Sources),
+		resolver:  s.parse.Resolver(mr.Sources),
 		entries:   entries,
 		replayed:  make([]bool, len(entries)),
 		recs:      make([]*incr.Recorder, len(entries)),
 		replaySrc: make([]string, len(entries)),
-		store0:    s.cfg.Summaries.CacheStats(),
 	}
-	r.parseHits0, r.parseMiss0 = s.parse.Stats()
-	return r
 }
 
 // replay attempts to serve entry i from the session memo, then from the
@@ -155,8 +147,12 @@ func (r *incRun) replay(i int, entry string) (PageResult, bool) {
 		r.replayed[i], r.replaySrc[i] = true, "memory"
 		return m.replay(), true
 	}
-	ps, ok := incr.Get(s.cfg.Summaries, entry, r.tag)
-	if !ok || !r.snap.Validate(ps.Deps, ps.Dynamic, ps.Layout) {
+	if s.cfg.Summaries == nil {
+		return PageResult{}, false
+	}
+	ps, look := incr.Get(s.cfg.Summaries, entry, r.tag)
+	r.summaries[look]++
+	if look != vcache.Found || !r.snap.Validate(ps.Deps, ps.Dynamic, ps.Layout) {
 		return PageResult{}, false
 	}
 	page := pageFromSummary(ps)
@@ -171,7 +167,7 @@ func (r *incRun) replay(i int, entry string) (PageResult, bool) {
 // recorder returns the dependency-recording resolver for entry i's phase-1
 // run. Each page gets its own recorder (page analysis is single-threaded).
 func (r *incRun) recorder(i int) *incr.Recorder {
-	rec := incr.NewRecorder(r.resolver)
+	rec := incr.NewRecorder(r.resolver, r.snap)
 	r.recs[i] = rec
 	return rec
 }
@@ -213,13 +209,10 @@ func (r *incRun) commit(pages []PageResult, res *AppResult) {
 			incr.Put(store, r.tag, ps)
 		}
 	}
-	h, mi := r.ses.parse.Stats()
-	st.FilesReused = h - r.parseHits0
-	st.FilesParsed = mi - r.parseMiss0
-	s1 := r.ses.cfg.Summaries.CacheStats()
-	st.SummaryHits = s1.Hits - r.store0.Hits
-	st.SummaryMisses = s1.Misses - r.store0.Misses
-	st.SummaryErrors = s1.Errors - r.store0.Errors
+	st.FilesReused, st.FilesParsed = res.ParseCacheHits, res.ParseCacheMisses
+	st.SummaryHits = r.summaries[vcache.Found]
+	st.SummaryMisses = r.summaries[vcache.Absent] + r.summaries[vcache.Rejected]
+	st.SummaryErrors = r.summaries[vcache.Rejected]
 	res.Incr = st
 }
 
@@ -271,13 +264,7 @@ func summaryFromPage(page *PageResult) *incr.PageSummary {
 			Line:          hr.Line,
 			Call:          hr.Call,
 			VerdictRecord: policy.ToRecord(hr.Policy),
-			CheckTimeNS:   int64(hr.Policy.CheckTime),
-			SliceNTs:      hr.Policy.SliceNTs,
-			SliceProds:    hr.Policy.SliceProds,
-			CompactNTs:    hr.Policy.CompactNTs,
-			CompactProds:  hr.Policy.CompactProds,
-			BudgetSteps:   hr.Policy.BudgetSteps,
-			BudgetMemHigh: hr.Policy.BudgetMemHigh,
+			Census:        hr.Policy.Census,
 		})
 	}
 	return ps
@@ -298,10 +285,7 @@ func pageFromSummary(ps *incr.PageSummary) PageResult {
 	hs := make([]HotspotResult, 0, len(ps.Hotspots))
 	for _, h := range ps.Hotspots {
 		pr := policy.FromRecord(&h.VerdictRecord)
-		pr.CheckTime = time.Duration(h.CheckTimeNS)
-		pr.SliceNTs, pr.SliceProds = h.SliceNTs, h.SliceProds
-		pr.CompactNTs, pr.CompactProds = h.CompactNTs, h.CompactProds
-		pr.BudgetSteps, pr.BudgetMemHigh = h.BudgetSteps, h.BudgetMemHigh
+		pr.Census = h.Census
 		hot := analysis.Hotspot{File: h.File, Line: h.Line, Call: h.Call}
 		ar.Hotspots = append(ar.Hotspots, hot)
 		hs = append(hs, HotspotResult{Hotspot: hot, Policy: pr})

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,6 +18,7 @@ import (
 	"sqlciv/internal/analysis"
 	"sqlciv/internal/corpus"
 	"sqlciv/internal/incr"
+	"sqlciv/internal/vcache"
 )
 
 // divergentEdit applies one seeded edit to an EVE source tree: a comment
@@ -112,5 +118,67 @@ func TestSessionConcurrentDivergentHistories(t *testing.T) {
 	wg.Wait()
 	if replayed.Load() == 0 {
 		t.Fatal("no run replayed a page: the histories never exercised the session")
+	}
+}
+
+// summaryFixture is a page with two hotspots, one in an included file: one
+// verified, one reported.
+var summaryFixture = map[string]string{
+	"page.php": "<?php\ninclude('lib.php');\n$id = $_GET['id'];\nmysql_query(\"SELECT * FROM t WHERE name='$id'\");\n",
+	"lib.php":  "<?php\n$q = addslashes($_GET['q']);\nmysql_query(\"SELECT * FROM t WHERE q='$q'\");\n",
+}
+
+// parentSummary is the summary of summaryFixture's page.php as the release
+// before policy.Census wrote it, under a step and memory budget so the
+// optional census keys are present.
+const parentSummary = `{"format":1,"tag":"sqlciv-policy-v1|incr-v3|guard=false|depth=0|slice=false|mq=false","entry":"page.php","deps":[{"path":"lib.php","hash":"f7a6ae59476485efa5faf24c1561f9401c889cecdc9325d7294a895e5401e487"},{"path":"page.php","hash":"8bb84d55cc39672944a4b88a65dbb22659cff7b4a2e85c8080f718a73a055ac5"}],"layout":"056ce59e3ffe4419d367e444573ef8ed044f4e8f5f5a2f3508c718b9d1d6925f","analysis_time_ns":984866,"num_nts":273,"num_prods":797,"hotspots":[{"file":"lib.php","line":3,"call":"mysql_query","verdict":"verified","labeled_nts":3,"check_time_ns":3448261,"slice_nts":262,"slice_prods":518,"compact_nts":5,"compact_prods":261,"budget_steps":8328},{"file":"page.php","line":4,"call":"mysql_query","verdict":"vulnerable","labeled_nts":1,"reports":[{"label":1,"check":1,"witness":"'","source":"_GET[id]"}],"check_time_ns":3108549,"slice_nts":3,"slice_prods":259,"compact_nts":3,"compact_prods":259,"budget_steps":8641,"budget_mem_high":265856}]}`
+
+// TestParentSummaryReplays: a summary the earlier schema wrote decodes,
+// encodes back to the same bytes, and replays: a fresh session over the
+// same sources serves the page from the store with a cold run's findings
+// and the census the summary recorded.
+func TestParentSummaryReplays(t *testing.T) {
+	dir := t.TempDir()
+	k := sha256.Sum256([]byte("page.php"))
+	hx := hex.EncodeToString(k[:])
+	path := filepath.Join(dir, hx[:2], hx+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(parentSummary+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := incr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, look := incr.Get(store, "page.php", optionsTag(analysis.Options{}))
+	if look != vcache.Found {
+		t.Fatalf("parent summary not found: %v", look)
+	}
+	if b, err := json.Marshal(ps); err != nil || string(b) != parentSummary {
+		t.Fatalf("parent summary re-encodes differently (%v):\n%s\nwant\n%s", err, b, parentSummary)
+	}
+
+	entries := []string{"page.php"}
+	cold, err := AnalyzeApp(analysis.NewMapResolver(summaryFixture), entries, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses := NewSession(SessionConfig{Summaries: store})
+	res, err := AnalyzeApp(analysis.NewMapResolver(summaryFixture), entries, Options{Session: ses})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := res.Incr; in.SummaryHits != 1 || in.PagesReplayed != 1 || in.FilesParsed != 0 {
+		t.Fatalf("parent summary did not replay: %+v", in)
+	}
+	if len(cold.Findings) != 1 || !reflect.DeepEqual(res.Findings, cold.Findings) {
+		t.Fatalf("replayed findings %+v, cold %+v", res.Findings, cold.Findings)
+	}
+	if res.CheckTime != 3448261+3108549 || res.BudgetSteps != 8328+8641 || res.BudgetMemHigh != 265856 ||
+		res.SliceNTs != 265 || res.SliceProds != 777 || res.CompactNTs != 8 || res.CompactProds != 520 ||
+		res.NumNTs != 273 || res.NumProds != 797 {
+		t.Fatalf("replayed census differs from the summary's: %s", res.Stats())
 	}
 }

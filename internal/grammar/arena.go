@@ -149,9 +149,10 @@ type ArenaStats struct {
 	InternRuns, InternSyms int64
 }
 
-// ArenaStatsSnapshot returns the cumulative process-wide arena census.
-// cmd/benchjson records it per benchmark so `make bench-diff` can ratchet
-// allocator regressions alongside B/op and allocs/op.
+// ArenaStatsSnapshot returns the cumulative process-wide arena census. The
+// daemon serves it on /metrics and /debug/server; core and analysis read it
+// before and after a run or a page for their intern counters, which
+// therefore include any concurrent run's traffic.
 func ArenaStatsSnapshot() ArenaStats {
 	s := ArenaStats{
 		InternHits:   internStats.hits.Load(),

@@ -16,9 +16,10 @@
 //     is unchanged) must produce byte-identical analysis results, so its
 //     prior outcome can be replayed without re-parsing, re-lowering, or
 //     re-checking anything.
-//   - A ParseCache keyed by (path, content hash) carries parse trees across
-//     runs, so even the pages that do have to re-lower only re-parse the
-//     files that actually changed.
+//
+// Pages that do recompute still reuse parse trees: a session's runs load
+// through one analysis.ParseCache, which re-parses only the files whose
+// content changed.
 //
 // Page summaries (summary.go) extend the reuse across process restarts.
 // They are records in a vcache.Store, with its corruption discipline:
@@ -31,9 +32,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"sqlciv/internal/analysis"
 	"sqlciv/internal/php"
 )
 
@@ -163,121 +163,27 @@ func (s *Snapshot) Validate(deps []Dep, dynamic bool, layout Hash) bool {
 	return true
 }
 
-// ParseCache carries parse trees across runs, keyed by path and invalidated
-// by content hash: an edited file evicts its old tree, so the cache is
-// bounded by project size. Parse failures are cached too (same content
-// fails the same way), so a dirty page that includes a broken file does not
-// re-parse it every run. Safe for concurrent use.
-type ParseCache struct {
-	mu    sync.Mutex
-	files map[string]parsedFile
-	hits  atomic.Int64
-	miss  atomic.Int64
-}
-
-type parsedFile struct {
-	hash Hash
-	file *php.File
-	ok   bool
-}
-
-// NewParseCache returns an empty cache.
-func NewParseCache() *ParseCache {
-	return &ParseCache{files: map[string]parsedFile{}}
-}
-
-// load returns the parse of src (identified by hash), from cache when the
-// content is unchanged.
-func (c *ParseCache) load(path string, hash Hash, src string) (*php.File, bool) {
-	c.mu.Lock()
-	if pf, ok := c.files[path]; ok && pf.hash == hash {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return pf.file, pf.ok
-	}
-	c.mu.Unlock()
-	// Parse outside the lock: concurrent pages loading distinct files must
-	// not serialize on one mutex. A racing double parse of the same file is
-	// harmless (last writer wins; both trees are equivalent).
-	f, err := php.Parse(path, src)
-	pf := parsedFile{hash: hash, file: f, ok: err == nil}
-	if err != nil {
-		pf.file = nil
-	}
-	c.mu.Lock()
-	c.files[path] = pf
-	c.mu.Unlock()
-	c.miss.Add(1)
-	return pf.file, pf.ok
-}
-
-// Stats returns cumulative hit (content unchanged, tree reused) and miss
-// (file parsed) counts.
-func (c *ParseCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.miss.Load()
-}
-
-// Resolver is an analysis resolver over in-memory sources that serves parse
-// trees from a cross-run ParseCache. It satisfies analysis.Resolver
-// structurally (Load/Files) without importing the analysis package.
-type Resolver struct {
-	sources map[string]string
-	snap    *Snapshot
-	files   []string
-	cache   *ParseCache
-}
-
-// NewResolver returns a resolver over sources whose parses go through cache.
-func NewResolver(sources map[string]string, snap *Snapshot, cache *ParseCache) *Resolver {
-	files := make([]string, 0, len(sources))
-	for p := range sources {
-		files = append(files, p)
-	}
-	sort.Strings(files)
-	return &Resolver{sources: sources, snap: snap, files: files, cache: cache}
-}
-
-// Load parses the file at path, serving unchanged content from the cache.
-func (r *Resolver) Load(path string) (*php.File, bool) {
-	src, ok := r.sources[path]
-	if !ok {
-		return nil, false
-	}
-	h, _ := r.snap.Hash(path)
-	return r.cache.load(path, h, src)
-}
-
-// Files lists every project path (sorted), the layout dynamic includes
-// resolve against.
-func (r *Resolver) Files() []string { return r.files }
-
-// SourceMap exposes the raw sources (line counting, census).
-func (r *Resolver) SourceMap() map[string]string { return r.sources }
-
-// ParseCacheStats reports the underlying cross-run cache's cumulative
-// traffic, letting core surface per-run deltas under the same counters the
-// per-run MapResolver cache uses.
-func (r *Resolver) ParseCacheStats() (hits, misses int64) { return r.cache.Stats() }
-
-// Recorder wraps a Resolver for the duration of ONE page analysis and
-// records the page's dependency closure. Page analysis is single-threaded,
-// and each page gets its own Recorder, so no locking is needed.
+// Recorder wraps a resolver for the duration of ONE page analysis and
+// records the page's dependency closure, by content hash under the run's
+// Snapshot. Page analysis is single-threaded, and each page gets its own
+// Recorder, so no locking is needed.
 type Recorder struct {
-	r       *Resolver
+	r       analysis.Resolver
+	snap    *Snapshot
 	deps    map[string]Dep
 	dynamic bool
 }
 
-// NewRecorder returns a recorder delegating to r.
-func NewRecorder(r *Resolver) *Recorder {
-	return &Recorder{r: r, deps: map[string]Dep{}}
+// NewRecorder returns a recorder delegating to r, whose sources snap hashed.
+func NewRecorder(r analysis.Resolver, snap *Snapshot) *Recorder {
+	return &Recorder{r: r, snap: snap, deps: map[string]Dep{}}
 }
 
 // Load records the dependency (by content identity, success or not) and
 // delegates.
 func (rec *Recorder) Load(path string) (*php.File, bool) {
 	if _, seen := rec.deps[path]; !seen {
-		if h, ok := rec.r.snap.Hash(path); ok {
+		if h, ok := rec.snap.Hash(path); ok {
 			rec.deps[path] = Dep{Path: path, Hash: h}
 		} else {
 			rec.deps[path] = Dep{Path: path, Missing: true}

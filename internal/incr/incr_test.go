@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"sqlciv/internal/analysis"
+	"sqlciv/internal/policy"
 	"sqlciv/internal/vcache"
 )
 
@@ -77,8 +79,7 @@ func TestRecorderCapturesClosure(t *testing.T) {
 		"lib.php":  "<?php echo 1;",
 	}
 	snap := NewSnapshot(sources)
-	r := NewResolver(sources, snap, NewParseCache())
-	rec := NewRecorder(r)
+	rec := NewRecorder(analysis.NewMapResolver(sources), snap)
 	if _, ok := rec.Load("page.php"); !ok {
 		t.Fatal("page load failed")
 	}
@@ -109,42 +110,6 @@ func TestRecorderCapturesClosure(t *testing.T) {
 	}
 }
 
-func TestParseCacheReusesByContent(t *testing.T) {
-	c := NewParseCache()
-	src := "<?php echo 1;"
-	h := HashBytes(src)
-	if _, ok := c.load("a.php", h, src); !ok {
-		t.Fatal("parse failed")
-	}
-	if _, ok := c.load("a.php", h, src); !ok {
-		t.Fatal("cached parse failed")
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses", hits, misses)
-	}
-	// An edit under the same path evicts the old tree.
-	src2 := "<?php echo 2;"
-	if _, ok := c.load("a.php", HashBytes(src2), src2); !ok {
-		t.Fatal("reparse failed")
-	}
-	if _, m := c.Stats(); m != 2 {
-		t.Fatalf("edit did not miss: misses = %d", m)
-	}
-	// Parse failures are cached too: same content fails the same way.
-	bad := "<?php if ("
-	bh := HashBytes(bad)
-	if _, ok := c.load("b.php", bh, bad); ok {
-		t.Fatal("broken source parsed")
-	}
-	if _, ok := c.load("b.php", bh, bad); ok {
-		t.Fatal("broken source parsed from cache")
-	}
-	if h2, _ := c.Stats(); h2 != 2 {
-		t.Fatalf("cached failure did not hit: hits = %d", h2)
-	}
-}
-
 // ---- summary store ---------------------------------------------------------
 
 func summary(entry string) *PageSummary {
@@ -158,7 +123,7 @@ func summary(entry string) *PageSummary {
 			File: entry, Line: 4, Call: "mysql_query",
 			VerdictRecord: vcache.VerdictRecord{Verdict: "vulnerable", LabeledNTs: 2,
 				Reports: []vcache.Report{{Label: 1, Check: 1, Witness: "a'b", Source: "_GET[id]"}}},
-			CheckTimeNS: 500, SliceNTs: 5, SliceProds: 6, CompactNTs: 2, CompactProds: 3,
+			Census: policy.Census{CheckTime: 500, SliceNTs: 5, SliceProds: 6, CompactNTs: 2, CompactProds: 3},
 		}},
 	}
 }
@@ -170,14 +135,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	Put(s, tag, summary("page.php"))
 	// Pending summaries are invisible until Flush.
-	if _, ok := Get(s, "page.php", tag); ok {
+	if _, look := Get(s, "page.php", tag); look != vcache.Absent {
 		t.Fatal("pending summary visible before Flush")
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := Get(s, "page.php", tag)
-	if !ok {
+	got, look := Get(s, "page.php", tag)
+	if look != vcache.Found {
 		t.Fatal("flushed summary not found")
 	}
 	if got.Entry != "page.php" || len(got.Hotspots) != 1 || got.Hotspots[0].Reports[0].Witness != "a'b" {
@@ -205,8 +170,8 @@ func TestStoreOverwriteOnFlush(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := Get(s2, "page.php", tag)
-	if !ok || got.Hotspots[0].Reports[0].Witness != "z'z" {
+	got, look := Get(s2, "page.php", tag)
+	if look != vcache.Found || got.Hotspots[0].Reports[0].Witness != "z'z" {
 		t.Fatalf("newest summary did not win: %+v", got)
 	}
 }
@@ -269,7 +234,7 @@ func TestInvalidSummariesMiss(t *testing.T) {
 			tc.corrupt(t)
 			defer restore()
 			before := s.CacheStats().Errors
-			if _, ok := Get(s, "page.php", tag); ok {
+			if _, look := Get(s, "page.php", tag); look != vcache.Rejected {
 				t.Fatalf("%s summary accepted", tc.name)
 			}
 			if s.CacheStats().Errors != before+1 {
@@ -279,11 +244,11 @@ func TestInvalidSummariesMiss(t *testing.T) {
 	}
 
 	// Stale tag (intact file; the analyzer configuration moved on).
-	if _, ok := Get(s, "page.php", "incr-test-v2"); ok {
+	if _, look := Get(s, "page.php", "incr-test-v2"); look != vcache.Rejected {
 		t.Fatal("stale-tag summary accepted")
 	}
 	// Sanity: the untouched summary still hits under the right tag.
-	if _, ok := Get(s, "page.php", tag); !ok {
+	if _, look := Get(s, "page.php", tag); look != vcache.Found {
 		t.Fatal("valid summary lost after corruption round-trips")
 	}
 }
@@ -297,14 +262,14 @@ func TestDynamicSummaryNeedsLayout(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Get(s, "menu.php", tag); ok {
+	if _, look := Get(s, "menu.php", tag); look != vcache.Rejected {
 		t.Fatal("dynamic summary without layout hash accepted")
 	}
 }
 
 func TestNilStoreSafe(t *testing.T) {
 	var s *vcache.Store
-	if _, ok := Get(s, "page.php", tag); ok {
+	if _, look := Get(s, "page.php", tag); look != vcache.Absent {
 		t.Fatal("nil store hit")
 	}
 	Put(s, tag, summary("page.php"))

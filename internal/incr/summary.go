@@ -3,6 +3,7 @@ package incr
 import (
 	"crypto/sha256"
 
+	"sqlciv/internal/policy"
 	"sqlciv/internal/vcache"
 )
 
@@ -42,14 +43,7 @@ type HotspotSummary struct {
 	Line int    `json:"line"`
 	Call string `json:"call"`
 	vcache.VerdictRecord
-
-	CheckTimeNS   int64 `json:"check_time_ns"`
-	SliceNTs      int   `json:"slice_nts"`
-	SliceProds    int   `json:"slice_prods"`
-	CompactNTs    int   `json:"compact_nts"`
-	CompactProds  int   `json:"compact_prods"`
-	BudgetSteps   int64 `json:"budget_steps,omitempty"`
-	BudgetMemHigh int64 `json:"budget_mem_high,omitempty"`
+	policy.Census
 }
 
 // Open returns the page-summary store rooted at dir. Summaries are keyed by
@@ -60,16 +54,18 @@ func Open(dir string) (*vcache.Store, error) { return vcache.Open(dir) }
 // key names entry's summary record.
 func key(entry string) vcache.Key { return sha256.Sum256([]byte(entry)) }
 
-// Get returns the valid on-disk summary for (entry, tag), if any. Any
-// invalid summary — wrong schema version, wrong tag (stale policy or
-// analysis options), wrong embedded entry (renamed or corrupted file),
-// malformed JSON or hashes, out-of-range fields — counts as a miss.
-func Get(s *vcache.Store, entry, tag string) (*PageSummary, bool) {
+// Get returns the valid on-disk summary for (entry, tag), if any, and what
+// the store found. Any invalid summary — wrong schema version, wrong tag
+// (stale policy or analysis options), wrong embedded entry (renamed or
+// corrupted file), malformed JSON or hashes, out-of-range fields — is
+// Rejected, a miss.
+func Get(s *vcache.Store, entry, tag string) (*PageSummary, vcache.Lookup) {
 	ps := new(PageSummary)
-	if !s.Load(key(entry), ps, func() bool { return ps.valid(entry, tag) }) {
-		return nil, false
+	look := s.Load(key(entry), ps, func() bool { return ps.valid(entry, tag) })
+	if look != vcache.Found {
+		return nil, look
 	}
-	return ps, true
+	return ps, look
 }
 
 // Put buffers a summary for its entry. The identity fields (Format, Tag) are
@@ -98,7 +94,7 @@ func (ps *PageSummary) valid(entry, tag string) bool {
 	}
 	for i := range ps.Hotspots {
 		h := &ps.Hotspots[i]
-		if !h.Valid() || h.CheckTimeNS < 0 || h.Line <= 0 ||
+		if !h.Valid() || h.CheckTime < 0 || h.Line <= 0 ||
 			h.SliceNTs < 0 || h.SliceProds < 0 || h.CompactNTs < 0 || h.CompactProds < 0 {
 			return false
 		}

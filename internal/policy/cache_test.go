@@ -72,8 +72,8 @@ func TestDiskCacheRoundTripIdenticalReports(t *testing.T) {
 	warm := New()
 	warm.Disk = openStore(t, dir)
 	cached := warm.CheckHotspot(g, root)
-	if hits, misses := warm.DiskCacheStats(); hits != 1 || misses != 0 {
-		t.Fatalf("disk stats = %d hits, %d misses; want 1, 0", hits, misses)
+	if cached.Disk != ProbeHit || cached.Memo != NotProbed {
+		t.Fatalf("probes: disk %v, memo %v; want a disk hit and no memo probe", cached.Disk, cached.Memo)
 	}
 	if cached.Verdict != computed.Verdict || cached.LabeledNTs != computed.LabeledNTs {
 		t.Fatalf("cached verdict %v/%d, computed %v/%d",
@@ -105,7 +105,7 @@ func TestDiskCacheVerifiedRoundTrip(t *testing.T) {
 	warm := New()
 	warm.Disk = openStore(t, dir)
 	cached := warm.CheckHotspot(g, root)
-	if hits, _ := warm.DiskCacheStats(); hits != 1 {
+	if cached.Disk != ProbeHit {
 		t.Fatal("verified verdict must round-trip through the disk cache")
 	}
 	if !cached.Verified || cached.Verdict != VerdictVerified || len(cached.Reports) != 0 {
@@ -139,8 +139,8 @@ func TestDiskCacheCorruptEntryRecomputes(t *testing.T) {
 	warm := New()
 	warm.Disk = openStore(t, dir)
 	recomputed := warm.CheckHotspot(g, root)
-	if hits, misses := warm.DiskCacheStats(); hits != 0 || misses != 1 {
-		t.Fatalf("disk stats = %d hits, %d misses; want 0, 1", hits, misses)
+	if recomputed.Disk != ProbeMiss || recomputed.Memo != ProbeMiss {
+		t.Fatalf("probes: disk %v, memo %v; want two misses", recomputed.Disk, recomputed.Memo)
 	}
 	if warm.Disk.CacheStats().Errors == 0 {
 		t.Error("corrupt entry must be counted in Stats.Errors")
@@ -185,8 +185,8 @@ func TestDiskCacheStaleTagRecomputes(t *testing.T) {
 	warm := New()
 	warm.Disk = openStore(t, dir)
 	recomputed := warm.CheckHotspot(g, root)
-	if hits, misses := warm.DiskCacheStats(); hits != 0 || misses != 1 {
-		t.Fatalf("disk stats = %d hits, %d misses; want 0, 1", hits, misses)
+	if recomputed.Disk != ProbeMiss {
+		t.Fatalf("disk probe %v, want a miss", recomputed.Disk)
 	}
 	if recomputed.Verdict != computed.Verdict {
 		t.Fatalf("recomputed verdict %v, computed %v", recomputed.Verdict, computed.Verdict)
@@ -243,7 +243,7 @@ func TestDiskCacheUnifiesAlphaRenamedOriginals(t *testing.T) {
 	warm := New()
 	warm.Disk = openStore(t, dir)
 	cached := warm.CheckHotspot(g2, r2)
-	if hits, _ := warm.DiskCacheStats(); hits != 1 {
+	if cached.Disk != ProbeHit {
 		t.Fatal("α-renamed original must hit the compacted-fingerprint cache")
 	}
 	sameReports(t, computed.Reports, cached.Reports)

@@ -115,15 +115,15 @@ func randomQueryGrammar(r *rand.Rand) (*grammar.Grammar, grammar.Sym) {
 // relation-based cascade over the compacted slice against the paper's
 // reference constructions over the uncompacted one: the two checkers must
 // agree on the verdict, the labeled-NT census, and every report field,
-// witnesses included.
+// witnesses included. Each trial runs on fresh checkers, so a repeated
+// random grammar never answers from a memoized verdict.
 func TestContextPassMatchesMarkerConstruction(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	fast := New()
-	slow := New()
-	slow.UseMarkerConstruction = true
 	for trial := 0; trial < 60; trial++ {
 		g, q := randomQueryGrammar(r)
-		rf := fast.CheckHotspot(g, q)
+		slow := New()
+		slow.UseMarkerConstruction = true
+		rf := New().CheckHotspot(g, q)
 		rs := slow.CheckHotspot(g, q)
 		if rf.Verdict != rs.Verdict || rf.LabeledNTs != rs.LabeledNTs {
 			t.Fatalf("trial %d: fast %v/%d labeled NTs, slow %v/%d labeled NTs\n%s",

@@ -75,18 +75,17 @@ func TestFingerprintDistinguishesStructure(t *testing.T) {
 
 func TestVerdictCacheHitOnAlphaRenamedGrammar(t *testing.T) {
 	c := New()
-	c.Memoize = true
 
 	g1, q1 := buildQuery(false, "X", "v'") // quote inside a literal: reported
 	r1 := c.CheckHotspot(g1, q1)
-	if h, m := c.VerdictCacheStats(); h != 0 || m != 1 {
-		t.Fatalf("after first check: hits=%d misses=%d", h, m)
+	if r1.Memo != ProbeMiss || r1.Disk != NotProbed {
+		t.Fatalf("first check: memo %v, disk %v; want a memo miss, no disk probe", r1.Memo, r1.Disk)
 	}
 
 	g2, q2 := buildQuery(true, "X", "v'")
 	r2 := c.CheckHotspot(g2, q2)
-	if h, m := c.VerdictCacheStats(); h != 1 || m != 1 {
-		t.Fatalf("after α-renamed recheck: hits=%d misses=%d", h, m)
+	if r2.Memo != ProbeHit {
+		t.Fatalf("α-renamed recheck: memo %v, want a hit", r2.Memo)
 	}
 	if len(r1.Reports) != len(r2.Reports) || r1.Verified != r2.Verified {
 		t.Fatalf("cached verdict differs: %v vs %v", r1, r2)
@@ -97,21 +96,13 @@ func TestVerdictCacheHitOnAlphaRenamedGrammar(t *testing.T) {
 			t.Fatalf("report %d differs: %+v vs %+v", i, a, b)
 		}
 	}
+	if r1.Memo != ProbeMiss {
+		t.Fatal("a memo hit changed the probe of the Result it copied")
+	}
 
 	// A structurally different hotspot must miss.
 	g3, q3 := buildQuery(false, "X", "v")
-	c.CheckHotspot(g3, q3)
-	if h, m := c.VerdictCacheStats(); h != 1 || m != 2 {
-		t.Fatalf("after different grammar: hits=%d misses=%d", h, m)
-	}
-}
-
-func TestMemoizeOffBypassesCache(t *testing.T) {
-	c := New()
-	g, q := buildQuery(false, "X", "v")
-	c.CheckHotspot(g, q)
-	c.CheckHotspot(g, q)
-	if h, m := c.VerdictCacheStats(); h != 0 || m != 0 {
-		t.Fatalf("cache touched with Memoize off: hits=%d misses=%d", h, m)
+	if r3 := c.CheckHotspot(g3, q3); r3.Memo != ProbeMiss {
+		t.Fatalf("different grammar: memo %v, want a miss", r3.Memo)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sqlciv/internal/automata"
@@ -140,25 +139,56 @@ type Result struct {
 	// Stack holds the recovered goroutine stack when Degraded.Reason is
 	// ReasonPanic.
 	Stack string
-	// Stats
-	LabeledNTs    int
-	CheckTime     time.Duration
-	BudgetSteps   int64 // abstract steps consumed (0 when unbudgeted)
-	BudgetMemHigh int64 // memory high-water estimate in bytes
+	// LabeledNTs is the number of labeled nonterminals the cascade examined.
+	LabeledNTs int
+	Census
+	// Memo and Disk record what the in-memory verdict memo and the
+	// persistent verdict cache answered for this check. A tier that was not
+	// consulted reads NotProbed: the memo after a disk hit, the disk without
+	// a store or in marker mode. A run sums them over its own hotspots.
+	Memo, Disk Probe
+}
+
+// Census is one hotspot check's cost and slice census. Page summaries
+// persist it with each hotspot (the JSON keys are their schema), so a
+// replayed page reports the census of the run that checked it.
+type Census struct {
+	CheckTime time.Duration `json:"check_time_ns"`
 	// Slice compaction census: the extracted slice's |V| / |R| and the
 	// compacted grammar the cascade fixpoints actually ran over. All zero
 	// in marker-construction mode, which runs on the uncompacted slice.
-	SliceNTs, SliceProds     int
-	CompactNTs, CompactProds int
+	SliceNTs     int `json:"slice_nts"`
+	SliceProds   int `json:"slice_prods"`
+	CompactNTs   int `json:"compact_nts"`
+	CompactProds int `json:"compact_prods"`
+	// BudgetSteps is the abstract steps consumed (0 when unbudgeted);
+	// BudgetMemHigh the memory high-water estimate in bytes.
+	BudgetSteps   int64 `json:"budget_steps,omitempty"`
+	BudgetMemHigh int64 `json:"budget_mem_high,omitempty"`
 }
+
+// Probe is what one verdict-cache tier answered for one hotspot check.
+type Probe uint8
+
+const (
+	NotProbed Probe = iota
+	ProbeHit
+	ProbeMiss
+)
 
 // Checker runs the cascade against the shared phase-2 tables: the check
 // automata and the reference SQL grammar. A Checker acquires the tables on
 // the first hotspot it actually runs the cascade for, never in New, so a
 // run whose hotspots are all replayed or answered by a verdict cache never
 // builds them. The tables are read-only once built, so one Checker may
-// serve concurrent CheckHotspot calls (the verdict cache is synchronized
+// serve concurrent CheckHotspot calls (the verdict memo is synchronized
 // internally).
+//
+// Every Checker memoizes: hotspots whose reachable annotated sub-grammars
+// are canonically equal (same shape, labels, and source names up to
+// nonterminal renaming) share one verdict. A caller that needs the cascade
+// to run on each call, such as a differential test or a benchmark of the
+// cascade, uses a fresh Checker per call; New builds nothing.
 type Checker struct {
 	// UseMarkerConstruction selects the paper's original check-2 mechanism
 	// (replace the nonterminal with a marker terminal, intersect with a
@@ -170,13 +200,6 @@ type Checker struct {
 	// labeled nonterminals in one pass.
 	UseMarkerConstruction bool
 
-	// Memoize enables the fingerprint-keyed verdict cache: hotspots whose
-	// reachable annotated sub-grammars are canonically equal (same shape,
-	// labels, and source names up to nonterminal renaming) share one
-	// verdict. Off by default so benchmarks that loop over one hotspot
-	// measure the cascade, not the cache; core.AnalyzeApp turns it on.
-	Memoize bool
-
 	// Disk, when set, persists verdicts across runs, keyed by the
 	// fingerprint of the compacted slice plus CacheVersion. Only complete
 	// (non-degraded) verdicts are stored; entries become visible to later
@@ -185,32 +208,11 @@ type Checker struct {
 	// never compacts and so never consults it.
 	Disk *vcache.Store
 
-	verdicts    sync.Map // grammar.Fingerprint -> *Result
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	diskHits    atomic.Int64
-	diskMisses  atomic.Int64
-	checks      atomic.Int64
+	verdicts sync.Map // grammar.Fingerprint -> *Result
 
 	tabOnce sync.Once
 	tab     *tables // set by tabOnce; read it through tables
 }
-
-// VerdictCacheStats returns the cumulative in-memory verdict-cache hit and
-// miss counts for this checker.
-func (c *Checker) VerdictCacheStats() (hits, misses int64) {
-	return c.cacheHits.Load(), c.cacheMisses.Load()
-}
-
-// DiskCacheStats returns the cumulative persistent verdict-cache hit and
-// miss counts for this checker (both zero when Disk is unset).
-func (c *Checker) DiskCacheStats() (hits, misses int64) {
-	return c.diskHits.Load(), c.diskMisses.Load()
-}
-
-// ChecksRun returns how many hotspot checks this checker has executed
-// (cache hits included — every CheckSlice call counts one).
-func (c *Checker) ChecksRun() int64 { return c.checks.Load() }
 
 type attackDFA struct {
 	name string
@@ -394,9 +396,9 @@ func buildEvenContextDFA() *automata.DFA {
 // CheckHotspot checks the query grammar rooted at root in g and returns the
 // reports for its labeled nonterminals.
 //
-// With Memoize set, results are cached under the sub-grammar's canonical
-// fingerprint; a hit returns a Result sharing the cached Reports slice
-// (callers must treat it as read-only) with only CheckTime fresh.
+// Results are memoized under the sub-grammar's canonical fingerprint; a hit
+// returns a Result sharing the cached Reports slice (callers must treat it
+// as read-only) with only CheckTime and the probes fresh.
 func (c *Checker) CheckHotspot(g *grammar.Grammar, root grammar.Sym) *Result {
 	return c.CheckHotspotT(g, root, nil, nil)
 }
@@ -409,10 +411,9 @@ func (c *Checker) CheckHotspot(g *grammar.Grammar, root grammar.Sym) *Result {
 func DegradedResult(r any, b *budget.Budget) *Result {
 	exc := budget.AsExceeded(r)
 	res := &Result{
-		Verdict:       VerdictUnknown,
-		Degraded:      exc,
-		BudgetSteps:   b.Steps(),
-		BudgetMemHigh: b.MemHigh(),
+		Verdict:  VerdictUnknown,
+		Degraded: exc,
+		Census:   Census{BudgetSteps: b.Steps(), BudgetMemHigh: b.MemHigh()},
 	}
 	if exc.Reason == budget.ReasonPanic {
 		res.Stack = string(debug.Stack())
@@ -422,53 +423,50 @@ func DegradedResult(r any, b *budget.Budget) *Result {
 }
 
 // CheckHotspotT is CheckHotspot metered by b and observed by sp. Budget
-// trips and panics anywhere in the cascade are recovered here and degrade
-// the hotspot to a VerdictUnknown Result — reported, never silently passed —
-// so one pathological or poisoned hotspot cannot take down the run.
-// Degraded results are not cached: they depend on timing and remaining
-// budget, and a retry with a larger budget could succeed. A nil b is
-// unlimited.
+// trips and panics anywhere in the check are recovered here and degrade the
+// hotspot to a VerdictUnknown Result — reported, never silently passed — so
+// one pathological or poisoned hotspot cannot take down the run. A degraded
+// Result keeps the probes its check made before the trip. Degraded results
+// are not cached: they depend on timing and remaining budget, and a retry
+// with a larger budget could succeed. A nil b is unlimited.
 //
-// sp is normally the hotspot span the core driver opened: each cascade
-// stage and the derivability session get child spans carrying their
-// fixpoint counters, and the verdict-cache outcome lands on sp itself (attr
-// "verdict-cache", counters "verdict.cache.hits"/"verdict.cache.misses"). A
-// nil sp traces nothing.
-//
-// The check itself is PrepareSlice followed by CheckSlice; callers that want
-// to drive the two stages separately (the core analyzer does, so slicing is
-// visible in its per-hotspot pipeline) call them directly.
+// sp is normally the hotspot span the core driver opened: slice compaction,
+// each cascade stage and the derivability session get child spans carrying
+// their fixpoint counters, and the verdict-cache outcome lands on sp itself
+// (attr "verdict-cache", counters "verdict.cache.hits"/"verdict.cache.misses").
+// A nil sp traces nothing.
 func (c *Checker) CheckHotspotT(g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) (res *Result) {
-	start := time.Now()
+	s := &slice{start: time.Now()}
 	defer func() {
 		if r := recover(); r != nil {
 			res = DegradedResult(r, b)
-			res.CheckTime = time.Since(start)
+			res.CheckTime = time.Since(s.start)
+			res.Memo, res.Disk = s.memo, s.disk
 		}
 	}()
-	return c.checkSlice(c.PrepareSlice(g, root, b, sp), b, sp)
+	c.prepare(s, g, root, b, sp)
+	return c.check(s, b, sp)
 }
 
-// Slice is the prepared state of one hotspot check: the extracted original
+// slice is the prepared state of one hotspot check: the extracted original
 // slice, its compacted form, the labeled nonterminals to examine in
-// canonical order, and any cache short-circuit PrepareSlice discovered. A
-// Slice is consumed by exactly one CheckSlice call.
-type Slice struct {
-	start   time.Time
-	hit     *Result          // memoized or persisted verdict; skip the cascade
-	scratch *grammar.Grammar // extracted original slice; nil on a disk hit
-	sroot   grammar.Sym
-	vl      []grammar.Sym      // labeled productive NTs (scratch syms, canonical order)
-	cg      *grammar.Compacted // nil in marker-construction mode
-	cstats  grammar.CompactStats
-	fp      grammar.Fingerprint // original-slice fingerprint (memo key)
-	haveFP  bool
-	cfp     grammar.Fingerprint // compacted-slice fingerprint (disk key)
-	haveCFP bool
+// canonical order, what the verdict caches answered, and any cache
+// short-circuit prepare discovered.
+type slice struct {
+	start      time.Time
+	memo, disk Probe
+	hit        *Result          // memoized or persisted verdict; skip the cascade
+	scratch    *grammar.Grammar // extracted original slice; nil on a disk hit
+	sroot      grammar.Sym
+	vl         []grammar.Sym      // labeled productive NTs (scratch syms, canonical order)
+	cg         *grammar.Compacted // nil in marker-construction mode
+	cstats     grammar.CompactStats
+	fp         grammar.Fingerprint // original-slice fingerprint (memo key)
+	cfp        grammar.Fingerprint // compacted-slice fingerprint (disk key)
 }
 
-// PrepareSlice compacts, canonicalizes, and extracts the query-grammar
-// slice rooted at root, consulting the persistent and in-memory verdict
+// prepare compacts, canonicalizes, and extracts the query-grammar slice
+// rooted at root into s, consulting the persistent and in-memory verdict
 // caches along the way. The persistent cache is keyed by the compacted
 // slice's fingerprint, which unifies structurally different originals with
 // the same canonical compact form; it is probed first, straight off the
@@ -476,11 +474,7 @@ type Slice struct {
 // canonicalizes the original slice at all. The in-memory memoizer is keyed
 // by the original slice's fingerprint — isomorphic originals are guaranteed
 // bit-identical results.
-//
-// Budget trips and panics propagate to the caller's recovery (CheckHotspotT
-// or the core driver's per-hotspot recovery).
-func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) *Slice {
-	s := &Slice{start: time.Now()}
+func (c *Checker) prepare(s *slice, g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) {
 	b.Check()
 
 	// memoLookup canonicalizes g from root for the in-memory memoizer key,
@@ -490,19 +484,15 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 	// the full original slice.
 	var orderG []grammar.Sym
 	memoLookup := func() bool {
-		if !c.Memoize {
-			return false
-		}
 		s.fp, orderG = g.FingerprintOrder(root)
-		s.haveFP = true
 		if v, ok := c.verdicts.Load(s.fp); ok {
-			c.cacheHits.Add(1)
+			s.memo = ProbeHit
 			sp.SetAttr("verdict-cache", "hit")
 			sp.Count("verdict.cache.hits", 1)
 			s.hit = v.(*Result)
 			return true
 		}
-		c.cacheMisses.Add(1)
+		s.memo = ProbeMiss
 		sp.SetAttr("verdict-cache", "miss")
 		sp.Count("verdict.cache.misses", 1)
 		return false
@@ -510,23 +500,15 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 	// collectVL gathers labeled nonterminals in canonical (BFS-from-root)
 	// order: α-equivalent grammars then produce Results with identically
 	// ordered Reports, so a cached verdict is indistinguishable from a
-	// recomputed one no matter which hotspot filled the cache. The memoized
-	// path already canonicalized g for the fingerprint; reuse that order
+	// recomputed one no matter which hotspot filled the cache. The memo
+	// lookup already canonicalized g for the fingerprint; reuse that order
 	// through the extraction remap instead of canonicalizing the slice
 	// again.
 	collectVL := func(remap map[grammar.Sym]grammar.Sym) []grammar.Sym {
 		var vlAll []grammar.Sym
-		if orderG != nil {
-			for _, nt := range orderG {
-				if g.LabelOf(nt) != 0 {
-					vlAll = append(vlAll, remap[nt])
-				}
-			}
-		} else {
-			for _, nt := range s.scratch.CanonicalOrder(s.sroot) {
-				if s.scratch.LabelOf(nt) != 0 {
-					vlAll = append(vlAll, nt)
-				}
+		for _, nt := range orderG {
+			if g.LabelOf(nt) != 0 {
+				vlAll = append(vlAll, remap[nt])
 			}
 		}
 		return vlAll
@@ -534,7 +516,7 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 
 	if c.UseMarkerConstruction {
 		if memoLookup() {
-			return s
+			return
 		}
 		scratch, remap := g.Extract(root)
 		s.scratch, s.sroot = scratch, remap[root]
@@ -545,7 +527,7 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 				s.vl = append(s.vl, nt)
 			}
 		}
-		return s
+		return
 	}
 
 	// Compact straight off the page grammar: CompactSlice only touches the
@@ -566,15 +548,14 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 
 	if c.Disk != nil {
 		s.cfp = cg.G.Fingerprint(cg.Top)
-		s.haveCFP = true
 		if ent, ok := c.Disk.Get(s.cfp, CacheVersion); ok {
-			c.diskHits.Add(1)
+			s.disk = ProbeHit
 			sp.SetAttr("disk-cache", "hit")
 			sp.Count("verdict.cache.disk.hits", 1)
 			s.hit = FromRecord(&ent.VerdictRecord)
-			return s
+			return
 		}
-		c.diskMisses.Add(1)
+		s.disk = ProbeMiss
 		sp.SetAttr("disk-cache", "miss")
 		sp.Count("verdict.cache.disk.misses", 1)
 	}
@@ -589,7 +570,7 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 	}
 	cg.Fwd = fwd
 	if memoLookup() {
-		return s
+		return
 	}
 	// Compaction keeps exactly the labeled NTs with nonempty languages, so
 	// survivorship in Fwd is the productivity filter.
@@ -598,28 +579,12 @@ func (c *Checker) PrepareSlice(g *grammar.Grammar, root grammar.Sym, b *budget.B
 			s.vl = append(s.vl, nt)
 		}
 	}
-	return s
 }
 
-// CheckSlice runs the policy cascade over a prepared slice. Budget trips
-// and panics inside the cascade degrade the hotspot to a VerdictUnknown
-// Result — reported, never silently passed — and degraded results are never
-// cached (they depend on timing and remaining budget; a retry with a larger
-// budget could succeed).
-func (c *Checker) CheckSlice(s *Slice, b *budget.Budget, sp *obs.Span) (res *Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = DegradedResult(r, b)
-			res.CheckTime = time.Since(s.start)
-		}
-	}()
-	return c.checkSlice(s, b, sp)
-}
-
-// checkSlice is CheckSlice without the recovery wrapper (CheckHotspotT
-// supplies its own, covering PrepareSlice too).
-func (c *Checker) checkSlice(s *Slice, b *budget.Budget, sp *obs.Span) *Result {
-	c.checks.Add(1)
+// check runs the policy cascade over a prepared slice, or copies the
+// verdict a cache answered. CheckHotspotT recovers its budget trips and
+// panics.
+func (c *Checker) check(s *slice, b *budget.Budget, sp *obs.Span) *Result {
 	if s.hit != nil {
 		out := *s.hit
 		if s.cg != nil {
@@ -628,12 +593,13 @@ func (c *Checker) checkSlice(s *Slice, b *budget.Budget, sp *obs.Span) *Result {
 			setSliceStats(&out, s)
 		}
 		out.CheckTime = time.Since(s.start)
+		out.Memo, out.Disk = s.memo, s.disk
 		return &out
 	}
 	b.Check()
 	t := c.tables(sp)
 	sp.Count("policy.labeled-nts", int64(len(s.vl)))
-	res := &Result{LabeledNTs: len(s.vl)}
+	res := &Result{LabeledNTs: len(s.vl), Memo: s.memo, Disk: s.disk}
 	setSliceStats(res, s)
 	var undecided []grammar.Sym
 	if c.UseMarkerConstruction {
@@ -668,19 +634,17 @@ func (c *Checker) checkSlice(s *Slice, b *budget.Budget, sp *obs.Span) *Result {
 	res.CheckTime = time.Since(s.start)
 	res.BudgetSteps = b.Steps()
 	res.BudgetMemHigh = b.MemHigh()
-	if c.Memoize {
-		// First writer wins; a concurrent loser computed an identical
-		// Result (canonical report order), so dropping it is harmless.
-		c.verdicts.LoadOrStore(s.fp, res)
-	}
-	if c.Disk != nil && s.haveCFP {
+	// First writer wins; a concurrent loser computed an identical Result
+	// (canonical report order), so dropping it is harmless.
+	c.verdicts.LoadOrStore(s.fp, res)
+	if c.Disk != nil && s.cg != nil {
 		c.Disk.Put(s.cfp, CacheVersion, &vcache.Entry{VerdictRecord: ToRecord(res)})
 	}
 	return res
 }
 
 // setSliceStats copies the compaction census onto a Result.
-func setSliceStats(res *Result, s *Slice) {
+func setSliceStats(res *Result, s *slice) {
 	res.SliceNTs = s.cstats.NTsIn
 	res.SliceProds = s.cstats.ProdsIn
 	res.CompactNTs = s.cstats.NTsOut
@@ -791,7 +755,7 @@ func (t *tables) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, v
 // tie-break depends on derivation-tree structure, which compaction changes —
 // so reports are byte-for-byte the ones the uncompacted marker-construction
 // reference produces.
-func (t *tables) cascadeFast(s *Slice, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
+func (t *tables) cascadeFast(s *slice, res *Result, b *budget.Budget, hsp *obs.Span) []grammar.Sym {
 	scratch := s.scratch
 	relG, relRoot := s.cg.G, s.cg.Root
 	minLens := relG.MinLens()

@@ -53,14 +53,15 @@ func (s *tableSpans) Emit(e *obs.Event) {
 
 func (s *tableSpans) Close() error { return nil }
 
-// check runs one hotspot check under its own hotspot span and returns the
-// result with its wall-clock field cleared, plus the span's id.
+// check runs one hotspot check under its own hotspot span and returns a
+// copy of the result with its wall-clock field cleared (the checker's memo
+// may hold the original), plus the span's id.
 func check(c *policy.Checker, tr *obs.Tracer, h hotspot) (*policy.Result, uint64) {
 	sp := tr.Start("hotspot", "h")
-	res := c.CheckHotspotT(h.g, h.root, nil, sp)
+	res := *c.CheckHotspotT(h.g, h.root, nil, sp)
 	sp.End()
 	res.CheckTime = 0
-	return res, sp.ID()
+	return &res, sp.ID()
 }
 
 func openStore(t *testing.T, dir string) *vcache.Store {
@@ -79,7 +80,6 @@ func TestNoTablesOnCacheHits(t *testing.T) {
 	hs := eveHotspots(t)
 	dir := t.TempDir()
 	fill := policy.New()
-	fill.Memoize = true
 	fill.Disk = openStore(t, dir)
 	want := make([]*policy.Result, len(hs))
 	for i, h := range hs {
@@ -93,7 +93,6 @@ func TestNoTablesOnCacheHits(t *testing.T) {
 	if policy.TablesAcquired(disk) {
 		t.Fatal("New acquired the phase-2 tables")
 	}
-	disk.Memoize = true
 	disk.Disk = openStore(t, dir)
 	spans := &tableSpans{}
 	tr := obs.New(spans)
@@ -103,29 +102,29 @@ func TestNoTablesOnCacheHits(t *testing.T) {
 			t.Fatalf("hotspot %d: disk hit %v with %d reports, computed %v with %d",
 				i, got.Verdict, len(got.Reports), want[i].Verdict, len(want[i].Reports))
 		}
-	}
-	if hits, misses := disk.DiskCacheStats(); hits != int64(len(hs)) || misses != 0 {
-		t.Fatalf("disk cache: %d hits, %d misses; want %d, 0", hits, misses, len(hs))
+		if got.Disk != policy.ProbeHit || got.Memo != policy.NotProbed {
+			t.Fatalf("hotspot %d: disk probe %d, memo probe %d; want a disk hit alone", i, got.Disk, got.Memo)
+		}
 	}
 	if policy.TablesAcquired(disk) || len(spans.parents) != 0 {
 		t.Fatalf("disk hits acquired the tables (%d policy.tables spans)", len(spans.parents))
 	}
 
 	memo := policy.New()
-	memo.Memoize = true
 	for i, h := range hs {
 		policy.SeedVerdict(memo, h.g, h.root, want[i])
 	}
 	for i, h := range hs {
 		got, _ := check(memo, tr, h)
+		if got.Memo != policy.ProbeHit || got.Disk != policy.NotProbed {
+			t.Fatalf("hotspot %d: memo probe %d, disk probe %d; want a memo hit alone", i, got.Memo, got.Disk)
+		}
 		w := *want[i]
 		w.CheckTime = 0
+		got.Memo, got.Disk = w.Memo, w.Disk
 		if !reflect.DeepEqual(got, &w) {
 			t.Fatalf("hotspot %d: memo hit %+v, computed %+v", i, got, &w)
 		}
-	}
-	if hits, misses := memo.VerdictCacheStats(); hits != int64(len(hs)) || misses != 0 {
-		t.Fatalf("memo: %d hits, %d misses; want %d, 0", hits, misses, len(hs))
 	}
 	if policy.TablesAcquired(memo) || len(spans.parents) != 0 {
 		t.Fatalf("memo hits acquired the tables (%d policy.tables spans)", len(spans.parents))
@@ -138,7 +137,6 @@ func TestNoTablesOnCacheHits(t *testing.T) {
 func TestTablesAcquiredOnFirstMiss(t *testing.T) {
 	hs := eveHotspots(t)
 	c := policy.New()
-	c.Memoize = true
 	spans := &tableSpans{}
 	tr := obs.New(spans)
 	_, first := check(c, tr, hs[0])
@@ -148,10 +146,13 @@ func TestTablesAcquiredOnFirstMiss(t *testing.T) {
 	if len(spans.parents) != 1 || spans.parents[0] != first {
 		t.Fatalf("policy.tables spans under parents %v, want one under the hotspot span %d", spans.parents, first)
 	}
+	misses := 1
 	for _, h := range hs[1:] {
-		check(c, tr, h)
+		if res, _ := check(c, tr, h); res.Memo == policy.ProbeMiss {
+			misses++
+		}
 	}
-	if _, misses := c.VerdictCacheStats(); misses < 2 {
+	if misses < 2 {
 		t.Fatalf("only %d verdict-cache misses; the test needs a second miss", misses)
 	}
 	if len(spans.parents) != 1 {
@@ -161,17 +162,18 @@ func TestTablesAcquiredOnFirstMiss(t *testing.T) {
 
 // TestConcurrentFirstMisses: goroutines whose first calls all miss on one
 // fresh checker race to acquire the tables; exactly one acquires them, and
-// every goroutine gets the results a sequential checker computes.
+// every goroutine gets the results the cascade computes for each hotspot,
+// memo hits included (their probes aside).
 func TestConcurrentFirstMisses(t *testing.T) {
 	hs := eveHotspots(t)
-	ref := policy.New()
 	want := make([]*policy.Result, len(hs))
 	for i, h := range hs {
-		want[i], _ = check(ref, nil, h)
+		want[i], _ = check(policy.New(), nil, h)
+		want[i].Memo = 0
 	}
 
 	const workers = 8
-	c := policy.New() // no memoization: every call runs the cascade
+	c := policy.New()
 	spans := &tableSpans{}
 	tr := obs.New(spans)
 	got := make([][]*policy.Result, workers)
@@ -186,6 +188,7 @@ func TestConcurrentFirstMisses(t *testing.T) {
 			for k := range hs {
 				i := (w + k) % len(hs)
 				got[w][i], _ = check(c, tr, hs[i])
+				got[w][i].Memo = 0
 			}
 		}(w)
 	}

@@ -40,8 +40,10 @@ func flightSnap(t *testing.T, srv *Server) flightSnapshot {
 // guarantee: the one request that degraded keeps its full span trace even
 // after enough healthy requests have evicted it from the recent ring.
 func TestFlightDegradedTraceSurvivesEviction(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightRecent: 4, FlightRetain: 2})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
+	// Small rings, so a few requests evict; set before any traffic.
+	srv.flight = newFlightRecorder(4, 2)
 
 	code, body := post(t, srv, "/v1/analyze", degradedRequest)
 	if code != http.StatusOK {

@@ -161,33 +161,26 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.CounterVecFunc("sqlcheckd_tenant_clamped_total", "Tenant requests whose budget hit the ceiling clamp.",
 		tl, tenantSeries(func(t TenantStats) float64 { return float64(t.Clamped) }))
 
-	// Analysis substrate: the shared checker's caches and the process-global
-	// grammar interns.
+	// Analysis substrate: the verdict-cache probes summed over every job's
+	// hotspot checks, and the process-global grammar interns.
 	r.CounterFunc("sqlciv_hotspots_checked_total",
 		"Hotspot checks executed by the shared checker (cache hits included).",
-		func() float64 { return float64(s.checker.ChecksRun()) })
+		func() float64 { return float64(s.totals.checked()) })
 	r.CounterFunc("sqlciv_verdict_memo_hits_total",
 		"In-memory verdict-memo hits.",
-		func() float64 { h, _ := s.checker.VerdictCacheStats(); return float64(h) })
+		func() float64 { return float64(s.totals.memoHits.Load()) })
 	r.CounterFunc("sqlciv_verdict_memo_misses_total",
 		"In-memory verdict-memo misses (each is one full cascade).",
-		func() float64 { _, m := s.checker.VerdictCacheStats(); return float64(m) })
+		func() float64 { return float64(s.totals.memoMisses.Load()) })
 	r.CounterFunc("sqlciv_verdict_disk_hits_total",
 		"Persistent verdict-cache hits.",
-		func() float64 { h, _ := s.checker.DiskCacheStats(); return float64(h) })
+		func() float64 { return float64(s.totals.diskHits.Load()) })
 	r.CounterFunc("sqlciv_verdict_disk_misses_total",
 		"Persistent verdict-cache misses.",
-		func() float64 { _, m := s.checker.DiskCacheStats(); return float64(m) })
+		func() float64 { return float64(s.totals.diskMisses.Load()) })
 	r.GaugeFunc("sqlciv_verdict_cache_warm_pct",
 		"Percent of hotspot checks answered from either verdict-cache tier.",
-		func() float64 {
-			vh, vm := s.checker.VerdictCacheStats()
-			dh, _ := s.checker.DiskCacheStats()
-			if dh+vh+vm == 0 {
-				return 0
-			}
-			return 100 * float64(dh+vh) / float64(dh+vh+vm)
-		})
+		s.totals.warmPct)
 	if s.store != nil {
 		r.CounterFunc("sqlciv_vcache_puts_total",
 			"Verdicts handed to the persistent store this process.",
@@ -210,28 +203,28 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.sessEvicted.Load()) })
 	r.CounterFunc("sqlciv_incr_files_hashed_total",
 		"Source files content-hashed by incremental runs (every file, every run).",
-		func() float64 { return float64(s.incr.filesHashed.Load()) })
+		func() float64 { return float64(s.totals.filesHashed.Load()) })
 	r.CounterFunc("sqlciv_incr_files_reused_total",
 		"Parse-tree loads served by the cross-run parse cache.",
-		func() float64 { return float64(s.incr.filesReused.Load()) })
+		func() float64 { return float64(s.totals.filesReused.Load()) })
 	r.CounterFunc("sqlciv_incr_files_parsed_total",
 		"Files actually re-parsed by incremental runs (content changed).",
-		func() float64 { return float64(s.incr.filesParsed.Load()) })
+		func() float64 { return float64(s.totals.filesParsed.Load()) })
 	r.CounterFunc("sqlciv_incr_pages_replayed_total",
 		"Pages whose unchanged dependency closure replayed a memoized outcome.",
-		func() float64 { return float64(s.incr.pagesReplayed.Load()) })
+		func() float64 { return float64(s.totals.pagesReplayed.Load()) })
 	r.CounterFunc("sqlciv_incr_pages_recomputed_total",
 		"Pages incremental runs re-analyzed because their closure changed.",
-		func() float64 { return float64(s.incr.pagesRecomputed.Load()) })
+		func() float64 { return float64(s.totals.pagesRecomputed.Load()) })
 	r.CounterFunc("sqlciv_incr_hotspots_replayed_total",
 		"Hotspot verdicts served by page replay without entering phase 2.",
-		func() float64 { return float64(s.incr.hotspotsReplayed.Load()) })
+		func() float64 { return float64(s.totals.hotspotsReplayed.Load()) })
 	r.CounterFunc("sqlciv_incr_hotspots_rechecked_total",
 		"Hotspot checks incremental runs actually re-ran.",
-		func() float64 { return float64(s.incr.hotspotsRechecked.Load()) })
+		func() float64 { return float64(s.totals.hotspotsRechecked.Load()) })
 	r.GaugeFunc("sqlciv_incr_page_replay_pct",
 		"Percent of incremental pages served by replay instead of recomputation.",
-		func() float64 { return s.incr.pageReplayPct() })
+		func() float64 { return s.totals.pageReplayPct() })
 
 	r.CounterFunc("sqlciv_arena_intern_hits_total",
 		"Terminal-run intern hits in the grammar arena.",

@@ -99,17 +99,7 @@ func (j *Job) Status() *JobStatus {
 	j.mu.Unlock()
 	if st.State == StateRunning && j.traced {
 		snap := j.tracer.Progress()
-		st.Progress = &ProgressSnapshot{
-			ElapsedMS:        snap.ElapsedMS,
-			PagesDone:        snap.PagesDone,
-			PagesTotal:       snap.PagesTotal,
-			PagesDegraded:    snap.PagesDegraded,
-			HotspotsDone:     snap.HotspotsDone,
-			HotspotsTotal:    snap.HotspotsTotal,
-			HotspotsDegraded: snap.HotspotsDegraded,
-			Findings:         snap.Findings,
-			Counters:         snap.Counters,
-		}
+		st.Progress = &snap
 	}
 	return st
 }
@@ -142,7 +132,7 @@ func (s *Server) submit(tenant string, req *Request, traced bool) (*Job, *apiErr
 		done:     make(chan struct{}),
 		enqueued: time.Now(),
 	}
-	j.ring = obs.NewRingSink(s.cfg.FlightTraceEvents)
+	j.ring = obs.NewRingSink(flightTraceEvents)
 	j.tracer = obs.New(j.ring)
 	if traced {
 		// Only async jobs are pollable, so only they enter the id map; a
@@ -328,7 +318,7 @@ func (s *Server) analyze(j *Job) (*Response, *apiError) {
 	}
 	entries := req.Entries
 	if len(entries) == 0 {
-		entries = guessEntries(sources)
+		entries = core.GuessEntries(sources)
 	}
 	if len(entries) == 0 {
 		return nil, errf(422, CodeBadApp, "no entry pages (no sources, or every file looks like an include)")
@@ -380,9 +370,7 @@ func (s *Server) analyze(j *Job) (*Response, *apiError) {
 	m.analysisSec.With("string_analysis").Observe(res.StringAnalysisWall.Seconds())
 	m.analysisSec.With("check").Observe(res.CheckWall.Seconds())
 	m.slabBytes.Set(float64(res.GrammarSlabBytes))
-	if res.Incr != nil {
-		s.incr.add(res.Incr)
-	}
+	s.totals.add(res)
 	var xssFindings []xss.Finding
 	if req.Options.XSS {
 		xssFindings, err = xss.Audit(resolver, entries, opts.Analysis)

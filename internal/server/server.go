@@ -101,17 +101,18 @@ type Config struct {
 	// AuditLog, when set, receives one JSON line per finished request and
 	// per finished async job. Writes are serialized; nil disables the log.
 	AuditLog io.Writer
-	// FlightRecent sizes the flight recorder's ring of recent request/job
-	// summaries (default 128); FlightRetain sizes the ring of bad entries
-	// whose full span traces are retained (default 16); FlightTraceEvents
-	// bounds the per-job span buffer (default 8192 events).
-	FlightRecent      int
-	FlightRetain      int
-	FlightTraceEvents int
-	// RuntimeSample is the runtime watchdog's sampling interval for the
-	// go_* metrics series (default 5s).
-	RuntimeSample time.Duration
 }
+
+// The flight recorder keeps the summaries of the flightRecent latest
+// requests and jobs, and the full span traces of the flightRetain latest bad
+// ones; each job buffers at most flightTraceEvents span events. The runtime
+// watchdog samples the go_* metrics series every runtimeSample.
+const (
+	flightRecent      = 128
+	flightRetain      = 16
+	flightTraceEvents = 8192
+	runtimeSample     = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -138,15 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.SessionRetention <= 0 {
 		c.SessionRetention = 15 * time.Minute
 	}
-	if c.FlightRecent <= 0 {
-		c.FlightRecent = 128
-	}
-	if c.FlightRetain <= 0 {
-		c.FlightRetain = 16
-	}
-	if c.FlightTraceEvents <= 0 {
-		c.FlightTraceEvents = 8192
-	}
 	return c
 }
 
@@ -166,7 +158,7 @@ type StatsSnapshot struct {
 	RejectedQueueFull int64 `json:"rejected_queue_full"`
 	FlushErrors       int64 `json:"flush_errors,omitempty"`
 	// VerdictCacheHits/Misses is the in-memory memo tier; DiskCacheHits/
-	// Misses the persistent tier, probed first (see policy.PrepareSlice).
+	// Misses the persistent tier, probed first (see policy.CheckHotspotT).
 	VerdictCacheHits   int64 `json:"verdict_cache_hits"`
 	VerdictCacheMisses int64 `json:"verdict_cache_misses"`
 	DiskCacheHits      int64 `json:"disk_cache_hits"`
@@ -239,12 +231,13 @@ type Server struct {
 	jobs   map[string]*Job
 
 	// sessions are the resident incremental sessions (sessions.go), keyed
-	// by tenant + app identity; incr accumulates their per-run reuse
-	// counters for /metrics and /debug/server.
+	// by tenant + app identity.
 	sessMu      sync.Mutex
 	sessions    map[string]*residentSession
 	sessEvicted atomic.Int64
-	incr        incrTotals
+	// totals sums every job's verdict-cache probes and incremental reuse
+	// for /metrics and /debug/server.
+	totals runTotals
 
 	nextJob      atomic.Int64
 	nextReq      atomic.Int64
@@ -267,7 +260,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	checker := policy.New()
-	checker.Memoize = true
 	checker.Disk = cfg.VerdictCache
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -282,9 +274,9 @@ func New(cfg Config) *Server {
 		stopRun:  cancel,
 	}
 	s.metrics = newServerMetrics(s)
-	s.flight = newFlightRecorder(cfg.FlightRecent, cfg.FlightRetain)
+	s.flight = newFlightRecorder(flightRecent, flightRetain)
 	s.audit = newAuditLog(cfg.AuditLog)
-	s.rtSampler = metrics.StartRuntime(s.metrics.reg, cfg.RuntimeSample)
+	s.rtSampler = metrics.StartRuntime(s.metrics.reg, runtimeSample)
 	s.wg.Add(cfg.Workers + 1)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -320,15 +312,7 @@ func (s *Server) Close() error {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() StatsSnapshot {
-	vh, vm := s.checker.VerdictCacheStats()
-	dh, dm := s.checker.DiskCacheStats()
-	// Every full compute passes through a memo miss (the memo is the last
-	// tier before the cascade), so vm counts computes and dh+vh counts
-	// cache-served hotspots.
-	hitPct := 0.0
-	if dh+vh+vm > 0 {
-		hitPct = 100 * float64(dh+vh) / float64(dh+vh+vm)
-	}
+	t := &s.totals
 	arena := grammar.ArenaStatsSnapshot()
 	s.jobsMu.Lock()
 	retained := len(s.jobs)
@@ -344,11 +328,11 @@ func (s *Server) Stats() StatsSnapshot {
 		JobsEvicted:        s.evicted.Load(),
 		RejectedQueueFull:  s.rejectedFull.Load(),
 		FlushErrors:        s.flushErrs.Load(),
-		VerdictCacheHits:   vh,
-		VerdictCacheMisses: vm,
-		DiskCacheHits:      dh,
-		DiskCacheMisses:    dm,
-		WarmHitPct:         hitPct,
+		VerdictCacheHits:   t.memoHits.Load(),
+		VerdictCacheMisses: t.memoMisses.Load(),
+		DiskCacheHits:      t.diskHits.Load(),
+		DiskCacheMisses:    t.diskMisses.Load(),
+		WarmHitPct:         t.warmPct(),
 		InternHits:         arena.InternHits,
 		InternMisses:       arena.InternMisses,
 		InternRuns:         arena.InternRuns,

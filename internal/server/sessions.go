@@ -98,11 +98,18 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// incrTotals accumulates the per-run core.IncrStats of every incremental job
-// into server-lifetime counters, the same pattern as the job atomics: the
-// run path adds once per job, /metrics and /debug/server read at snapshot
-// time.
-type incrTotals struct {
+// runTotals accumulates the per-run counters of every job into
+// server-lifetime totals, the same pattern as the job atomics: the run path
+// adds each job's AppResult once, /metrics and /debug/server read at
+// snapshot time. The verdict-cache counters are the probes of each job's
+// own hotspot checks; the incremental ones come from jobs that ran on a
+// session.
+type runTotals struct {
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
+	diskHits   atomic.Int64
+	diskMisses atomic.Int64
+
 	filesHashed       atomic.Int64
 	filesReused       atomic.Int64
 	filesParsed       atomic.Int64
@@ -112,7 +119,15 @@ type incrTotals struct {
 	hotspotsRechecked atomic.Int64
 }
 
-func (t *incrTotals) add(in *core.IncrStats) {
+func (t *runTotals) add(res *core.AppResult) {
+	t.memoHits.Add(res.VerdictCacheHits)
+	t.memoMisses.Add(res.VerdictCacheMisses)
+	t.diskHits.Add(res.DiskCacheHits)
+	t.diskMisses.Add(res.DiskCacheMisses)
+	in := res.Incr
+	if in == nil {
+		return
+	}
 	t.filesHashed.Add(in.FilesHashed)
 	t.filesReused.Add(in.FilesReused)
 	t.filesParsed.Add(in.FilesParsed)
@@ -122,9 +137,24 @@ func (t *incrTotals) add(in *core.IncrStats) {
 	t.hotspotsRechecked.Add(in.HotspotsRechecked)
 }
 
+// checked counts the hotspot checks the shared checker ran: each is
+// answered by a disk hit, a memo hit, or a memo miss (a full cascade).
+func (t *runTotals) checked() int64 {
+	return t.diskHits.Load() + t.memoHits.Load() + t.memoMisses.Load()
+}
+
+// warmPct is the lifetime percentage of hotspot checks answered from either
+// verdict-cache tier instead of running the cascade.
+func (t *runTotals) warmPct() float64 {
+	if n := t.checked(); n > 0 {
+		return 100 * float64(t.diskHits.Load()+t.memoHits.Load()) / float64(n)
+	}
+	return 0
+}
+
 // pageReplayPct is the lifetime fraction of incremental pages served by
 // replay.
-func (t *incrTotals) pageReplayPct() float64 {
+func (t *runTotals) pageReplayPct() float64 {
 	pr, rc := t.pagesReplayed.Load(), t.pagesRecomputed.Load()
 	if pr+rc == 0 {
 		return 0
@@ -138,20 +168,20 @@ func (t *incrTotals) pageReplayPct() float64 {
 func (s *Server) incrementalStats() *IncrementalStats {
 	sessions := s.sessionCount()
 	evicted := s.sessEvicted.Load()
-	pr, rc := s.incr.pagesReplayed.Load(), s.incr.pagesRecomputed.Load()
+	pr, rc := s.totals.pagesReplayed.Load(), s.totals.pagesRecomputed.Load()
 	if sessions == 0 && evicted == 0 && pr+rc == 0 {
 		return nil
 	}
 	return &IncrementalStats{
 		Sessions:          sessions,
 		SessionsEvicted:   evicted,
-		FilesHashed:       s.incr.filesHashed.Load(),
-		FilesReused:       s.incr.filesReused.Load(),
-		FilesParsed:       s.incr.filesParsed.Load(),
+		FilesHashed:       s.totals.filesHashed.Load(),
+		FilesReused:       s.totals.filesReused.Load(),
+		FilesParsed:       s.totals.filesParsed.Load(),
 		PagesReplayed:     pr,
 		PagesRecomputed:   rc,
-		HotspotsReplayed:  s.incr.hotspotsReplayed.Load(),
-		HotspotsRechecked: s.incr.hotspotsRechecked.Load(),
-		PageReplayPct:     s.incr.pageReplayPct(),
+		HotspotsReplayed:  s.totals.hotspotsReplayed.Load(),
+		HotspotsRechecked: s.totals.hotspotsRechecked.Load(),
+		PageReplayPct:     s.totals.pageReplayPct(),
 	}
 }

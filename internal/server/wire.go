@@ -9,14 +9,12 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"sqlciv/internal/budget"
 	"sqlciv/internal/core"
 	"sqlciv/internal/grammar"
+	"sqlciv/internal/obs"
 	"sqlciv/internal/policy"
 	"sqlciv/internal/xss"
 )
@@ -351,18 +349,9 @@ type JobStatus struct {
 	Error    *ErrorBody        `json:"error,omitempty"`
 }
 
-// ProgressSnapshot mirrors obs.Snapshot on the wire.
-type ProgressSnapshot struct {
-	ElapsedMS        int64            `json:"elapsed_ms"`
-	PagesDone        int64            `json:"pages_done"`
-	PagesTotal       int64            `json:"pages_total"`
-	PagesDegraded    int64            `json:"pages_degraded"`
-	HotspotsDone     int64            `json:"hotspots_done"`
-	HotspotsTotal    int64            `json:"hotspots_total"`
-	HotspotsDegraded int64            `json:"hotspots_degraded"`
-	Findings         int64            `json:"findings"`
-	Counters         map[string]int64 `json:"counters,omitempty"`
-}
+// ProgressSnapshot is the wire form of a job's live progress: obs.Snapshot
+// itself, whose JSON tags are the wire schema.
+type ProgressSnapshot = obs.Snapshot
 
 // ErrorBody is the structured error envelope every non-2xx response
 // carries: {"error": {"code": ..., "message": ...}}.
@@ -430,23 +419,4 @@ func decodeRequest(body []byte) (*Request, *apiError) {
 		}
 	}
 	return &req, nil
-}
-
-// guessEntries applies the sqlcheck CLI convention: every .php file that is
-// not obviously an include or library file is a top-level page.
-func guessEntries(sources map[string]string) []string {
-	var out []string
-	for path := range sources {
-		base := filepath.Base(path)
-		dir := filepath.Dir(path)
-		if strings.HasPrefix(base, "common") || strings.HasPrefix(base, "class") ||
-			strings.HasPrefix(base, "lib") || strings.HasPrefix(base, "config") ||
-			strings.HasPrefix(base, "session") || strings.HasPrefix(base, "encode") ||
-			strings.Contains(dir, "includes") || strings.Contains(dir, "languages") {
-			continue
-		}
-		out = append(out, path)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -101,16 +101,16 @@ func TestStoreConcurrentWriters(t *testing.T) {
 			if e, ok := verdicts.Get(fingerprint(name), verdictTag); !ok || e.Reports[0].Witness != name {
 				t.Fatalf("verdict %s: %+v, %v", name, e, ok)
 			}
-			if ps, ok := incr.Get(summaries, name+".php", summaryTag); !ok || ps.Hotspots[0].Reports[0].Witness != name {
-				t.Fatalf("summary %s: %+v, %v", name, ps, ok)
+			if ps, look := incr.Get(summaries, name+".php", summaryTag); look != vcache.Found || ps.Hotspots[0].Reports[0].Witness != name {
+				t.Fatalf("summary %s: %+v, %v", name, ps, look)
 			}
 		}
 	}
 	if e, ok := verdicts.Get(fingerprint("shared"), verdictTag); !ok || e.Reports[0].Witness != "a'b" {
 		t.Fatalf("shared verdict: %+v, %v; want the smaller record", e, ok)
 	}
-	if ps, ok := incr.Get(summaries, "shared.php", summaryTag); !ok || ps.Hotspots[0].Reports[0].Witness != "a'b" {
-		t.Fatalf("shared summary: %+v, %v; want the smaller record", ps, ok)
+	if ps, look := incr.Get(summaries, "shared.php", summaryTag); look != vcache.Found || ps.Hotspots[0].Reports[0].Witness != "a'b" {
+		t.Fatalf("shared summary: %+v, %v; want the smaller record", ps, look)
 	}
 	if st := verdicts.CacheStats(); st.Errors != 0 {
 		t.Fatalf("verdict store errors: %+v", st)

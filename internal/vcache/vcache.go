@@ -171,30 +171,36 @@ func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, hx[:2], hx+".json")
 }
 
+// Lookup is what Load found under a key.
+type Lookup uint8
+
+const (
+	Absent   Lookup = iota // no record under the key, or a nil store
+	Found                  // a usable record, decoded into rec
+	Rejected               // a record that could not be read, decoded, or validated
+)
+
 // Load decodes the on-disk record under k into rec (a pointer) and reports
-// whether it is usable: the file exists, decodes, and valid — which
-// inspects rec — accepts it. Records buffered by Save but not yet flushed
-// are not visible. Anything else counts as a miss, and everything but a
-// missing file as an error too.
-func (s *Store) Load(k Key, rec any, valid func() bool) bool {
+// what it found. A record is usable when the file exists, decodes, and
+// valid — which inspects rec — accepts it. Records buffered by Save but not
+// yet flushed are not visible. Anything but a usable record counts as a
+// miss, and everything but a missing file as an error too.
+func (s *Store) Load(k Key, rec any, valid func() bool) Lookup {
 	if s == nil {
-		return false
+		return Absent
 	}
 	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			s.errs.Add(1)
-		}
+	if errors.Is(err, os.ErrNotExist) {
 		s.misses.Add(1)
-		return false
+		return Absent
 	}
-	if err := json.Unmarshal(data, rec); err != nil || !valid() {
+	if err != nil || json.Unmarshal(data, rec) != nil || !valid() {
 		s.errs.Add(1)
 		s.misses.Add(1)
-		return false
+		return Rejected
 	}
 	s.hits.Add(1)
-	return true
+	return Found
 }
 
 // Save buffers rec under k until the next Flush. When two records are saved
@@ -226,10 +232,9 @@ func (s *Store) Save(k Key, rec any) {
 // out-of-range fields — counts as a miss.
 func (s *Store) Get(fp grammar.Fingerprint, tag string) (*Entry, bool) {
 	e := new(Entry)
-	ok := s.Load(Key(fp), e, func() bool {
+	if s.Load(Key(fp), e, func() bool {
 		return e.Format == FormatVersion && e.Tag == tag && e.FP == fp.Hex() && e.Valid()
-	})
-	if !ok {
+	}) != Found {
 		return nil, false
 	}
 	return e, true
