@@ -13,6 +13,7 @@ FUZZ_TARGETS = \
 	FuzzIntersect:./internal/grammar \
 	FuzzWitness:./internal/grammar \
 	FuzzRecognize:./internal/grammar \
+	FuzzSliceKey:./internal/grammar \
 	FuzzImage:./internal/fst \
 	FuzzByteClasses:./internal/rx \
 	FuzzServerRequest:./internal/server \

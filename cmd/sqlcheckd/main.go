@@ -1,6 +1,6 @@
 // Command sqlcheckd serves the analyzer over HTTP+JSON: one resident
-// process whose warm state — the in-memory fingerprint-keyed verdict memo,
-// the persistent verdict store, the process-global DFA/terminal-run interns
+// process whose warm state — the in-memory memo keyed by slice key, the
+// persistent verdict store, the process-global DFA/terminal-run interns
 // and byte-class partitions — is shared by every submission, so fleets of
 // CI jobs and IDE clients pay cache hits instead of cold analyses.
 //

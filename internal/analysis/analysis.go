@@ -320,7 +320,6 @@ func AnalyzeT(resolver Resolver, entry string, opts Options, b *budget.Budget, s
 		opts.MaxIncludeDepth = 32
 	}
 	start := time.Now()
-	arena0 := grammar.ArenaStatsSnapshot()
 	a := &analyzer{
 		g:        grammar.New(),
 		b:        b,
@@ -371,12 +370,12 @@ func AnalyzeT(resolver Resolver, entry string, opts Options, b *budget.Budget, s
 	sp.Count("grammar.nts", int64(a.g.NumNTs()))
 	sp.Count("grammar.prods", int64(a.g.NumProds()))
 	// Allocator behavior of the page grammar: retained slab footprint plus
-	// this page's traffic against the process-global terminal-run intern
-	// pool (delta over the whole phase-1 run).
+	// the grammar's own probes of the process-global terminal-run intern
+	// pool.
 	sp.Count("arena.slab-bytes", a.g.SlabBytes())
-	arena1 := grammar.ArenaStatsSnapshot()
-	sp.Count("arena.intern-hits", arena1.InternHits-arena0.InternHits)
-	sp.Count("arena.intern-misses", arena1.InternMisses-arena0.InternMisses)
+	hits, misses := a.g.InternStats()
+	sp.Count("arena.intern-hits", hits)
+	sp.Count("arena.intern-misses", misses)
 
 	res = &Result{
 		PageOutput:    pageOut,

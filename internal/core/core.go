@@ -77,9 +77,9 @@ type Options struct {
 	Session *Session
 	// Checker, when set, is the policy checker the run executes on instead
 	// of a fresh one — the long-lived-daemon path: a resident checker keeps
-	// its in-memory fingerprint-keyed verdict memo warm across requests, so
-	// repeat submissions of unchanged apps answer from memo hits without
-	// touching disk. The caller owns its configuration (Disk,
+	// its in-memory memo, keyed by slice key, warm across requests, so
+	// repeat submissions of unchanged apps answer without compacting a
+	// slice. The caller owns its configuration (Disk,
 	// UseMarkerConstruction — VerdictCache is ignored when Checker is set)
 	// and may share one checker across concurrent runs; verdicts are
 	// content-addressed, so sharing can only add cache hits, never change
@@ -248,9 +248,10 @@ type AppResult struct {
 	CompactProds int64
 	// Arena allocator census: the retained production-storage footprint of
 	// the per-page grammars (flat symbol slabs plus reference tables), and
-	// this run's traffic against the process-global terminal-run intern
-	// pool. A falling intern hit rate on an unchanged corpus means literal
-	// runs stopped deduplicating — usually an upstream construction change.
+	// the probes the grammars of the pages this run analyzed made against
+	// the process-global terminal-run intern pool. A falling intern hit rate
+	// on an unchanged corpus means literal runs stopped deduplicating —
+	// usually an upstream construction change.
 	GrammarSlabBytes int64
 	InternHits       int64
 	InternMisses     int64
@@ -397,7 +398,6 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 	if loads != nil {
 		resolver = loads
 	}
-	arena0 := grammar.ArenaStatsSnapshot()
 
 	// ---- phase 1: string-taint analysis per page -----------------------
 	tr := opts.Tracer
@@ -500,6 +500,9 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 			// A replayed page's hotspot verdicts came with it; no checks run.
 			continue
 		}
+		hits, misses := pages[i].Analysis.G.InternStats()
+		res.InternHits += hits
+		res.InternMisses += misses
 		for j := range pages[i].Hotspots {
 			jobs = append(jobs, job{page: i, slot: j})
 		}
@@ -566,9 +569,6 @@ func AnalyzeAppCtx(ctx context.Context, resolver analysis.Resolver, entries []st
 	if loads != nil {
 		res.ParseCacheHits, res.ParseCacheMisses = loads.ParseCacheStats()
 	}
-	arena1 := grammar.ArenaStatsSnapshot()
-	res.InternHits = arena1.InternHits - arena0.InternHits
-	res.InternMisses = arena1.InternMisses - arena0.InternMisses
 	seenFinding := map[string]bool{}
 	for _, page := range pages {
 		res.StringAnalysisTime += page.Analysis.AnalysisTime

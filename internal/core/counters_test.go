@@ -6,6 +6,7 @@ import (
 
 	"sqlciv/internal/analysis"
 	"sqlciv/internal/corpus"
+	"sqlciv/internal/obs"
 	"sqlciv/internal/policy"
 	"sqlciv/internal/vcache"
 )
@@ -113,6 +114,64 @@ func TestConcurrentRunsCountTheirOwnTraffic(t *testing.T) {
 		}
 		if in := res.Incr; in == nil || in.FilesReused != res.ParseCacheHits || in.FilesParsed != res.ParseCacheMisses {
 			t.Errorf("Utopia run %d: incremental file counters %+v disagree with its parse counters", i, in)
+		}
+	}
+}
+
+// internCounts is a run's intern-pool traffic.
+type internCounts struct{ hits, misses int64 }
+
+// pageInterns sums the intern counters of a run's page spans.
+type pageInterns struct{ internCounts }
+
+func (s *pageInterns) Emit(e *obs.Event) {
+	s.hits += e.Counters["arena.intern-hits"]
+	s.misses += e.Counters["arena.intern-misses"]
+}
+
+func (s *pageInterns) Close() error { return nil }
+
+// TestConcurrentRunsCountTheirOwnInterns: a run and each of its pages report
+// the intern-pool probes of their own grammars, so with the pool warm,
+// Utopia and Warp analyzed at once report exactly what each reports alone,
+// and a run's counts are the sums of its pages'.
+func TestConcurrentRunsCountTheirOwnInterns(t *testing.T) {
+	apps := []*corpus.App{corpus.Utopia(), corpus.Warp()}
+	run := func(app *corpus.App) internCounts {
+		pages := &pageInterns{}
+		tr := obs.New(pages)
+		res, err := AnalyzeApp(analysis.NewMapResolver(app.Sources), app.Entries, Options{Parallel: 2, Tracer: tr})
+		if err != nil {
+			t.Errorf("%s: %v", app.Name, err)
+			return internCounts{}
+		}
+		if err := tr.Close(); err != nil {
+			t.Errorf("%s: close tracer: %v", app.Name, err)
+		}
+		got := internCounts{res.InternHits, res.InternMisses}
+		if pages.internCounts != got {
+			t.Errorf("%s: run reports %+v, its page spans %+v", app.Name, got, pages.internCounts)
+		}
+		return got
+	}
+	for _, app := range apps {
+		run(app) // warm the pool
+	}
+	solo := make([]internCounts, len(apps))
+	for i, app := range apps {
+		solo[i] = run(app)
+		if solo[i].hits == 0 || solo[i].misses != 0 {
+			t.Fatalf("%s alone on a warm pool: %+v, want hits only", app.Name, solo[i])
+		}
+	}
+	got := make([]internCounts, len(apps))
+	concurrently(
+		func() { got[0] = run(apps[0]) },
+		func() { got[1] = run(apps[1]) },
+	)
+	for i, app := range apps {
+		if got[i] != solo[i] {
+			t.Errorf("%s beside %s: %+v, want its solo %+v", app.Name, apps[1-i].Name, got[i], solo[i])
 		}
 	}
 }

@@ -75,8 +75,9 @@ func internSlice(off, n int32) []Sym {
 
 // internRun interns the pure-terminal run encoded by key (one byte per
 // symbol; the caller guarantees every symbol is a non-marker terminal) and
-// returns its global reference. Safe for concurrent use.
-func internRun(key string) prodRef {
+// returns its global reference and whether the run was already there. Safe
+// for concurrent use.
+func internRun(key string) (prodRef, bool) {
 	p := &internPool
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -85,15 +86,15 @@ func internRun(key string) prodRef {
 	}
 	if r, ok := p.idx[key]; ok {
 		internStats.hits.Add(1)
-		return r
+		return r, true
 	}
-	return p.insertLocked(key)
+	return p.insertLocked(key), false
 }
 
 // internRunBytes is internRun for callers holding a reusable byte buffer:
 // the hit path performs a map lookup with no string conversion; only the
 // first sighting of a run pays for its permanent key.
-func internRunBytes(key []byte) prodRef {
+func internRunBytes(key []byte) (prodRef, bool) {
 	p := &internPool
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -102,9 +103,9 @@ func internRunBytes(key []byte) prodRef {
 	}
 	if r, ok := p.idx[string(key)]; ok {
 		internStats.hits.Add(1)
-		return r
+		return r, true
 	}
-	return p.insertLocked(string(key))
+	return p.insertLocked(string(key)), false
 }
 
 // insertLocked copies a new run into the shared slab and records its
@@ -149,10 +150,10 @@ type ArenaStats struct {
 	InternRuns, InternSyms int64
 }
 
-// ArenaStatsSnapshot returns the cumulative process-wide arena census. The
-// daemon serves it on /metrics and /debug/server; core and analysis read it
-// before and after a run or a page for their intern counters, which
-// therefore include any concurrent run's traffic.
+// ArenaStatsSnapshot returns the cumulative process-wide arena census, which
+// the daemon serves on /metrics and /debug/server. A page or a run reports
+// the probes of its own grammars instead (Grammar.InternStats), so
+// concurrent runs do not count each other's traffic.
 func ArenaStatsSnapshot() ArenaStats {
 	s := ArenaStats{
 		InternHits:   internStats.hits.Load(),
@@ -163,6 +164,19 @@ func ArenaStatsSnapshot() ArenaStats {
 	s.InternSyms = internPool.used
 	internPool.mu.Unlock()
 	return s
+}
+
+// InternStats reports the intern-pool probes made while building g: a hit
+// shared an existing region, a miss copied the run into the pool.
+func (g *Grammar) InternStats() (hits, misses int64) { return g.internHits, g.internMisses }
+
+// countIntern records one of g's intern-pool probes.
+func (g *Grammar) countIntern(hit bool) {
+	if hit {
+		g.internHits++
+	} else {
+		g.internMisses++
+	}
 }
 
 // SlabBytes reports the grammar's resident production storage in bytes: the

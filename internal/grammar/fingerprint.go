@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"slices"
 	"sync"
+
+	"sqlciv/internal/budget"
 )
 
 // Fingerprint is a canonical content hash of an annotated sub-grammar. Two
@@ -14,9 +16,9 @@ import (
 // order) or in the order productions were added — α-renamed and
 // production-permuted copies — get equal fingerprints; any difference in
 // structure, taint labels, or source names changes the hash. The policy
-// layer uses it to memoize hotspot verdicts: hotspots whose reachable query
-// grammars are canonically equal must get the same verdict, so one check
-// serves all of them.
+// layer keys its persistent verdict cache by the fingerprint of a hotspot's
+// compacted slice, so structurally different slices that compact to one
+// canonical form share one verdict. SliceKey returns the same type.
 type Fingerprint [sha256.Size]byte
 
 // Hex renders the fingerprint as lowercase hex — the canonical stable form
@@ -170,10 +172,11 @@ func (g *Grammar) CanonicalOrder(root Sym) []Sym {
 }
 
 // canonMemo caches canonicalization results per root, invalidated by the
-// grammar's mutation epoch. Warm verdict-cache probes call FingerprintOrder
-// on the same unmutated page grammar once per hotspot occurrence; without
-// the memo each probe re-runs the Weisfeiler-Leman refinement and an
-// O(R log R) sort over the whole reachable slice.
+// grammar's mutation epoch, which every mutation bumps, label changes
+// included. CanonicalOrder and Fingerprint of one root share one
+// canonicalization, and a repeated call on an unmutated grammar returns it
+// instead of re-running the Weisfeiler-Leman refinement and an O(R log R)
+// sort over the whole reachable slice.
 type canonMemo struct {
 	mu sync.Mutex
 	m  map[Sym]*canonEntry
@@ -294,16 +297,6 @@ func (g *Grammar) canonicalize(root Sym) (order []Sym, canon []int32, prodOrder 
 // serialization is a complete description of the annotated sub-grammar, so
 // equal fingerprints mean isomorphic grammars (up to hash collision).
 func (g *Grammar) Fingerprint(root Sym) Fingerprint {
-	fp, _ := g.FingerprintOrder(root)
-	return fp
-}
-
-// FingerprintOrder returns Fingerprint(root) together with
-// CanonicalOrder(root) from a single canonicalization pass. The policy layer
-// needs both per hotspot (the fingerprint keys the verdict caches, the order
-// fixes the report order), and canonicalization — a Weisfeiler-Leman
-// refinement over the whole slice — is too expensive to run twice.
-func (g *Grammar) FingerprintOrder(root Sym) (Fingerprint, []Sym) {
 	e := g.canonEntry(root)
 	// fingerprintFrom re-sorts prodOrder in place by canonical symbol code —
 	// a refinement of the structural-hash order that every later consumer of
@@ -311,7 +304,7 @@ func (g *Grammar) FingerprintOrder(root Sym) (Fingerprint, []Sym) {
 	e.fpOnce.Do(func() {
 		e.fp = g.fingerprintFrom(e.order, e.canon, e.prodOrder)
 	})
-	return e.fp, e.order
+	return e.fp
 }
 
 // fingerprintFrom serializes an already-canonicalized sub-grammar.
@@ -363,4 +356,89 @@ func (g *Grammar) fingerprintFrom(order []Sym, canon []int32, prodOrder [][]int3
 	var fp Fingerprint
 	h.Sum(fp[:0])
 	return fp
+}
+
+// SliceKey hashes the sub-grammar reachable from root exactly as it is
+// stored. Nonterminals are numbered in breadth-first discovery order from
+// root, following each nonterminal's productions in insertion order; each
+// contributes its taint label, its raw name and its productions in that
+// order, and terminals are coded by value. The key is invariant under
+// renumbering but, unlike Fingerprint, not under production permutation, so
+// it needs no refinement and no sort: one pass, charging b a step per
+// nonterminal and per production. The serialization is complete, so equal
+// keys mean slices identical up to numbering (up to a SHA-256 collision),
+// and every pure function of a slice agrees on them: CompactSlice's output
+// and census, Fingerprint, and the policy cascade's verdict.
+func (g *Grammar) SliceKey(root Sym, b *budget.Budget) Fingerprint {
+	ks := keyPool.Get().(*keyScratch)
+	defer keyPool.Put(ks)
+	ks.begin(g.NumNTs())
+	h := sha256.New()
+	buf := ks.buf[:0]
+	r := g.ntIndex(root)
+	ks.stamp[r], ks.id[r] = ks.pass, 0
+	queue := append(ks.queue[:0], int32(r))
+	for qi := 0; qi < len(queue); qi++ {
+		i := int(queue[qi])
+		np := g.numProdsAt(i)
+		b.Step(int64(1 + np))
+		buf = binary.AppendUvarint(buf, uint64(g.labels[i]))
+		buf = binary.AppendUvarint(buf, uint64(len(g.names[i])))
+		buf = append(buf, g.names[i]...)
+		buf = binary.AppendUvarint(buf, uint64(np))
+		for pi := 0; pi < np; pi++ {
+			rhs := g.rhsAt(i, pi)
+			buf = binary.AppendUvarint(buf, uint64(len(rhs)))
+			for _, s := range rhs {
+				if IsTerminal(s) {
+					buf = binary.AppendUvarint(buf, uint64(s))
+					continue
+				}
+				j := g.ntIndex(s)
+				if ks.stamp[j] != ks.pass {
+					ks.stamp[j], ks.id[j] = ks.pass, uint32(len(queue))
+					queue = append(queue, int32(j))
+				}
+				buf = binary.AppendUvarint(buf, uint64(NumTerminals)+uint64(ks.id[j]))
+			}
+			if len(buf) >= keyFlushBytes {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+		}
+	}
+	h.Write(buf)
+	ks.buf, ks.queue = buf[:0], queue[:0]
+	var k Fingerprint
+	h.Sum(k[:0])
+	return k
+}
+
+// keyFlushBytes is how much serialized slice SliceKey buffers between
+// writes to the hash.
+const keyFlushBytes = 32 << 10
+
+// keyScratch is SliceKey's pooled working state. A nonterminal's discovery
+// number is valid only while its stamp equals the current pass's, so a pass
+// that a budget trip abandons leaves nothing the next pass must clear.
+type keyScratch struct {
+	pass  uint32
+	stamp []uint32 // per nonterminal index: the pass that numbered it
+	id    []uint32 // per nonterminal index: its discovery number
+	queue []int32
+	buf   []byte
+}
+
+var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
+
+// begin starts a pass over a grammar with n nonterminals.
+func (ks *keyScratch) begin(n int) {
+	if len(ks.stamp) < n {
+		ks.stamp, ks.id, ks.pass = make([]uint32, n), make([]uint32, n), 0
+	}
+	ks.pass++
+	if ks.pass == 0 { // wrapped: forget every stamp
+		clear(ks.stamp)
+		ks.pass = 1
+	}
 }

@@ -3,6 +3,7 @@ package grammar
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sqlciv/internal/automata"
@@ -141,6 +142,111 @@ func FuzzWitness(f *testing.F) {
 		want, wok := intersectWitnessRef(g, root, d)
 		if got, ok := IntersectWitness(g, root, d); ok != wok || got != want {
 			t.Fatalf("IntersectWitness = %q,%t; materialized %q,%t\n%s", got, ok, want, wok, g.String())
+		}
+	})
+}
+
+// copySlice copies the sub-grammar of g reachable from root into a fresh
+// grammar, creating its nonterminals in the order ord (a permutation of
+// them) and giving each its productions in insertion order. edit, when not
+// nil, may rewrite each copied right-hand side in place.
+func copySlice(g *Grammar, root Sym, ord []Sym, edit func(lhs Sym, pi int, rhs []Sym)) (*Grammar, map[Sym]Sym) {
+	out := New()
+	m := make(map[Sym]Sym, len(ord))
+	for _, nt := range ord {
+		m[nt] = out.NewNT(g.RawName(nt))
+		out.SetLabel(m[nt], g.LabelOf(nt))
+	}
+	for _, nt := range ord {
+		for pi := 0; pi < g.NumProdsOf(nt); pi++ {
+			rhs := remapRHS(nil, g.Rhs(nt, pi), m)
+			if edit != nil {
+				edit(nt, pi, rhs)
+			}
+			out.Add(m[nt], rhs...)
+		}
+	}
+	out.SetStart(m[root])
+	return out, m
+}
+
+// FuzzSliceKey holds SliceKey to its contract on FuzzIntersect's grammars,
+// labeled by the byte after them. An Extract copy and a copy whose
+// nonterminals were created in reverse order share the key, and with it the
+// Fingerprint and the CompactSlice census. Changing one label, one raw name
+// or one terminal, or adding a production, changes the key.
+func FuzzSliceKey(f *testing.F) {
+	f.Add([]byte{0, 2, 'a', 'b', 1, 1, 'c', 0x0f, 0, 'a', 1, 1, 'b', 0})
+	f.Add([]byte{0, 1, 128, 0, 2, 'x', 131, 0, 0, 0xff, 2, 'x', 2})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 3, 'a', 129, 'a', 1, 1, 'q', 0x02, 1, 'q', 1})
+	f.Add([]byte{0, 3, 129, 130, 'b', 1, 2, 'a', 131, 2, 1, 'c', 3, 0, 0x39})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 96 {
+			data = data[:96]
+		}
+		g, root, rest := fuzzGrammar(data)
+		if len(rest) > 0 {
+			for i := 0; i < g.NumNTs(); i++ {
+				g.SetLabel(Sym(NumTerminals+i), Label(rest[0]>>(2*i))&(Direct|Indirect))
+			}
+		}
+		key := g.SliceKey(root, nil)
+		fp := g.Fingerprint(root)
+		_, stats := CompactSlice(g, root, nil)
+
+		same := func(what string, h *Grammar, hroot Sym) {
+			t.Helper()
+			if h.SliceKey(hroot, nil) != key {
+				t.Fatalf("%s changed the slice key:\n%s\n%s", what, g, h)
+			}
+			if h.Fingerprint(hroot) != fp {
+				t.Fatalf("%s kept the slice key but changed the fingerprint:\n%s\n%s", what, g, h)
+			}
+			if _, st := CompactSlice(h, hroot, nil); st != stats {
+				t.Fatalf("%s kept the slice key but changed the compaction census: %+v, want %+v", what, st, stats)
+			}
+		}
+		ex, remap := g.Extract(root)
+		same("Extract", ex, remap[root])
+		ord := slices.Clone(g.CanonicalOrder(root))
+		slices.Reverse(ord)
+		rev, m := copySlice(g, root, ord, nil)
+		same("creating the nonterminals in reverse order", rev, m[root])
+
+		differs := func(what string, h *Grammar, hroot Sym) {
+			t.Helper()
+			if h.SliceKey(hroot, nil) == key {
+				t.Fatalf("%s kept the slice key:\n%s\n%s", what, g, h)
+			}
+		}
+		x := ord[0]
+		if len(data) > 0 {
+			x = ord[int(data[len(data)-1])%len(ord)]
+		}
+		h, m := copySlice(g, root, ord, nil)
+		h.SetLabel(m[x], h.LabelOf(m[x])^Direct)
+		differs("a label change", h, m[root])
+		h, m = copySlice(g, root, ord, nil)
+		h.names[h.ntIndex(m[x])] += "'"
+		differs("a raw-name change", h, m[root])
+		h, m = copySlice(g, root, ord, nil)
+		h.Add(m[x])
+		differs("an added production", h, m[root])
+		for _, nt := range ord {
+			for pi := 0; pi < g.NumProdsOf(nt); pi++ {
+				k := slices.IndexFunc(g.Rhs(nt, pi), IsTerminal)
+				if k < 0 {
+					continue
+				}
+				h, m = copySlice(g, root, ord, func(lhs Sym, p int, rhs []Sym) {
+					if lhs == nt && p == pi {
+						rhs[k] = (rhs[k] + 1) % 256
+					}
+				})
+				differs("a terminal change", h, m[root])
+				return
+			}
 		}
 	})
 }

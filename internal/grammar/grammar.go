@@ -95,6 +95,9 @@ type Grammar struct {
 	numProds int
 	epoch    uint64 // bumped on every mutation; canonicalization memo key
 	keyBuf   []byte // scratch for intern-pool probes (single-writer)
+	// internHits / internMisses count g's own intern-pool probes
+	// (single-writer, like keyBuf).
+	internHits, internMisses int64
 
 	canon canonMemo // memoized canonical orders (fingerprint.go)
 }
@@ -147,7 +150,9 @@ func (g *Grammar) Add(lhs Sym, rhs ...Sym) {
 func (g *Grammar) AddString(lhs Sym, s string) {
 	if len(s) >= internMinRun && len(s) < internChunkSize {
 		i := g.ntIndex(lhs)
-		g.refs[i] = append(g.refs[i], internRun(s))
+		r, hit := internRun(s)
+		g.countIntern(hit)
+		g.refs[i] = append(g.refs[i], r)
 		g.numProds++
 		g.epoch++
 		return
@@ -169,7 +174,9 @@ func (g *Grammar) placeRHS(rhs []Sym) prodRef {
 		}
 		if key != nil {
 			g.keyBuf = key
-			return internRunBytes(key)
+			r, hit := internRunBytes(key)
+			g.countIntern(hit)
+			return r
 		}
 	}
 	off := len(g.syms)
@@ -242,10 +249,16 @@ func (g *Grammar) Name(s Sym) string {
 }
 
 // SetLabel replaces the label set of nt.
-func (g *Grammar) SetLabel(nt Sym, l Label) { g.labels[g.ntIndex(nt)] = l }
+func (g *Grammar) SetLabel(nt Sym, l Label) {
+	g.labels[g.ntIndex(nt)] = l
+	g.epoch++
+}
 
 // AddLabel ors l into nt's label set (the paper's ADDLABEL).
-func (g *Grammar) AddLabel(nt Sym, l Label) { g.labels[g.ntIndex(nt)] |= l }
+func (g *Grammar) AddLabel(nt Sym, l Label) {
+	g.labels[g.ntIndex(nt)] |= l
+	g.epoch++
+}
 
 // LabelOf returns nt's label set.
 func (g *Grammar) LabelOf(nt Sym) Label { return g.labels[g.ntIndex(nt)] }

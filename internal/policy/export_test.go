@@ -11,8 +11,11 @@ import "sqlciv/internal/grammar"
 func TablesAcquired(c *Checker) bool { return c.tab != nil }
 
 // SeedVerdict stores res as c's memoized verdict for the slice of g rooted
-// at root, as a completed check of an isomorphic slice would have.
+// at root, under its slice key and with the entry a completed check of that
+// slice would have left.
 func SeedVerdict(c *Checker, g *grammar.Grammar, root grammar.Sym, res *Result) {
-	fp, _ := g.FingerprintOrder(root)
-	c.verdicts.Store(fp, res)
+	cg, cstats := grammar.CompactSlice(g, root, nil)
+	e := &memoEntry{cfp: cg.G.Fingerprint(cg.Top), cstats: cstats}
+	e.res.Store(res)
+	c.memo.Store(g.SliceKey(root, nil), e)
 }

@@ -51,14 +51,16 @@ func TestFingerprintDistinguishesStructure(t *testing.T) {
 	if g.Fingerprint(q) == fp {
 		t.Fatal("different raw names must change the fingerprint")
 	}
-	// Different label.
+	// Different label, set on a grammar already fingerprinted: the label
+	// change must invalidate the memoized canonicalization.
 	g, q = buildQuery(false, "X", "v")
+	before := g.Fingerprint(q)
 	for _, nt := range g.CanonicalOrder(q) {
 		if g.LabelOf(nt) != 0 {
 			g.SetLabel(nt, grammar.Indirect)
 		}
 	}
-	if g.Fingerprint(q) == fp {
+	if after := g.Fingerprint(q); after == before || after == fp {
 		t.Fatal("different labels must change the fingerprint")
 	}
 	// Extra production.

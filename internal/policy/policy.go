@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sqlciv/internal/automata"
@@ -181,14 +182,18 @@ const (
 // the first hotspot it actually runs the cascade for, never in New, so a
 // run whose hotspots are all replayed or answered by a verdict cache never
 // builds them. The tables are read-only once built, so one Checker may
-// serve concurrent CheckHotspot calls (the verdict memo is synchronized
+// serve concurrent CheckHotspot calls (the memo is synchronized
 // internally).
 //
-// Every Checker memoizes: hotspots whose reachable annotated sub-grammars
-// are canonically equal (same shape, labels, and source names up to
-// nonterminal renaming) share one verdict. A caller that needs the cascade
-// to run on each call, such as a differential test or a benchmark of the
-// cascade, uses a fresh Checker per call; New builds nothing.
+// Every Checker memoizes by slice key (grammar.SliceKey): hotspots whose
+// reachable annotated sub-grammars are identical up to nonterminal
+// numbering share one memo entry. The entry keeps the compacted slice's
+// fingerprint, the slice census and, once a cascade has computed it, the
+// verdict, so a hotspot the checker has seen costs one pass over its slice
+// plus a lookup. A caller that needs the cascade to run on each call, such
+// as a differential test or a benchmark of the cascade, uses a fresh
+// Checker per call; New builds nothing. Set UseMarkerConstruction and Disk
+// before the first check: the memo keeps what that configuration computed.
 type Checker struct {
 	// UseMarkerConstruction selects the paper's original check-2 mechanism
 	// (replace the nonterminal with a marker terminal, intersect with a
@@ -208,10 +213,19 @@ type Checker struct {
 	// never compacts and so never consults it.
 	Disk *vcache.Store
 
-	verdicts sync.Map // grammar.Fingerprint -> *Result
+	memo sync.Map // slice key (grammar.SliceKey) -> *memoEntry
 
 	tabOnce sync.Once
 	tab     *tables // set by tabOnce; read it through tables
+}
+
+// memoEntry is what a Checker knows about one slice key. cfp and cstats are
+// set when the entry is made and never change; res is set once, by the
+// first cascade to complete for the key.
+type memoEntry struct {
+	cfp    grammar.Fingerprint    // compacted-slice fingerprint (disk key); zero without a Disk
+	cstats grammar.CompactStats   // slice census; zero in marker-construction mode
+	res    atomic.Pointer[Result] // the cascade's complete verdict
 }
 
 type attackDFA struct {
@@ -396,9 +410,9 @@ func buildEvenContextDFA() *automata.DFA {
 // CheckHotspot checks the query grammar rooted at root in g and returns the
 // reports for its labeled nonterminals.
 //
-// Results are memoized under the sub-grammar's canonical fingerprint; a hit
-// returns a Result sharing the cached Reports slice (callers must treat it
-// as read-only) with only CheckTime and the probes fresh.
+// Results are memoized under the sub-grammar's slice key; a hit returns a
+// Result sharing the cached Reports slice (callers must treat it as
+// read-only) with only CheckTime and the probes fresh.
 func (c *Checker) CheckHotspot(g *grammar.Grammar, root grammar.Sym) *Result {
 	return c.CheckHotspotT(g, root, nil, nil)
 }
@@ -432,9 +446,11 @@ func DegradedResult(r any, b *budget.Budget) *Result {
 //
 // sp is normally the hotspot span the core driver opened: slice compaction,
 // each cascade stage and the derivability session get child spans carrying
-// their fixpoint counters, and the verdict-cache outcome lands on sp itself
-// (attr "verdict-cache", counters "verdict.cache.hits"/"verdict.cache.misses").
-// A nil sp traces nothing.
+// their fixpoint counters, and the verdict-cache outcomes land on sp itself
+// (attrs "verdict-cache" and "disk-cache", counters
+// "verdict.cache.hits"/"verdict.cache.misses" and
+// "verdict.cache.disk.hits"/"verdict.cache.disk.misses"). A nil sp traces
+// nothing.
 func (c *Checker) CheckHotspotT(g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) (res *Result) {
 	s := &slice{start: time.Now()}
 	defer func() {
@@ -448,107 +464,56 @@ func (c *Checker) CheckHotspotT(g *grammar.Grammar, root grammar.Sym, b *budget.
 	return c.check(s, b, sp)
 }
 
-// slice is the prepared state of one hotspot check: the extracted original
-// slice, its compacted form, the labeled nonterminals to examine in
-// canonical order, what the verdict caches answered, and any cache
-// short-circuit prepare discovered.
+// slice is the prepared state of one hotspot check: the slice key's memo
+// entry, the extracted original slice, its compacted form, the labeled
+// nonterminals to examine in canonical order, what the verdict caches
+// answered, and any cache short-circuit prepare discovered.
 type slice struct {
 	start      time.Time
 	memo, disk Probe
 	hit        *Result          // memoized or persisted verdict; skip the cascade
-	scratch    *grammar.Grammar // extracted original slice; nil on a disk hit
+	entry      *memoEntry       // the slice key's memo entry
+	scratch    *grammar.Grammar // extracted original slice; nil on a cache hit
 	sroot      grammar.Sym
 	vl         []grammar.Sym      // labeled productive NTs (scratch syms, canonical order)
-	cg         *grammar.Compacted // nil in marker-construction mode
-	cstats     grammar.CompactStats
-	fp         grammar.Fingerprint // original-slice fingerprint (memo key)
-	cfp        grammar.Fingerprint // compacted-slice fingerprint (disk key)
+	cg         *grammar.Compacted // nil in marker-construction mode and on a cache hit
 }
 
-// prepare compacts, canonicalizes, and extracts the query-grammar slice
-// rooted at root into s, consulting the persistent and in-memory verdict
-// caches along the way. The persistent cache is keyed by the compacted
-// slice's fingerprint, which unifies structurally different originals with
-// the same canonical compact form; it is probed first, straight off the
-// compacted form of the page grammar, so a disk hit never extracts or
-// canonicalizes the original slice at all. The in-memory memoizer is keyed
-// by the original slice's fingerprint — isomorphic originals are guaranteed
-// bit-identical results.
+// prepare keys the query-grammar slice rooted at root, consults the verdict
+// caches, and on a miss extracts and compacts the slice into s. The slice
+// key comes first: a key the checker has seen already carries the compacted
+// slice's fingerprint and census, so a seen hotspot that either cache
+// answers costs the key's one pass and no compaction or canonicalization.
+// The persistent cache is probed first, keyed by the compacted slice's
+// fingerprint, which unifies structurally different originals with the same
+// canonical compact form; a disk hit never extracts the original slice and
+// leaves the memo unprobed. The memo answers only verdicts a cascade of
+// this checker computed.
 func (c *Checker) prepare(s *slice, g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) {
 	b.Check()
-
-	// memoLookup canonicalizes g from root for the in-memory memoizer key,
-	// keeping the canonical symbol order for reuse. On the compacted path
-	// it runs only after the persistent cache misses: a warm run answers
-	// from the (cheaper) compacted fingerprint without ever canonicalizing
-	// the full original slice.
-	var orderG []grammar.Sym
-	memoLookup := func() bool {
-		s.fp, orderG = g.FingerprintOrder(root)
-		if v, ok := c.verdicts.Load(s.fp); ok {
-			s.memo = ProbeHit
-			sp.SetAttr("verdict-cache", "hit")
-			sp.Count("verdict.cache.hits", 1)
-			s.hit = v.(*Result)
-			return true
-		}
-		s.memo = ProbeMiss
-		sp.SetAttr("verdict-cache", "miss")
-		sp.Count("verdict.cache.misses", 1)
-		return false
-	}
-	// collectVL gathers labeled nonterminals in canonical (BFS-from-root)
-	// order: α-equivalent grammars then produce Results with identically
-	// ordered Reports, so a cached verdict is indistinguishable from a
-	// recomputed one no matter which hotspot filled the cache. The memo
-	// lookup already canonicalized g for the fingerprint; reuse that order
-	// through the extraction remap instead of canonicalizing the slice
-	// again.
-	collectVL := func(remap map[grammar.Sym]grammar.Sym) []grammar.Sym {
-		var vlAll []grammar.Sym
-		for _, nt := range orderG {
-			if g.LabelOf(nt) != 0 {
-				vlAll = append(vlAll, remap[nt])
+	key := g.SliceKey(root, b)
+	v, known := c.memo.Load(key)
+	if !known {
+		e := &memoEntry{}
+		if !c.UseMarkerConstruction {
+			// Compact straight off the page grammar: CompactSlice only
+			// touches the sub-grammar reachable from root, and its output is
+			// numbering-invariant, so the compacted form — and with it the
+			// persistent-cache key — is the same whether or not the slice was
+			// extracted first.
+			s.cg, e.cstats = compact(g, root, b, sp)
+			if c.Disk != nil {
+				e.cfp = s.cg.G.Fingerprint(s.cg.Top)
 			}
 		}
-		return vlAll
+		// A concurrent check of the same key may have stored first; its
+		// entry holds the same fingerprint and census.
+		v, _ = c.memo.LoadOrStore(key, e)
 	}
+	s.entry = v.(*memoEntry)
 
-	if c.UseMarkerConstruction {
-		if memoLookup() {
-			return
-		}
-		scratch, remap := g.Extract(root)
-		s.scratch, s.sroot = scratch, remap[root]
-		// Uncompacted path: filter unproductive labeled NTs by emptiness.
-		minLens := scratch.MinLens()
-		for _, nt := range collectVL(remap) {
-			if minLens[int(nt)-grammar.NumTerminals] >= 0 {
-				s.vl = append(s.vl, nt)
-			}
-		}
-		return
-	}
-
-	// Compact straight off the page grammar: CompactSlice only touches the
-	// sub-grammar reachable from root, and its output is numbering-invariant,
-	// so the compacted form — and with it the persistent-cache key — is the
-	// same whether or not the slice was extracted first. Probing the disk
-	// cache before extraction means a warm run never materializes the
-	// original slice at all.
-	csp := sp.Child("compact", "slice")
-	cg, cstats := grammar.CompactSlice(g, root, b)
-	csp.Count("compact.nts.in", int64(cstats.NTsIn))
-	csp.Count("compact.prods.in", int64(cstats.ProdsIn))
-	csp.Count("compact.nts.out", int64(cstats.NTsOut))
-	csp.Count("compact.prods.out", int64(cstats.ProdsOut))
-	csp.Count("compact.inlined", int64(cstats.InlinedNTs))
-	csp.End()
-	s.cg, s.cstats = cg, cstats
-
-	if c.Disk != nil {
-		s.cfp = cg.G.Fingerprint(cg.Top)
-		if ent, ok := c.Disk.Get(s.cfp, CacheVersion); ok {
+	if c.Disk != nil && !c.UseMarkerConstruction {
+		if ent, ok := c.Disk.Get(s.entry.cfp, CacheVersion); ok {
 			s.disk = ProbeHit
 			sp.SetAttr("disk-cache", "hit")
 			sp.Count("verdict.cache.disk.hits", 1)
@@ -559,26 +524,71 @@ func (c *Checker) prepare(s *slice, g *grammar.Grammar, root grammar.Sym, b *bud
 		sp.SetAttr("disk-cache", "miss")
 		sp.Count("verdict.cache.disk.misses", 1)
 	}
-	scratch, remap := g.Extract(root)
-	s.scratch, s.sroot = scratch, remap[root]
-	// The cascade and the vl filter below address compacted nonterminals
-	// from scratch symbols, so rebase Fwd (keyed by page symbols above) into
-	// the extraction's numbering.
-	fwd := make(map[grammar.Sym]grammar.Sym, len(cg.Fwd))
-	for k, v := range cg.Fwd {
-		fwd[remap[k]] = v
-	}
-	cg.Fwd = fwd
-	if memoLookup() {
+	if res := s.entry.res.Load(); res != nil {
+		s.memo = ProbeHit
+		sp.SetAttr("verdict-cache", "hit")
+		sp.Count("verdict.cache.hits", 1)
+		s.hit = res
 		return
 	}
+	s.memo = ProbeMiss
+	sp.SetAttr("verdict-cache", "miss")
+	sp.Count("verdict.cache.misses", 1)
+
+	scratch, remap := g.Extract(root)
+	s.scratch, s.sroot = scratch, remap[root]
+	// Labeled nonterminals are examined in canonical (BFS-from-root) order:
+	// slices that share a key then produce Results with identically ordered
+	// Reports, so a memoized verdict is indistinguishable from a recomputed
+	// one no matter which hotspot filled the memo.
+	var labeled []grammar.Sym
+	for _, nt := range g.CanonicalOrder(root) {
+		if g.LabelOf(nt) != 0 {
+			labeled = append(labeled, remap[nt])
+		}
+	}
+	if c.UseMarkerConstruction {
+		// Uncompacted path: filter unproductive labeled NTs by emptiness.
+		minLens := scratch.MinLens()
+		for _, nt := range labeled {
+			if minLens[int(nt)-grammar.NumTerminals] >= 0 {
+				s.vl = append(s.vl, nt)
+			}
+		}
+		return
+	}
+	if s.cg == nil {
+		s.cg, _ = compact(g, root, b, sp) // the key was known, its verdict was not
+	}
+	// The cascade and the vl filter below address compacted nonterminals
+	// from scratch symbols, so rebase Fwd (keyed by page symbols) into the
+	// extraction's numbering.
+	fwd := make(map[grammar.Sym]grammar.Sym, len(s.cg.Fwd))
+	for k, v := range s.cg.Fwd {
+		fwd[remap[k]] = v
+	}
+	s.cg.Fwd = fwd
 	// Compaction keeps exactly the labeled NTs with nonempty languages, so
 	// survivorship in Fwd is the productivity filter.
-	for _, nt := range collectVL(remap) {
-		if _, ok := cg.Fwd[nt]; ok {
+	for _, nt := range labeled {
+		if _, ok := fwd[nt]; ok {
 			s.vl = append(s.vl, nt)
 		}
 	}
+}
+
+// compact compacts the slice rooted at root under a "compact"/"slice" child
+// of sp carrying the compaction census.
+func compact(g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) (*grammar.Compacted, grammar.CompactStats) {
+	csp := sp.Child("compact", "slice")
+	cg, cstats := grammar.CompactSlice(g, root, b)
+	csp.Count("compact.nts.in", int64(cstats.NTsIn))
+	csp.Count("compact.prods.in", int64(cstats.ProdsIn))
+	csp.Count("compact.nts.out", int64(cstats.NTsOut))
+	csp.Count("compact.prods.out", int64(cstats.ProdsOut))
+	csp.Count("compact.inlined", int64(cstats.InlinedNTs))
+	csp.End()
+	return cg, cstats
 }
 
 // check runs the policy cascade over a prepared slice, or copies the
@@ -587,11 +597,7 @@ func (c *Checker) prepare(s *slice, g *grammar.Grammar, root grammar.Sym, b *bud
 func (c *Checker) check(s *slice, b *budget.Budget, sp *obs.Span) *Result {
 	if s.hit != nil {
 		out := *s.hit
-		if s.cg != nil {
-			// Cache hit on the compacted path: the slice census was
-			// computed locally this run.
-			setSliceStats(&out, s)
-		}
+		setSliceStats(&out, s)
 		out.CheckTime = time.Since(s.start)
 		out.Memo, out.Disk = s.memo, s.disk
 		return &out
@@ -636,19 +642,20 @@ func (c *Checker) check(s *slice, b *budget.Budget, sp *obs.Span) *Result {
 	res.BudgetMemHigh = b.MemHigh()
 	// First writer wins; a concurrent loser computed an identical Result
 	// (canonical report order), so dropping it is harmless.
-	c.verdicts.LoadOrStore(s.fp, res)
-	if c.Disk != nil && s.cg != nil {
-		c.Disk.Put(s.cfp, CacheVersion, &vcache.Entry{VerdictRecord: ToRecord(res)})
+	s.entry.res.CompareAndSwap(nil, res)
+	if c.Disk != nil && !c.UseMarkerConstruction {
+		c.Disk.Put(s.entry.cfp, CacheVersion, &vcache.Entry{VerdictRecord: ToRecord(res)})
 	}
 	return res
 }
 
-// setSliceStats copies the compaction census onto a Result.
+// setSliceStats copies the slice key's compaction census onto a Result.
 func setSliceStats(res *Result, s *slice) {
-	res.SliceNTs = s.cstats.NTsIn
-	res.SliceProds = s.cstats.ProdsIn
-	res.CompactNTs = s.cstats.NTsOut
-	res.CompactProds = s.cstats.ProdsOut
+	cs := &s.entry.cstats
+	res.SliceNTs = cs.NTsIn
+	res.SliceProds = cs.ProdsIn
+	res.CompactNTs = cs.NTsOut
+	res.CompactProds = cs.ProdsOut
 }
 
 // ToRecord converts a complete verdict to the record both persistent

@@ -25,11 +25,11 @@
 //	GET  /debug/pprof/   the standard pprof handlers
 //
 // What makes the daemon worth running is the state it keeps resident: one
-// shared policy.Checker whose in-memory fingerprint-keyed verdict memo
-// stays warm across requests, one persistent vcache store flushed after
+// shared policy.Checker whose in-memory memo, keyed by slice key, stays
+// warm across requests, one persistent vcache store flushed after
 // every job, the process-global DFA/terminal-run interns, and the byte-
 // class partition cache — so repeat submissions of unchanged apps answer
-// mostly from fingerprint hits. Admission is bounded (fixed workers, fixed
+// mostly from cache hits. Admission is bounded (fixed workers, fixed
 // queue depth, 429 + Retry-After on overflow) and tenant-isolated (per-
 // tenant in-flight caps and budget ceilings; an abusive tenant's oversized
 // jobs degrade soundly to VerdictUnknown inside its own allowance).
