@@ -34,13 +34,15 @@ test:
 # end-to-end traced -table1 run in both export formats. The gofmt step scans
 # tracked files only, so the benchmark's build directory stays out of it.
 # The benchmark harness in bench/ is its own module (replace sqlciv => ../)
-# that the root ./... never reaches, so it is vetted separately: a refactor
-# of the internal packages it imports fails here rather than in the
-# benchmark run.
+# that the root ./... never reaches, so it is vetted and tested separately:
+# a refactor of the internal packages it imports, or of the caches its
+# census checks drive the real binaries against, fails here rather than in
+# the benchmark run.
 check:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) trace-smoke

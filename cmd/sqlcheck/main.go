@@ -19,8 +19,8 @@
 // -cpuprofile/-memprofile write pprof profiles of the run.
 //
 // Hotspot verdicts persist across runs in a content-addressed on-disk cache
-// (keyed by the compacted slice grammar's fingerprint plus the policy
-// version, so edits and policy changes invalidate naturally). -cache-dir
+// (keyed by each hotspot's query-grammar slice plus the policy version, so
+// edits and policy changes invalidate naturally). -cache-dir
 // overrides its location (default: a sqlciv directory under the user cache
 // dir); -no-cache disables it for a run.
 //

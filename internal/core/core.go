@@ -58,9 +58,10 @@ type Options struct {
 	// Finding and Degradation records the id of the span it arose under.
 	// nil disables tracing at zero cost.
 	Tracer *obs.Tracer
-	// VerdictCache, when set, persists hotspot verdicts across runs, keyed
-	// by the fingerprint of each hotspot's compacted query-grammar slice
-	// plus the policy version (see internal/vcache). The analyzer only
+	// VerdictCache, when set, persists hotspot verdicts and slice censuses
+	// across runs, keyed by the slice key of each hotspot's query-grammar
+	// slice plus the policy version (see internal/vcache), so a hit costs
+	// one pass over the slice and no compaction. The analyzer only
 	// reads and buffers entries; the caller owns the store's lifecycle and
 	// must Flush (or Close) it for this run's verdicts to reach disk.
 	// Invalid or stale entries are ignored, never trusted — a bad cache can

@@ -310,7 +310,7 @@ type IncrStats struct {
 	PagesRecomputed int64
 	// HotspotsReplayed verdicts were served by page replay without entering
 	// phase 2; HotspotsRechecked went through the policy cascade (where the
-	// verdict caches may still answer fingerprint-unchanged slices).
+	// verdict caches may still answer unchanged slices).
 	HotspotsReplayed  int64
 	HotspotsRechecked int64
 	// Summary-store traffic for this run (all zero without a store).

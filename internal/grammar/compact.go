@@ -44,11 +44,13 @@ type Compacted struct {
 	G *Grammar
 	// Root is the image of the requested root in G.
 	Root Sym
-	// Top is the fingerprint root: Root itself, or a synthetic unlabeled
-	// super-root whose alternatives are Root plus every surviving labeled
-	// nonterminal that production trimming disconnected from Root. Hashing
-	// from Top makes G.Fingerprint(Top) cover every nonterminal the policy
-	// cascade can report on, so it is a sound content-address for verdicts.
+	// Top is the root that reaches all of G: Root itself, or a synthetic
+	// unlabeled super-root whose alternatives are Root plus every surviving
+	// labeled nonterminal that production trimming disconnected from Root.
+	// G.Fingerprint(Top) thus covers every nonterminal the policy cascade
+	// can report on; the golden corpus fixture pins it. It is no verdict
+	// key: slices that compact to one form can differ in witnesses and in
+	// check 5, which run on the original slice.
 	Top Sym
 	// Fwd maps surviving input nonterminals to their images in G. Labeled
 	// productive nonterminals always survive; eliminated (inlined or
@@ -137,8 +139,9 @@ func (ws *compactScratch) place(rhs []Sym) prodRef {
 // language exactly and its labeled productive nonterminals individually
 // (same label, same raw name, same language per nonterminal). The result is
 // deterministic and commutes with α-renaming and production permutation of
-// the input, so Fingerprint(Top) of the compacted grammar is a canonical
-// content-address for the slice. Work is metered against b.
+// the input, so Fingerprint(Top) of the compacted grammar identifies all
+// that the cascade's fixpoints compute over it (not the verdict: witnesses
+// and check 5 run on the original slice). Work is metered against b.
 func CompactSlice(g *Grammar, root Sym, b *budget.Budget) (*Compacted, CompactStats) {
 	n := g.NumNTs()
 	idx := func(s Sym) int { return int(s) - NumTerminals }

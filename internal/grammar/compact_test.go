@@ -126,9 +126,8 @@ func TestCompactPreservesLabelsAndNames(t *testing.T) {
 }
 
 // TestCompactAlphaInvariant: α-renaming nonterminals and permuting
-// production order must not change the compacted fingerprint — it is the
-// persistent verdict-cache key, so equal slices must collide across runs and
-// across hotspots regardless of construction order.
+// production order must not change the compacted fingerprint: equal slices
+// compact to one canonical form regardless of construction order.
 func TestCompactAlphaInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	for trial := 0; trial < 80; trial++ {

@@ -15,10 +15,10 @@ import (
 // grammars that differ only in nonterminal identity (numbering / creation
 // order) or in the order productions were added — α-renamed and
 // production-permuted copies — get equal fingerprints; any difference in
-// structure, taint labels, or source names changes the hash. The policy
-// layer keys its persistent verdict cache by the fingerprint of a hotspot's
-// compacted slice, so structurally different slices that compact to one
-// canonical form share one verdict. SliceKey returns the same type.
+// structure, taint labels, or source names changes the hash. SliceKey
+// returns the same type; it, not the fingerprint, keys both verdict caches,
+// because witness selection and check 5 run on the uncompacted slice and
+// may depend on its production order.
 type Fingerprint [sha256.Size]byte
 
 // Hex renders the fingerprint as lowercase hex — the canonical stable form
@@ -40,9 +40,9 @@ func mixColor(h, v uint64) uint64 {
 
 // maxColorRounds caps the refinement: grammars whose sibling productions
 // agree beyond this structural depth fall back to production order for
-// their relative traversal, conservatively costing fingerprint-cache hits
-// (two isomorphic copies may hash differently), never soundness (equal
-// hashes still mean isomorphic grammars — the serialization is complete).
+// their relative traversal, so two isomorphic copies may hash differently;
+// equal hashes still mean isomorphic grammars (the serialization is
+// complete).
 const maxColorRounds = 24
 
 // colorize assigns every reachable nonterminal a structural color by
@@ -167,51 +167,8 @@ func sameRHS(a, b []Sym) bool {
 // depends only on the sub-grammar's shape, never on symbol numbering or the
 // sequence in which productions were added.
 func (g *Grammar) CanonicalOrder(root Sym) []Sym {
-	e := g.canonEntry(root)
-	return e.order
-}
-
-// canonMemo caches canonicalization results per root, invalidated by the
-// grammar's mutation epoch, which every mutation bumps, label changes
-// included. CanonicalOrder and Fingerprint of one root share one
-// canonicalization, and a repeated call on an unmutated grammar returns it
-// instead of re-running the Weisfeiler-Leman refinement and an O(R log R)
-// sort over the whole reachable slice.
-type canonMemo struct {
-	mu sync.Mutex
-	m  map[Sym]*canonEntry
-}
-
-type canonEntry struct {
-	epoch     uint64
-	order     []Sym
-	canon     []int32
-	prodOrder [][]int32
-	fpOnce    sync.Once // fingerprintFrom mutates prodOrder; run it once
-	fp        Fingerprint
-}
-
-// canonEntry returns the memoized canonicalization of root, computing it on
-// epoch mismatch. Safe for concurrent readers of an unmutated grammar; the
-// grammar must not be mutated concurrently with this call (mutation and
-// parallel checking are already distinct phases everywhere).
-func (g *Grammar) canonEntry(root Sym) *canonEntry {
-	g.canon.mu.Lock()
-	if e, ok := g.canon.m[root]; ok && e.epoch == g.epoch {
-		g.canon.mu.Unlock()
-		return e
-	}
-	g.canon.mu.Unlock()
-	order, canon, prodOrder := g.canonicalize(root)
-	e := &canonEntry{epoch: g.epoch, order: order, canon: canon, prodOrder: prodOrder}
-	g.canon.mu.Lock()
-	if g.canon.m == nil {
-		g.canon.m = make(map[Sym]*canonEntry)
-	}
-	// Last writer wins under a race; both computed identical content.
-	g.canon.m[root] = e
-	g.canon.mu.Unlock()
-	return e
+	order, _, _ := g.canonicalize(root)
+	return order
 }
 
 // canonicalize computes the canonical order plus, per nonterminal index,
@@ -292,19 +249,14 @@ func (g *Grammar) canonicalize(root Sym) (order []Sym, canon []int32, prodOrder 
 // canonical fingerprint. Nonterminals are renumbered along CanonicalOrder
 // and productions serialized in canonical (structural-hash, then
 // canonical-symbol) order; the serialization covers, per nonterminal: its
-// taint label, its raw name (names surface in reports, so they are part of
-// the verdict), and every production as a tagged symbol sequence. The
-// serialization is a complete description of the annotated sub-grammar, so
-// equal fingerprints mean isomorphic grammars (up to hash collision).
+// taint label, its raw name, and every production as a tagged symbol
+// sequence. The serialization is a complete description of the annotated
+// sub-grammar, so equal fingerprints mean isomorphic grammars (up to hash
+// collision). No cache is keyed by it; the golden corpus fixture pins each
+// hotspot slice's fingerprint and its compacted form's, so a change that
+// alters a slice's shape shows there.
 func (g *Grammar) Fingerprint(root Sym) Fingerprint {
-	e := g.canonEntry(root)
-	// fingerprintFrom re-sorts prodOrder in place by canonical symbol code —
-	// a refinement of the structural-hash order that every later consumer of
-	// the entry is also correct under — so it runs exactly once per entry.
-	e.fpOnce.Do(func() {
-		e.fp = g.fingerprintFrom(e.order, e.canon, e.prodOrder)
-	})
-	return e.fp
+	return g.fingerprintFrom(g.canonicalize(root))
 }
 
 // fingerprintFrom serializes an already-canonicalized sub-grammar.
@@ -332,9 +284,7 @@ func (g *Grammar) fingerprintFrom(order []Sym, canon []int32, prodOrder [][]int3
 		h.Write([]byte(g.names[i]))
 		writeU32(uint32(g.numProdsAt(i)))
 		// In-place, non-stable sort: a full tie means identical canonical
-		// symbol sequences, which serialize identically in any order, and
-		// later readers of prodOrder are correct under any refinement of the
-		// structural-hash order.
+		// symbol sequences, which serialize identically in any order.
 		po := prodOrder[i]
 		slices.SortFunc(po, func(a, b int32) int {
 			ra, rb := g.rhsAt(i, int(a)), g.rhsAt(i, int(b))
@@ -368,7 +318,8 @@ func (g *Grammar) fingerprintFrom(order []Sym, canon []int32, prodOrder [][]int3
 // nonterminal and per production. The serialization is complete, so equal
 // keys mean slices identical up to numbering (up to a SHA-256 collision),
 // and every pure function of a slice agrees on them: CompactSlice's output
-// and census, Fingerprint, and the policy cascade's verdict.
+// and census, Fingerprint, and the policy cascade's verdict, witnesses
+// included. Both of the policy checker's verdict tiers are keyed by it.
 func (g *Grammar) SliceKey(root Sym, b *budget.Budget) Fingerprint {
 	ks := keyPool.Get().(*keyScratch)
 	defer keyPool.Put(ks)

@@ -93,13 +93,10 @@ type Grammar struct {
 	syms     []Sym       // flat RHS symbol slab
 	start    Sym
 	numProds int
-	epoch    uint64 // bumped on every mutation; canonicalization memo key
 	keyBuf   []byte // scratch for intern-pool probes (single-writer)
 	// internHits / internMisses count g's own intern-pool probes
 	// (single-writer, like keyBuf).
 	internHits, internMisses int64
-
-	canon canonMemo // memoized canonical orders (fingerprint.go)
 }
 
 // New returns an empty grammar with no nonterminals and no start symbol.
@@ -111,7 +108,6 @@ func (g *Grammar) NewNT(name string) Sym {
 	g.names = append(g.names, name)
 	g.labels = append(g.labels, 0)
 	g.refs = append(g.refs, nil)
-	g.epoch++
 	return Sym(NumTerminals + len(g.names) - 1)
 }
 
@@ -141,7 +137,6 @@ func (g *Grammar) Add(lhs Sym, rhs ...Sym) {
 	i := g.ntIndex(lhs)
 	g.refs[i] = append(g.refs[i], g.placeRHS(rhs))
 	g.numProds++
-	g.epoch++
 }
 
 // AddString appends the production lhs → the terminal sequence of s. Long
@@ -154,7 +149,6 @@ func (g *Grammar) AddString(lhs Sym, s string) {
 		g.countIntern(hit)
 		g.refs[i] = append(g.refs[i], r)
 		g.numProds++
-		g.epoch++
 		return
 	}
 	g.Add(lhs, TermString(s)...)
@@ -191,7 +185,6 @@ func (g *Grammar) addRef(nt Sym, r prodRef) {
 	i := g.ntIndex(nt)
 	g.refs[i] = append(g.refs[i], r)
 	g.numProds++
-	g.epoch++
 }
 
 // NumProdsOf reports how many productions nt has.
@@ -219,7 +212,6 @@ func (g *Grammar) clearProds(nt Sym) {
 	i := g.ntIndex(nt)
 	g.numProds -= g.numProdsAt(i)
 	g.refs[i] = nil
-	g.epoch++
 }
 
 // SetStart sets the start nonterminal.
@@ -249,16 +241,10 @@ func (g *Grammar) Name(s Sym) string {
 }
 
 // SetLabel replaces the label set of nt.
-func (g *Grammar) SetLabel(nt Sym, l Label) {
-	g.labels[g.ntIndex(nt)] = l
-	g.epoch++
-}
+func (g *Grammar) SetLabel(nt Sym, l Label) { g.labels[g.ntIndex(nt)] = l }
 
 // AddLabel ors l into nt's label set (the paper's ADDLABEL).
-func (g *Grammar) AddLabel(nt Sym, l Label) {
-	g.labels[g.ntIndex(nt)] |= l
-	g.epoch++
-}
+func (g *Grammar) AddLabel(nt Sym, l Label) { g.labels[g.ntIndex(nt)] |= l }
 
 // LabelOf returns nt's label set.
 func (g *Grammar) LabelOf(nt Sym) Label { return g.labels[g.ntIndex(nt)] }

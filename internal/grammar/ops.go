@@ -381,7 +381,6 @@ func (g *Grammar) ReplaceWithMarker(root, x Sym) *Grammar {
 			sub.refs[i][ri] = prodRef{off: int32(off), n: r.n}
 		}
 	}
-	sub.epoch++
 	return sub
 }
 

@@ -123,7 +123,7 @@ func summary(entry string) *PageSummary {
 			File: entry, Line: 4, Call: "mysql_query",
 			VerdictRecord: vcache.VerdictRecord{Verdict: "vulnerable", LabeledNTs: 2,
 				Reports: []vcache.Report{{Label: 1, Check: 1, Witness: "a'b", Source: "_GET[id]"}}},
-			Census: policy.Census{CheckTime: 500, SliceNTs: 5, SliceProds: 6, CompactNTs: 2, CompactProds: 3},
+			Census: policy.Census{CheckTime: 500, SliceCensus: vcache.SliceCensus{SliceNTs: 5, SliceProds: 6, CompactNTs: 2, CompactProds: 3}},
 		}},
 	}
 }
@@ -228,6 +228,7 @@ func TestInvalidSummariesMiss(t *testing.T) {
 		{"verdict-unknown", mangle(`"vulnerable"`, `"unknown"`)},
 		{"check-out-of-range", mangle(`"check":1`, `"check":7`)},
 		{"line-out-of-range", mangle(`"line":4`, `"line":0`)},
+		{"census-negative", mangle(`"compact_nts":2`, `"compact_nts":-2`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -94,8 +94,7 @@ func (ps *PageSummary) valid(entry, tag string) bool {
 	}
 	for i := range ps.Hotspots {
 		h := &ps.Hotspots[i]
-		if !h.Valid() || h.CheckTime < 0 || h.Line <= 0 ||
-			h.SliceNTs < 0 || h.SliceProds < 0 || h.CompactNTs < 0 || h.CompactProds < 0 {
+		if !h.VerdictRecord.Valid() || !h.SliceCensus.Valid() || h.CheckTime < 0 || h.Line <= 0 {
 			return false
 		}
 	}

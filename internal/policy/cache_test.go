@@ -6,10 +6,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sqlciv/internal/budget"
+	"sqlciv/internal/grammar"
 	"sqlciv/internal/vcache"
 )
 
@@ -81,10 +83,164 @@ func TestDiskCacheRoundTripIdenticalReports(t *testing.T) {
 	}
 	sameReports(t, computed.Reports, cached.Reports)
 
-	// The compaction census is recomputed locally on a hit, so stats stay
-	// meaningful on fully-warm runs.
-	if cached.CompactProds == 0 || cached.SliceProds == 0 {
-		t.Error("disk hit must still carry the slice census")
+	// The entry carries the slice census, so stats stay meaningful on
+	// fully-warm runs that compact nothing.
+	if cached.SliceCensus != computed.SliceCensus {
+		t.Errorf("disk hit census %+v, computed %+v", cached.SliceCensus, computed.SliceCensus)
+	}
+}
+
+// TestCacheHitsReportTheirOwnBudget: a memo or disk hit reports the budget
+// its own check consumed, the slice key's pass (one step per slice
+// nonterminal and production), not what the check that computed the
+// verdict consumed.
+func TestCacheHitsReportTheirOwnBudget(t *testing.T) {
+	g, root := buildQuery(false, "X", "'")
+	limits := budget.Limits{MaxSteps: 1 << 20}
+	run := func(c *Checker) (*Result, *budget.Budget) {
+		b := budget.New(context.Background(), limits)
+		return c.CheckHotspotT(g, root, b, nil), b
+	}
+	dir := t.TempDir()
+	fill := New()
+	fill.Disk = openStore(t, dir)
+	computed, _ := run(fill)
+	keyPass := int64(computed.SliceNTs + computed.SliceProds)
+	if computed.BudgetSteps <= keyPass || computed.BudgetMemHigh == 0 {
+		t.Fatalf("computing check used %d steps and %d bytes; want more than the key pass's %d steps, and some memory",
+			computed.BudgetSteps, computed.BudgetMemHigh, keyPass)
+	}
+	if err := fill.Disk.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	memo := New()
+	run(memo)
+	disk := New()
+	disk.Disk = openStore(t, dir)
+	for _, hit := range []struct {
+		name       string
+		c          *Checker
+		memo, disk Probe
+	}{
+		{"memo", memo, ProbeHit, NotProbed},
+		{"disk", disk, NotProbed, ProbeHit},
+	} {
+		res, b := run(hit.c)
+		if res.Memo != hit.memo || res.Disk != hit.disk {
+			t.Fatalf("%s: memo probe %v, disk probe %v; want %v, %v", hit.name, res.Memo, res.Disk, hit.memo, hit.disk)
+		}
+		if res.BudgetSteps != b.Steps() || res.BudgetMemHigh != b.MemHigh() {
+			t.Errorf("%s hit reports %d steps and %d bytes; its budget used %d and %d",
+				hit.name, res.BudgetSteps, res.BudgetMemHigh, b.Steps(), b.MemHigh())
+		}
+		if res.BudgetSteps != keyPass {
+			t.Errorf("%s hit used %d steps, want the key pass's %d", hit.name, res.BudgetSteps, keyPass)
+		}
+	}
+}
+
+// selectThenX builds q → S1 S2 X, or with nested q → P X and P → S1 S2, where
+// S1 derives "SELECT a" … "SELECT e", S2 " FROM t WHERE c=" … " FROM w WHERE
+// c=" and X, labeled direct, "abc". Both compact to one form, yet only the
+// flat slice passes check 5.
+func selectThenX(nested bool) (*grammar.Grammar, grammar.Sym) {
+	g := grammar.New()
+	q := g.NewNT("q")
+	s1 := g.NewNT("S1")
+	for _, c := range "abcde" {
+		g.AddString(s1, "SELECT "+string(c))
+	}
+	s2 := g.NewNT("S2")
+	for _, tab := range "tuvw" {
+		g.AddString(s2, " FROM "+string(tab)+" WHERE c=")
+	}
+	x := g.NewNT("X")
+	g.AddLabel(x, grammar.Direct)
+	g.AddString(x, "abc")
+	if nested {
+		p := g.NewNT("P")
+		g.Add(p, s1, s2)
+		g.Add(q, p, x)
+	} else {
+		g.Add(q, s1, s2, x)
+	}
+	g.SetStart(q)
+	return g, q
+}
+
+// quotedChain builds WHERE a='<X>' with X → direct | Y, Y → Z, Z → chained
+// and X labeled direct. Swapping the two strings keeps the compacted form,
+// X → "a'" | "b'", but changes the witness, which the shorter derivation
+// gives.
+func quotedChain(direct, chained string) (*grammar.Grammar, grammar.Sym) {
+	g := grammar.New()
+	q := g.NewNT("q")
+	x := g.NewNT("X")
+	y := g.NewNT("Y")
+	z := g.NewNT("Z")
+	g.AddLabel(x, grammar.Direct)
+	g.AddString(x, direct)
+	g.Add(x, y)
+	g.Add(y, z)
+	g.AddString(z, chained)
+	rhs := grammar.TermString("SELECT * FROM t WHERE a='")
+	rhs = append(rhs, x, grammar.T('\''))
+	g.Add(q, rhs...)
+	g.SetStart(q)
+	return g, q
+}
+
+// TestDiskHitReturnsTheSlicesOwnVerdict: a verdict is a function of the
+// slice, not of its compacted form, because check 5 and witness selection
+// run on the original slice. Each pair below shares its compacted
+// fingerprint, but not its slice key, and cold checks of the two disagree.
+// A checker over a store that the other slice filled returns exactly what
+// the cold check of its own slice computes: verdict, reports in order,
+// witnesses and census.
+func TestDiskHitReturnsTheSlicesOwnVerdict(t *testing.T) {
+	type build func() (*grammar.Grammar, grammar.Sym)
+	for _, pair := range []struct {
+		name string
+		a, b build
+	}{
+		{"check 5", func() (*grammar.Grammar, grammar.Sym) { return selectThenX(true) },
+			func() (*grammar.Grammar, grammar.Sym) { return selectThenX(false) }},
+		{"witness", func() (*grammar.Grammar, grammar.Sym) { return quotedChain("a'", "b'") },
+			func() (*grammar.Grammar, grammar.Sym) { return quotedChain("b'", "a'") }},
+	} {
+		t.Run(pair.name, func(t *testing.T) {
+			ga, ra := pair.a()
+			gb, rb := pair.b()
+			ca, _ := grammar.CompactSlice(ga, ra, nil)
+			cb, _ := grammar.CompactSlice(gb, rb, nil)
+			if ca.G.Fingerprint(ca.Top) != cb.G.Fingerprint(cb.Top) {
+				t.Fatal("the pair's compacted fingerprints differ")
+			}
+			if ga.SliceKey(ra, nil) == gb.SliceKey(rb, nil) {
+				t.Fatal("the pair shares a slice key")
+			}
+			if reflect.DeepEqual(Answer(New().CheckHotspot(ga, ra)), Answer(New().CheckHotspot(gb, rb))) {
+				t.Fatal("cold checks of the pair agree; the pair tests nothing")
+			}
+			for _, order := range [][2]build{{pair.a, pair.b}, {pair.b, pair.a}} {
+				g, root := order[0]()
+				want := New().CheckHotspot(g, root)
+				dir := t.TempDir()
+				fill := New()
+				fill.Disk = openStore(t, dir)
+				other, oroot := order[1]()
+				fill.CheckHotspot(other, oroot)
+				if err := fill.Disk.Flush(); err != nil {
+					t.Fatalf("Flush: %v", err)
+				}
+				warm := New()
+				warm.Disk = openStore(t, dir)
+				got := warm.CheckHotspot(g, root)
+				if got, want := Answer(got), Answer(want); !reflect.DeepEqual(got, want) {
+					t.Errorf("over the other slice's store: %+v; cold check: %+v", got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -226,8 +382,8 @@ func TestDegradedVerdictNotPersisted(t *testing.T) {
 }
 
 // TestDiskCacheUnifiesAlphaRenamedOriginals: the persistent cache is keyed
-// by the compacted slice's canonical fingerprint, so an α-renamed copy of a
-// hotspot answers from an entry its twin wrote.
+// by the slice key, which is invariant under renumbering, so an α-renamed
+// copy of a hotspot answers from an entry its twin wrote.
 func TestDiskCacheUnifiesAlphaRenamedOriginals(t *testing.T) {
 	dir := t.TempDir()
 	g1, r1 := buildQuery(false, "X", "'")
@@ -244,7 +400,7 @@ func TestDiskCacheUnifiesAlphaRenamedOriginals(t *testing.T) {
 	warm.Disk = openStore(t, dir)
 	cached := warm.CheckHotspot(g2, r2)
 	if cached.Disk != ProbeHit {
-		t.Fatal("α-renamed original must hit the compacted-fingerprint cache")
+		t.Fatal("α-renamed original must hit the slice-key cache")
 	}
 	sameReports(t, computed.Reports, cached.Reports)
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sqlciv/internal/automata"
@@ -155,15 +154,14 @@ type Result struct {
 // replayed page reports the census of the run that checked it.
 type Census struct {
 	CheckTime time.Duration `json:"check_time_ns"`
-	// Slice compaction census: the extracted slice's |V| / |R| and the
-	// compacted grammar the cascade fixpoints actually ran over. All zero
-	// in marker-construction mode, which runs on the uncompacted slice.
-	SliceNTs     int `json:"slice_nts"`
-	SliceProds   int `json:"slice_prods"`
-	CompactNTs   int `json:"compact_nts"`
-	CompactProds int `json:"compact_prods"`
-	// BudgetSteps is the abstract steps consumed (0 when unbudgeted);
-	// BudgetMemHigh the memory high-water estimate in bytes.
+	// The |V| / |R| of the slice and of the compacted grammar the cascade
+	// fixpoints ran over; a verdict-cache hit carries the census of the
+	// check that computed it. All zero in marker-construction mode, which
+	// runs on the uncompacted slice.
+	vcache.SliceCensus
+	// BudgetSteps is the abstract steps this check consumed (0 when
+	// unbudgeted), a cache hit's included; BudgetMemHigh its memory
+	// high-water estimate in bytes.
 	BudgetSteps   int64 `json:"budget_steps,omitempty"`
 	BudgetMemHigh int64 `json:"budget_mem_high,omitempty"`
 }
@@ -185,15 +183,16 @@ const (
 // serve concurrent CheckHotspot calls (the memo is synchronized
 // internally).
 //
-// Every Checker memoizes by slice key (grammar.SliceKey): hotspots whose
-// reachable annotated sub-grammars are identical up to nonterminal
-// numbering share one memo entry. The entry keeps the compacted slice's
-// fingerprint, the slice census and, once a cascade has computed it, the
-// verdict, so a hotspot the checker has seen costs one pass over its slice
-// plus a lookup. A caller that needs the cascade to run on each call, such
-// as a differential test or a benchmark of the cascade, uses a fresh
-// Checker per call; New builds nothing. Set UseMarkerConstruction and Disk
-// before the first check: the memo keeps what that configuration computed.
+// Both verdict tiers, the Checker's memo and its Disk, are keyed by the
+// slice key (grammar.SliceKey): hotspots whose reachable annotated
+// sub-grammars are identical up to nonterminal numbering share one entry,
+// the complete Result a cascade computed for that slice, census included.
+// A hit in either tier therefore returns what a cold check of the slice
+// computes, and costs one pass over the slice plus a lookup. A caller that
+// needs the cascade to run on each call, such as a differential test or a
+// benchmark of the cascade, uses a fresh Checker per call; New builds
+// nothing. Set UseMarkerConstruction and Disk before the first check: the
+// memo keeps what that configuration computed.
 type Checker struct {
 	// UseMarkerConstruction selects the paper's original check-2 mechanism
 	// (replace the nonterminal with a marker terminal, intersect with a
@@ -205,27 +204,18 @@ type Checker struct {
 	// labeled nonterminals in one pass.
 	UseMarkerConstruction bool
 
-	// Disk, when set, persists verdicts across runs, keyed by the
-	// fingerprint of the compacted slice plus CacheVersion. Only complete
-	// (non-degraded) verdicts are stored; entries become visible to later
-	// runs when the owner calls Disk.Flush (core never flushes mid-run, so
-	// cold results stay schedule-independent). Marker-construction mode
-	// never compacts and so never consults it.
+	// Disk, when set, persists verdicts and slice censuses across runs,
+	// keyed by the slice key plus CacheVersion. Only complete (non-degraded)
+	// verdicts are stored; entries become visible to later runs when the
+	// owner calls Disk.Flush (core never flushes mid-run, so cold results
+	// stay schedule-independent). Marker-construction mode, whose census
+	// differs, never consults it.
 	Disk *vcache.Store
 
-	memo sync.Map // slice key (grammar.SliceKey) -> *memoEntry
+	memo sync.Map // slice key (grammar.SliceKey) -> *Result, set by the first cascade to complete
 
 	tabOnce sync.Once
 	tab     *tables // set by tabOnce; read it through tables
-}
-
-// memoEntry is what a Checker knows about one slice key. cfp and cstats are
-// set when the entry is made and never change; res is set once, by the
-// first cascade to complete for the key.
-type memoEntry struct {
-	cfp    grammar.Fingerprint    // compacted-slice fingerprint (disk key); zero without a Disk
-	cstats grammar.CompactStats   // slice census; zero in marker-construction mode
-	res    atomic.Pointer[Result] // the cascade's complete verdict
 }
 
 type attackDFA struct {
@@ -410,9 +400,10 @@ func buildEvenContextDFA() *automata.DFA {
 // CheckHotspot checks the query grammar rooted at root in g and returns the
 // reports for its labeled nonterminals.
 //
-// Results are memoized under the sub-grammar's slice key; a hit returns a
-// Result sharing the cached Reports slice (callers must treat it as
-// read-only) with only CheckTime and the probes fresh.
+// Results are memoized and persisted under the sub-grammar's slice key; a
+// hit returns a Result sharing the cached Reports slice (callers must treat
+// it as read-only) with only CheckTime, the budget use and the probes its
+// own.
 func (c *Checker) CheckHotspot(g *grammar.Grammar, root grammar.Sym) *Result {
 	return c.CheckHotspotT(g, root, nil, nil)
 }
@@ -464,71 +455,49 @@ func (c *Checker) CheckHotspotT(g *grammar.Grammar, root grammar.Sym, b *budget.
 	return c.check(s, b, sp)
 }
 
-// slice is the prepared state of one hotspot check: the slice key's memo
-// entry, the extracted original slice, its compacted form, the labeled
-// nonterminals to examine in canonical order, what the verdict caches
-// answered, and any cache short-circuit prepare discovered.
+// slice is the prepared state of one hotspot check: the slice key, what
+// the verdict caches answered under it and any hit, and on a miss the
+// extracted original slice, its compacted form, its census and the labeled
+// nonterminals to examine in canonical order.
 type slice struct {
 	start      time.Time
+	key        grammar.Fingerprint // slice key: both verdict tiers' key
 	memo, disk Probe
 	hit        *Result          // memoized or persisted verdict; skip the cascade
-	entry      *memoEntry       // the slice key's memo entry
 	scratch    *grammar.Grammar // extracted original slice; nil on a cache hit
 	sroot      grammar.Sym
 	vl         []grammar.Sym      // labeled productive NTs (scratch syms, canonical order)
 	cg         *grammar.Compacted // nil in marker-construction mode and on a cache hit
+	census     vcache.SliceCensus // zero in marker-construction mode and on a cache hit
 }
 
 // prepare keys the query-grammar slice rooted at root, consults the verdict
-// caches, and on a miss extracts and compacts the slice into s. The slice
-// key comes first: a key the checker has seen already carries the compacted
-// slice's fingerprint and census, so a seen hotspot that either cache
-// answers costs the key's one pass and no compaction or canonicalization.
-// The persistent cache is probed first, keyed by the compacted slice's
-// fingerprint, which unifies structurally different originals with the same
-// canonical compact form; a disk hit never extracts the original slice and
-// leaves the memo unprobed. The memo answers only verdicts a cascade of
-// this checker computed.
+// caches under that key, and only when both miss extracts, orders and
+// compacts the slice into s. The persistent cache is probed first; a disk
+// hit leaves the memo unprobed. The memo answers only verdicts a cascade of
+// this checker computed. Either hit costs the key's one pass over the slice
+// and no extraction, canonicalization or compaction.
 func (c *Checker) prepare(s *slice, g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) {
 	b.Check()
-	key := g.SliceKey(root, b)
-	v, known := c.memo.Load(key)
-	if !known {
-		e := &memoEntry{}
-		if !c.UseMarkerConstruction {
-			// Compact straight off the page grammar: CompactSlice only
-			// touches the sub-grammar reachable from root, and its output is
-			// numbering-invariant, so the compacted form — and with it the
-			// persistent-cache key — is the same whether or not the slice was
-			// extracted first.
-			s.cg, e.cstats = compact(g, root, b, sp)
-			if c.Disk != nil {
-				e.cfp = s.cg.G.Fingerprint(s.cg.Top)
-			}
-		}
-		// A concurrent check of the same key may have stored first; its
-		// entry holds the same fingerprint and census.
-		v, _ = c.memo.LoadOrStore(key, e)
-	}
-	s.entry = v.(*memoEntry)
-
+	s.key = g.SliceKey(root, b)
 	if c.Disk != nil && !c.UseMarkerConstruction {
-		if ent, ok := c.Disk.Get(s.entry.cfp, CacheVersion); ok {
+		if ent, ok := c.Disk.Get(s.key, CacheVersion); ok {
 			s.disk = ProbeHit
 			sp.SetAttr("disk-cache", "hit")
 			sp.Count("verdict.cache.disk.hits", 1)
 			s.hit = FromRecord(&ent.VerdictRecord)
+			s.hit.SliceCensus = ent.SliceCensus
 			return
 		}
 		s.disk = ProbeMiss
 		sp.SetAttr("disk-cache", "miss")
 		sp.Count("verdict.cache.disk.misses", 1)
 	}
-	if res := s.entry.res.Load(); res != nil {
+	if res, ok := c.memo.Load(s.key); ok {
 		s.memo = ProbeHit
 		sp.SetAttr("verdict-cache", "hit")
 		sp.Count("verdict.cache.hits", 1)
-		s.hit = res
+		s.hit = res.(*Result)
 		return
 	}
 	s.memo = ProbeMiss
@@ -557,29 +526,19 @@ func (c *Checker) prepare(s *slice, g *grammar.Grammar, root grammar.Sym, b *bud
 		}
 		return
 	}
-	if s.cg == nil {
-		s.cg, _ = compact(g, root, b, sp) // the key was known, its verdict was not
-	}
-	// The cascade and the vl filter below address compacted nonterminals
-	// from scratch symbols, so rebase Fwd (keyed by page symbols) into the
-	// extraction's numbering.
-	fwd := make(map[grammar.Sym]grammar.Sym, len(s.cg.Fwd))
-	for k, v := range s.cg.Fwd {
-		fwd[remap[k]] = v
-	}
-	s.cg.Fwd = fwd
+	s.cg, s.census = compact(scratch, s.sroot, b, sp)
 	// Compaction keeps exactly the labeled NTs with nonempty languages, so
 	// survivorship in Fwd is the productivity filter.
 	for _, nt := range labeled {
-		if _, ok := fwd[nt]; ok {
+		if _, ok := s.cg.Fwd[nt]; ok {
 			s.vl = append(s.vl, nt)
 		}
 	}
 }
 
 // compact compacts the slice rooted at root under a "compact"/"slice" child
-// of sp carrying the compaction census.
-func compact(g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) (*grammar.Compacted, grammar.CompactStats) {
+// of sp carrying the compaction census, and returns the slice census.
+func compact(g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Span) (*grammar.Compacted, vcache.SliceCensus) {
 	csp := sp.Child("compact", "slice")
 	cg, cstats := grammar.CompactSlice(g, root, b)
 	csp.Count("compact.nts.in", int64(cstats.NTsIn))
@@ -588,25 +547,27 @@ func compact(g *grammar.Grammar, root grammar.Sym, b *budget.Budget, sp *obs.Spa
 	csp.Count("compact.prods.out", int64(cstats.ProdsOut))
 	csp.Count("compact.inlined", int64(cstats.InlinedNTs))
 	csp.End()
-	return cg, cstats
+	return cg, vcache.SliceCensus{
+		SliceNTs: cstats.NTsIn, SliceProds: cstats.ProdsIn,
+		CompactNTs: cstats.NTsOut, CompactProds: cstats.ProdsOut,
+	}
 }
 
 // check runs the policy cascade over a prepared slice, or copies the
-// verdict a cache answered. CheckHotspotT recovers its budget trips and
-// panics.
+// verdict a cache answered with this check's own time, budget use and
+// probes. CheckHotspotT recovers its budget trips and panics.
 func (c *Checker) check(s *slice, b *budget.Budget, sp *obs.Span) *Result {
 	if s.hit != nil {
 		out := *s.hit
-		setSliceStats(&out, s)
 		out.CheckTime = time.Since(s.start)
+		out.BudgetSteps, out.BudgetMemHigh = b.Steps(), b.MemHigh()
 		out.Memo, out.Disk = s.memo, s.disk
 		return &out
 	}
 	b.Check()
 	t := c.tables(sp)
 	sp.Count("policy.labeled-nts", int64(len(s.vl)))
-	res := &Result{LabeledNTs: len(s.vl), Memo: s.memo, Disk: s.disk}
-	setSliceStats(res, s)
+	res := &Result{LabeledNTs: len(s.vl), Census: Census{SliceCensus: s.census}, Memo: s.memo, Disk: s.disk}
 	var undecided []grammar.Sym
 	if c.UseMarkerConstruction {
 		undecided = t.cascadeReference(s.scratch, s.sroot, s.vl, res, b, sp)
@@ -642,20 +603,11 @@ func (c *Checker) check(s *slice, b *budget.Budget, sp *obs.Span) *Result {
 	res.BudgetMemHigh = b.MemHigh()
 	// First writer wins; a concurrent loser computed an identical Result
 	// (canonical report order), so dropping it is harmless.
-	s.entry.res.CompareAndSwap(nil, res)
+	c.memo.LoadOrStore(s.key, res)
 	if c.Disk != nil && !c.UseMarkerConstruction {
-		c.Disk.Put(s.entry.cfp, CacheVersion, &vcache.Entry{VerdictRecord: ToRecord(res)})
+		c.Disk.Put(s.key, CacheVersion, &vcache.Entry{VerdictRecord: ToRecord(res), SliceCensus: res.SliceCensus})
 	}
 	return res
-}
-
-// setSliceStats copies the slice key's compaction census onto a Result.
-func setSliceStats(res *Result, s *slice) {
-	cs := &s.entry.cstats
-	res.SliceNTs = cs.NTsIn
-	res.SliceProds = cs.ProdsIn
-	res.CompactNTs = cs.NTsOut
-	res.CompactProds = cs.ProdsOut
 }
 
 // ToRecord converts a complete verdict to the record both persistent
@@ -674,10 +626,10 @@ func ToRecord(res *Result) vcache.VerdictRecord {
 }
 
 // FromRecord rebuilds a Result from a persisted verdict record; the caller
-// fills the census fields. Report.NT is left zero — the nonterminal id was
-// local to the run that stored the record and no consumer reads it (core
-// keys findings on file/line/label); the human-readable name travels in
-// Source.
+// fills the census from the record beside it. Report.NT is left zero — the
+// nonterminal id was local to the run that stored the record and no
+// consumer reads it (core keys findings on file/line/label); the
+// human-readable name travels in Source.
 func FromRecord(v *vcache.VerdictRecord) *Result {
 	res := &Result{LabeledNTs: v.LabeledNTs}
 	for _, r := range v.Reports {

@@ -43,11 +43,12 @@ func (s phase2Spans) Emit(e *obs.Event) {
 func (s phase2Spans) Close() error { return nil }
 
 // TestWarmCheckerCompactsNothing: a resident checker that re-checks every
-// corpus hotspot answers each from its slice key. With a disk store every
-// repeat is a disk hit that leaves the memo unprobed, without one a memo
-// hit; either way the repeat compacts nothing and runs no cascade, and its
-// Result, census included, is what a fresh checker over the same store
-// returns.
+// corpus hotspot answers each from its slice key, and with a store so does
+// a fresh checker over it, which is the one-shot sqlcheck path. With a disk
+// store every repeat is a disk hit that leaves the memo unprobed, without
+// one a memo hit; either way the repeat opens no span below its hotspot
+// (no compaction, no cascade), and its Result, census included, is what the
+// cold check of that hotspot computed.
 func TestWarmCheckerCompactsNothing(t *testing.T) {
 	hs := corpusHotspots(t)
 	for _, withStore := range []bool{true, false} {
@@ -56,40 +57,42 @@ func TestWarmCheckerCompactsNothing(t *testing.T) {
 		if withStore {
 			c.Disk = openStore(t, dir)
 		}
-		for _, h := range hs {
-			c.CheckHotspot(h.g, h.root)
+		cold := make([]*policy.Result, len(hs))
+		for i, h := range hs {
+			cold[i], _ = check(c, nil, h)
 		}
+		type checker struct {
+			name string
+			c    *policy.Checker
+		}
+		warm := []checker{{"resident", c}}
 		if withStore {
 			if err := c.Disk.Flush(); err != nil {
 				t.Fatalf("Flush: %v", err)
 			}
-		}
-		spans := phase2Spans{}
-		tr := obs.New(spans)
-		for i, h := range hs {
-			got, _ := check(c, tr, h)
 			fresh := policy.New()
-			if withStore {
-				fresh.Disk = openStore(t, dir)
-			}
-			want, _ := check(fresh, nil, h)
-			if withStore {
-				if got.Disk != policy.ProbeHit || got.Memo != policy.NotProbed {
-					t.Fatalf("hotspot %d: disk probe %d, memo probe %d; want a disk hit alone", i, got.Disk, got.Memo)
-				}
-			} else {
-				if got.Memo != policy.ProbeHit || got.Disk != policy.NotProbed {
-					t.Fatalf("hotspot %d: memo probe %d, disk probe %d; want a memo hit alone", i, got.Memo, got.Disk)
-				}
-				// The fresh checker runs the cascade: its memo misses.
-				want.Memo = got.Memo
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("hotspot %d (store %t): repeat %+v, fresh checker %+v", i, withStore, got, want)
-			}
+			fresh.Disk = openStore(t, dir)
+			warm = append(warm, checker{"fresh", fresh})
 		}
-		if len(spans) != 0 {
-			t.Errorf("store %t: repeats of %d hotspots opened spans %v, want none", withStore, len(hs), spans)
+		for _, w := range warm {
+			spans := phase2Spans{}
+			tr := obs.New(spans)
+			for i, h := range hs {
+				got, _ := check(w.c, tr, h)
+				if withStore {
+					if got.Disk != policy.ProbeHit || got.Memo != policy.NotProbed {
+						t.Fatalf("%s checker, hotspot %d: disk probe %d, memo probe %d; want a disk hit alone", w.name, i, got.Disk, got.Memo)
+					}
+				} else if got.Memo != policy.ProbeHit || got.Disk != policy.NotProbed {
+					t.Fatalf("%s checker, hotspot %d: memo probe %d, disk probe %d; want a memo hit alone", w.name, i, got.Memo, got.Disk)
+				}
+				if got, want := policy.Answer(got), policy.Answer(cold[i]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s checker (store %t), hotspot %d: repeat %+v, cold %+v", w.name, withStore, i, got, want)
+				}
+			}
+			if len(spans) != 0 {
+				t.Errorf("%s checker (store %t): repeats of %d hotspots opened spans %v, want none", w.name, withStore, len(hs), spans)
+			}
 		}
 	}
 }

@@ -1,18 +1,18 @@
 // Package vcache is the one on-disk record store behind the analysis
 // memos. It holds two kinds of record, each kind in its own Store:
 //
-//   - Hotspot verdicts (Entry), keyed by the canonical fingerprint of a
-//     hotspot's *compacted* query-grammar slice and tagged with the policy
-//     version, so repeat analyses of unchanged pages — and different pages
-//     whose query grammars compact to the same canonical form — skip the
-//     check cascade across process runs.
+//   - Hotspot verdicts (Entry), keyed by the slice key (grammar.SliceKey) of
+//     a hotspot's query-grammar slice and tagged with the policy version, so
+//     repeat analyses of unchanged pages skip the check cascade, and
+//     compaction, across process runs. An entry holds the verdict and the
+//     slice census a cold check of that exact slice computes.
 //   - Incremental page summaries (internal/incr), keyed by the SHA-256 of
 //     the entry path and tagged with the policy version and the analysis
 //     options.
 //
-// Both kinds embed one verdict record (VerdictRecord) with one validity
-// check. The store is crash- and corruption-tolerant rather than
-// transactional:
+// Both kinds embed one verdict record (VerdictRecord) and one slice census
+// (SliceCensus), each with one validity check. The store is crash- and
+// corruption-tolerant rather than transactional:
 //
 //   - One file per record under <dir>/<aa>/<hex key>.json (aa = first key
 //     byte), written via temp file + rename, so readers never observe a
@@ -32,12 +32,13 @@
 //     next run that recomputes it.
 //
 // Verdict invalidation is content-addressed: editing a page changes its
-// query grammars, which changes their fingerprints, which misses the store;
+// query grammars, which changes their slice keys, which misses the store;
 // old entries are simply never read again. Changing the checker (new attack
 // patterns, new cascade logic) must bump the policy tag: every old entry
 // then misses once, and the run that recomputes it writes it back under the
-// new tag. Summaries are keyed by location, so the newest analysis of a
-// page replaces the old one.
+// new tag. Changing what the key hashes leaves every old entry under a key
+// no lookup reaches: orphaned, never read again. Summaries are keyed by
+// location, so the newest analysis of a page replaces the old one.
 package vcache
 
 import (
@@ -58,12 +59,14 @@ import (
 // different schema are ignored.
 const FormatVersion = 1
 
-// Entry is one cached hotspot verdict.
+// Entry is one cached hotspot verdict and the census of the slice it
+// answers for. FP is the hex slice key the entry was stored under.
 type Entry struct {
 	Format int    `json:"format"`
 	Tag    string `json:"tag"`
 	FP     string `json:"fp"`
 	VerdictRecord
+	SliceCensus
 }
 
 // VerdictRecord is one hotspot's persisted verdict, embedded by the verdict
@@ -75,6 +78,23 @@ type VerdictRecord struct {
 	// LabeledNTs is the number of labeled nonterminals the cascade examined.
 	LabeledNTs int      `json:"labeled_nts"`
 	Reports    []Report `json:"reports,omitempty"`
+}
+
+// SliceCensus is the size of one hotspot check's query-grammar slice: the
+// |V| / |R| of the slice reachable from the hotspot's root and of the
+// compacted grammar the cascade's fixpoints ran over. Verdict entries embed
+// it, and page summaries through policy.Census, so a replayed hotspot
+// reports the census of the check that computed it.
+type SliceCensus struct {
+	SliceNTs     int `json:"slice_nts"`
+	SliceProds   int `json:"slice_prods"`
+	CompactNTs   int `json:"compact_nts"`
+	CompactProds int `json:"compact_prods"`
+}
+
+// Valid reports whether every count of c is non-negative.
+func (c *SliceCensus) Valid() bool {
+	return c.SliceNTs >= 0 && c.SliceProds >= 0 && c.CompactNTs >= 0 && c.CompactProds >= 0
 }
 
 // Report is one persisted policy report. Entries written before the
@@ -204,10 +224,10 @@ func (s *Store) Load(k Key, rec any, valid func() bool) Lookup {
 }
 
 // Save buffers rec under k until the next Flush. When two records are saved
-// under one key before that Flush (two structurally distinct hotspots whose
-// slices compact to the same canonical form, or one page analyzed twice),
-// the lexicographically smaller serialization is kept, independent of
-// arrival order.
+// under one key before that Flush (two hotspots with one slice, which hold
+// the same verdict record, or one page analyzed twice), the
+// lexicographically smaller serialization is kept, independent of arrival
+// order.
 func (s *Store) Save(k Key, rec any) {
 	if s == nil {
 		return
@@ -226,28 +246,29 @@ func (s *Store) Save(k Key, rec any) {
 	s.pending[k] = data
 }
 
-// Get returns the valid on-disk verdict entry for (fp, tag), if any. Any
-// invalid entry — wrong schema version, wrong tag (stale policy), wrong
-// embedded fingerprint (renamed or corrupted file), malformed JSON,
-// out-of-range fields — counts as a miss.
-func (s *Store) Get(fp grammar.Fingerprint, tag string) (*Entry, bool) {
+// Get returns the valid on-disk verdict entry for (key, tag), if any, where
+// key is a slice key. Any invalid entry — wrong schema version, wrong tag
+// (stale policy), wrong embedded key (renamed or corrupted file), malformed
+// JSON, out-of-range fields — counts as a miss.
+func (s *Store) Get(key grammar.Fingerprint, tag string) (*Entry, bool) {
 	e := new(Entry)
-	if s.Load(Key(fp), e, func() bool {
-		return e.Format == FormatVersion && e.Tag == tag && e.FP == fp.Hex() && e.Valid()
+	if s.Load(Key(key), e, func() bool {
+		return e.Format == FormatVersion && e.Tag == tag && e.FP == key.Hex() &&
+			e.VerdictRecord.Valid() && e.SliceCensus.Valid()
 	}) != Found {
 		return nil, false
 	}
 	return e, true
 }
 
-// Put buffers a verdict entry for fp. The entry's identity fields (Format,
-// Tag, FP) are filled in here.
-func (s *Store) Put(fp grammar.Fingerprint, tag string, e *Entry) {
+// Put buffers a verdict entry under the slice key key. The entry's identity
+// fields (Format, Tag, FP) are filled in here.
+func (s *Store) Put(key grammar.Fingerprint, tag string, e *Entry) {
 	if s == nil || e == nil {
 		return
 	}
-	e.Format, e.Tag, e.FP = FormatVersion, tag, fp.Hex()
-	s.Save(Key(fp), e)
+	e.Format, e.Tag, e.FP = FormatVersion, tag, key.Hex()
+	s.Save(Key(key), e)
 }
 
 // Flush writes every pending record to disk via temp file + rename,

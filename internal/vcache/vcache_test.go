@@ -132,6 +132,15 @@ func TestInvalidEntriesMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"census-negative", func(t *testing.T) {
+			mangled := strings.Replace(string(orig), `"compact_prods":0`, `"compact_prods":-1`, 1)
+			if mangled == string(orig) {
+				t.Fatal("no census in the entry")
+			}
+			if err := os.WriteFile(path, []byte(mangled), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
