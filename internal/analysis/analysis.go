@@ -14,6 +14,7 @@ package analysis
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -270,6 +271,10 @@ type analyzer struct {
 	// walks, which otherwise allocate one NumNTs-sized slice per deferred
 	// op per lowering pass.
 	reachBuf []bool
+	// keyBuf is memoKey's scratch; memoHits, memoRecorded and memoMisses
+	// count the page's constructions by how the lowering memo served them.
+	keyBuf                             []byte
+	memoHits, memoRecorded, memoMisses int
 }
 
 // outKey is the environment key accumulating page output. It contains a
@@ -366,6 +371,9 @@ func AnalyzeT(resolver Resolver, entry string, opts Options, b *budget.Budget, s
 	a.lower()
 	lsp.Count("lower.approx-in-cycle", int64(a.approx))
 	lsp.Count("lower.sliced-ops", int64(a.sliced))
+	lsp.Count("lower.memo-hits", int64(a.memoHits))
+	lsp.Count("lower.memo-recorded", int64(a.memoRecorded))
+	lsp.Count("lower.memo-misses", int64(a.memoMisses))
 	lsp.End()
 	sp.Count("grammar.nts", int64(a.g.NumNTs()))
 	sp.Count("grammar.prods", int64(a.g.NumProds()))
@@ -613,17 +621,15 @@ func replaceEnv(dst, src env) {
 // mergeInto joins two branch environments into dst (the classic Figure 5
 // phi: X4 → X2 | X3).
 func (a *analyzer) mergeInto(dst, e1, e2 env) {
-	keys := map[string]bool{}
-	for k := range e1 {
-		keys[k] = true
+	// In sorted order, so every run numbers the join's nonterminals alike.
+	keys := make([]string, 0, len(e1)+len(e2)+len(dst))
+	for _, e := range []env{e1, e2, dst} {
+		for k := range e {
+			keys = append(keys, k)
+		}
 	}
-	for k := range e2 {
-		keys[k] = true
-	}
-	for k := range dst {
-		keys[k] = true
-	}
-	for k := range keys {
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
 		v1, ok1 := e1[k]
 		v2, ok2 := e2[k]
 		switch {
@@ -647,8 +653,30 @@ func (a *analyzer) analyzeLoop(e env, body []php.Stmt, cond php.Expr, post []php
 	for _, x := range post {
 		collectAssignedExpr(x, assigned)
 	}
-	headers := map[string]grammar.Sym{}
+	keys, headers := a.loopHeaders(e, assigned)
+	bodyEnv := e.clone()
+	if cond != nil && !a.opts.DisableGuardRefinement {
+		a.refine(bodyEnv, cond, true)
+	}
+	a.analyzeStmts(bodyEnv, body)
+	for _, x := range post {
+		a.evalExpr(bodyEnv, x)
+	}
+	a.closeLoop(e, bodyEnv, keys, headers)
+}
+
+// loopHeaders gives each loop-carried variable a header nonterminal H with
+// H → its value before the loop ("" when unset), binds it in e, and
+// returns the variables in the order it made their headers: sorted, so
+// every run numbers the headers alike.
+func (a *analyzer) loopHeaders(e env, assigned map[string]bool) ([]string, map[string]grammar.Sym) {
+	keys := make([]string, 0, len(assigned))
 	for k := range assigned {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	headers := make(map[string]grammar.Sym, len(keys))
+	for _, k := range keys {
 		h := a.g.NewNT("")
 		if prev, ok := e[k]; ok {
 			a.g.Add(h, prev)
@@ -658,22 +686,19 @@ func (a *analyzer) analyzeLoop(e env, body []php.Stmt, cond php.Expr, post []php
 		headers[k] = h
 		e[k] = h
 	}
-	bodyEnv := e.clone()
-	if cond != nil && !a.opts.DisableGuardRefinement {
-		a.refine(bodyEnv, cond, true)
-	}
-	a.analyzeStmts(bodyEnv, body)
-	for _, x := range post {
-		a.evalExpr(bodyEnv, x)
-	}
-	for k, h := range headers {
-		if v, ok := bodyEnv[k]; ok && v != h {
-			a.g.Add(h, v)
+	return keys, headers
+}
+
+// closeLoop adds H → post-iteration value to each header and leaves every
+// carried variable bound to its header in e (0+ iterations).
+func (a *analyzer) closeLoop(e, bodyEnv env, keys []string, headers map[string]grammar.Sym) {
+	for _, k := range keys {
+		if v, ok := bodyEnv[k]; ok && v != headers[k] {
+			a.g.Add(headers[k], v)
 		}
 	}
-	// After the loop each carried variable is its header (0+ iterations).
-	for k, h := range headers {
-		e[k] = h
+	for _, k := range keys {
+		e[k] = headers[k]
 	}
 }
 
@@ -684,17 +709,7 @@ func (a *analyzer) analyzeForeach(e env, v *php.ForeachStmt) {
 		assigned[v.KeyVar] = true
 	}
 	collectAssigned(v.Body, assigned)
-	headers := map[string]grammar.Sym{}
-	for k := range assigned {
-		h := a.g.NewNT("")
-		if prev, ok := e[k]; ok {
-			a.g.Add(h, prev)
-		} else {
-			a.g.Add(h, a.emptyNT)
-		}
-		headers[k] = h
-		e[k] = h
-	}
+	keys, headers := a.loopHeaders(e, assigned)
 	// Each iteration binds the value (and key) variable to an element.
 	a.g.Add(headers[v.ValVar], subj)
 	if v.KeyVar != "" {
@@ -704,14 +719,7 @@ func (a *analyzer) analyzeForeach(e env, v *php.ForeachStmt) {
 	}
 	bodyEnv := e.clone()
 	a.analyzeStmts(bodyEnv, v.Body)
-	for k, h := range headers {
-		if val, ok := bodyEnv[k]; ok && val != h {
-			a.g.Add(h, val)
-		}
-	}
-	for k, h := range headers {
-		e[k] = h
-	}
+	a.closeLoop(e, bodyEnv, keys, headers)
 }
 
 func (a *analyzer) analyzeSwitch(e env, v *php.SwitchStmt) {

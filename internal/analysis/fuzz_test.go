@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -9,7 +10,10 @@ import (
 
 // FuzzAnalyze asserts the static analysis never panics on any parseable
 // program — the soundness theorem is only as good as the analyzer's
-// robustness on arbitrary input code.
+// robustness on arbitrary input code — and that the lowering memo replays
+// exactly: each input is analyzed three times from an emptied memo (its
+// constructions run, then record, then replay), with the same grammar and
+// hotspots every time.
 func FuzzAnalyze(f *testing.F) {
 	seeds := []string{
 		`<?php $x = $_GET['a']; mysql_query("SELECT '$x'");`,
@@ -49,6 +53,7 @@ func FuzzAnalyze(f *testing.F) {
 		if _, ok := resolver.Load("f.php"); !ok {
 			return
 		}
+		resetLowerMemo()
 		res, err := Analyze(resolver, "f.php", Options{})
 		if err != nil {
 			t.Fatalf("Analyze error on parseable program: %v", err)
@@ -57,6 +62,16 @@ func FuzzAnalyze(f *testing.F) {
 		for _, h := range res.Hotspots {
 			if !res.G.IsNT(h.Root) {
 				t.Fatal("hotspot root outside grammar")
+			}
+		}
+		want := res.G.String()
+		for run := 2; run <= 3; run++ {
+			again, err := Analyze(resolver, "f.php", Options{})
+			if err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
+			if again.G.String() != want || !reflect.DeepEqual(again.Hotspots, res.Hotspots) {
+				t.Fatalf("run %d differs from the first:\n%s\nfirst:\n%s", run, again.G.String(), want)
 			}
 		}
 	})

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sqlciv/internal/fst"
+	"slices"
+
 	"sqlciv/internal/grammar"
 )
 
@@ -25,6 +26,7 @@ func (a *analyzer) lower() {
 				ready = append(ready, sym)
 			}
 		}
+		slices.Sort(ready) // a fixed order numbers the page grammar alike in every run
 		for _, sym := range ready {
 			op := a.ops[sym]
 			delete(a.ops, sym)
@@ -34,8 +36,13 @@ func (a *analyzer) lower() {
 		}
 		if !progress {
 			// Everything left participates in a cycle: approximate.
-			for sym, op := range a.ops {
-				a.approximate(sym, op)
+			left := make([]grammar.Sym, 0, len(a.ops))
+			for sym := range a.ops {
+				left = append(left, sym)
+			}
+			slices.Sort(left)
+			for _, sym := range left {
+				a.approximate(sym, a.ops[sym])
 				a.approx++
 			}
 			a.ops = map[grammar.Sym]*opApp{}
@@ -106,19 +113,9 @@ func (a *analyzer) opReady(arg, self grammar.Sym) bool {
 }
 
 func (a *analyzer) materialize(sym grammar.Sym, op *opApp) {
-	switch op.kind {
-	case opFST:
-		if root, ok := fst.ImageInto(a.g, op.arg, op.t, a.b); ok {
-			a.g.Add(sym, root)
-			a.g.TaintIf(root, sym)
-		}
-	case opIntersect:
-		// The Figure 7 construction is worst-case O(|R|·|Q|³): meter it
-		// against the page budget, not just the one step the op costs.
-		if root, ok := grammar.IntersectIntoT(a.g, op.arg, op.dfa, a.b, nil); ok {
-			a.g.Add(sym, root)
-			a.g.TaintIf(root, sym)
-		}
+	if root, ok := a.construct(op); ok {
+		a.g.Add(sym, root)
+		a.g.TaintIf(root, sym)
 	}
 	// An empty image/intersection leaves sym with no productions: the
 	// empty language, which is exactly right (the branch is dead or the

@@ -20,11 +20,16 @@ func Intern(d *DFA) *DFA {
 	return v.(*DFA)
 }
 
-// fingerprint returns the canonical byte encoding of d. Every DFA carries
-// the coarsest partition of its transition function, so two DFAs are
-// structurally equal iff their fingerprints are equal.
+// fingerprint returns the canonical byte encoding of d as a string.
 func (d *DFA) fingerprint() string {
-	b := make([]byte, 0, 2*AlphabetSize+4*len(d.trans)+len(d.accept)+4)
+	return string(d.AppendKey(make([]byte, 0, 2*AlphabetSize+4*len(d.trans)+len(d.accept)+4)))
+}
+
+// AppendKey appends the canonical byte encoding of d to b. Every DFA
+// carries the coarsest partition of its transition function, so two DFAs
+// are structurally equal iff their encodings are equal: the encoding is a
+// content key, unlike the pointer, whose address the collector may reuse.
+func (d *DFA) AppendKey(b []byte) []byte {
 	for _, cl := range d.bc.class {
 		b = append(b, byte(cl), byte(cl>>8))
 	}
@@ -38,6 +43,5 @@ func (d *DFA) fingerprint() string {
 			b = append(b, 0)
 		}
 	}
-	b = append(b, byte(d.start), byte(d.start>>8), byte(d.start>>16), byte(d.start>>24))
-	return string(b)
+	return append(b, byte(d.start), byte(d.start>>8), byte(d.start>>16), byte(d.start>>24))
 }

@@ -124,6 +124,23 @@ func New(ctx context.Context, l Limits) *Budget {
 	return b
 }
 
+// Meter returns a budget that never trips and only counts: the steps and
+// estimated bytes a unit charges, for a caller that must learn them while
+// running unbudgeted.
+func Meter() *Budget { return &Budget{ctx: context.Background()} }
+
+// Fits reports whether b can afford steps more steps and bytes more of
+// estimated memory without exceeding either limit. Step and Grow only add,
+// so a unit whose totals fit trips neither limit on the way there. The nil
+// budget affords everything.
+func (b *Budget) Fits(steps, bytes int64) bool {
+	if b == nil {
+		return true
+	}
+	return (b.maxSteps == 0 || b.steps+steps <= b.maxSteps) &&
+		(b.maxMem == 0 || b.mem+bytes <= b.maxMem)
+}
+
 // Step consumes n abstract steps, panicking with *Exceeded when the
 // allowance runs out; every checkEvery steps it also probes the context and
 // the deadline.

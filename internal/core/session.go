@@ -275,7 +275,7 @@ func summaryFromPage(page *PageResult) *incr.PageSummary {
 // its hotspot roots are zero: phase 2 skips a replayed page, findings key on
 // file/line/label (exactly as vcache replay relies on), and PackEntries
 // turns a page without a grammar into unavailable entries, which fail
-// closed. Report.NT is likewise left zero (see policy.FromRecord).
+// closed.
 func pageFromSummary(ps *incr.PageSummary) PageResult {
 	ar := &analysis.Result{
 		AnalysisTime: time.Duration(ps.AnalysisTimeNS),

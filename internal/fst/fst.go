@@ -10,6 +10,7 @@
 package fst
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"sqlciv/internal/automata"
@@ -51,6 +52,33 @@ func (t *FST) AddState() int {
 
 // NumStates reports the number of states.
 func (t *FST) NumStates() int { return len(t.edges) }
+
+// AppendKey appends an encoding of t's content to b: its states, start
+// state, acceptance and final outputs, and every state's edges in order.
+// Transducers built separately from the same arguments encode equally, so
+// the encoding keys what ImageInto computes where pointer identity, with a
+// fresh *FST per call, would find nothing.
+func (t *FST) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(t.edges)))
+	b = binary.AppendUvarint(b, uint64(t.start))
+	for s, es := range t.edges {
+		if t.accept[s] {
+			b = append(b, 1)
+			b = binary.AppendUvarint(b, uint64(len(t.finalOut[s])))
+			b = append(b, t.finalOut[s]...)
+		} else {
+			b = append(b, 0)
+		}
+		b = binary.AppendUvarint(b, uint64(len(es)))
+		for _, e := range es {
+			b = binary.AppendUvarint(b, uint64(e.In+1)) // EpsIn encodes as 0
+			b = binary.AppendUvarint(b, uint64(len(e.Out)))
+			b = append(b, e.Out...)
+			b = binary.AppendUvarint(b, uint64(e.To))
+		}
+	}
+	return b
+}
 
 // Start returns the start state.
 func (t *FST) Start() int { return t.start }

@@ -320,6 +320,12 @@ func (g *Grammar) fingerprintFrom(order []Sym, canon []int32, prodOrder [][]int3
 // and every pure function of a slice agrees on them: CompactSlice's output
 // and census, Fingerprint, and the policy cascade's verdict, witnesses
 // included. Both of the policy checker's verdict tiers are keyed by it.
+// The Figure 7 constructions over a slice are pure functions of its key and
+// their automaton too: NewReach numbers locals depth-first from the root in
+// production order, and IntersectIntoT and fst.ImageInto create only fresh
+// nonterminals named and labeled after the slice's, so what they add to a
+// grammar (see Record) is the same for every slice with the key. With the
+// automaton's content it keys the lowering memo (internal/analysis).
 func (g *Grammar) SliceKey(root Sym, b *budget.Budget) Fingerprint {
 	ks := keyPool.Get().(*keyScratch)
 	defer keyPool.Put(ks)

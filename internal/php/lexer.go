@@ -43,13 +43,19 @@ func (l *Lexer) countLines(s string) {
 	l.line += strings.Count(s, "\n")
 }
 
+// lexHTML emits the inline HTML up to the next open tag and enters PHP
+// after it. The tag is the first "<?php", or else the first short "<?",
+// found in one scan: a "<?php" contains a "<?", so the first "<?" either
+// starts the first "<?php" or comes before it.
 func (l *Lexer) lexHTML() error {
-	idx := strings.Index(l.src[l.pos:], "<?php")
-	tagLen := 5
-	if idx < 0 {
-		// Also accept the short form "<?".
-		idx = strings.Index(l.src[l.pos:], "<?")
-		tagLen = 2
+	rest := l.src[l.pos:]
+	idx, tagLen := strings.Index(rest, "<?"), 2
+	if idx >= 0 {
+		if strings.HasPrefix(rest[idx:], "<?php") {
+			tagLen = 5
+		} else if j := strings.Index(rest[idx+2:], "<?php"); j >= 0 {
+			idx, tagLen = idx+2+j, 5
+		}
 	}
 	if idx < 0 {
 		chunk := l.src[l.pos:]

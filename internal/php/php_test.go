@@ -48,6 +48,38 @@ func TestLexInlineHTML(t *testing.T) {
 	}
 }
 
+// TestLexOpenTagChoice pins which open tag ends a run of inline HTML: the
+// first "<?php", or else the first short "<?" (so "<?=" opens PHP before
+// its "=").
+func TestLexOpenTagChoice(t *testing.T) {
+	for _, c := range []struct {
+		src, html, first string
+	}{
+		{"plain <b>text</b>", "plain <b>text</b>", ""},
+		{"a<?php $x; <? $y;", "a", "x"},
+		{"a<? $x;", "a", "x"},
+		{"a<? $x; ?>b<?php $y;", "a<? $x; ?>b", "y"},
+		{"a<?= $x ?>", "a", "="},
+		{"<?php$x;", "", "x"},
+		{"a<?ph $x;", "a", "ph"},
+	} {
+		toks, err := Lex(c.src)
+		if err != nil {
+			t.Fatalf("%q: %v", c.src, err)
+		}
+		html, first := "", ""
+		if toks[0].Kind == InlineHTML {
+			html, toks = toks[0].Value, toks[1:]
+		}
+		if toks[0].Kind != EOF {
+			first = toks[0].Value
+		}
+		if html != c.html || first != c.first {
+			t.Errorf("%q: inline HTML %q then %q, want %q then %q", c.src, html, first, c.html, c.first)
+		}
+	}
+}
+
 func TestLexSingleQuotedEscapes(t *testing.T) {
 	toks, err := Lex(`<?php $x = 'it\'s a \\ test \n';`)
 	if err != nil {

@@ -25,19 +25,12 @@ func openStore(t *testing.T, dir string) *vcache.Store {
 	return store
 }
 
-// sameReports compares the fields a persisted report round-trips: the
-// nonterminal id (Report.NT) is local to the run that computed the verdict
-// and is intentionally zero on a disk hit.
+// sameReports requires a persisted verdict's reports to equal the computed
+// ones.
 func sameReports(t *testing.T, computed, cached []Report) {
 	t.Helper()
-	if len(computed) != len(cached) {
-		t.Fatalf("report count: computed %d, cached %d", len(computed), len(cached))
-	}
-	for i := range computed {
-		c, d := computed[i], cached[i]
-		if c.Check != d.Check || c.Label != d.Label || c.Witness != d.Witness || c.Source != d.Source {
-			t.Errorf("report %d diverged: computed %+v, cached %+v", i, c, d)
-		}
+	if !reflect.DeepEqual(computed, cached) {
+		t.Errorf("reports diverged:\ncomputed %+v\ncached   %+v", computed, cached)
 	}
 }
 

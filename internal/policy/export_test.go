@@ -18,16 +18,10 @@ func SeedVerdict(c *Checker, g *grammar.Grammar, root grammar.Sym, res *Result) 
 }
 
 // Answer returns what a verdict-cache hit must reproduce of r: r without
-// its wall-clock time, its probes, its budget use (each check reports its
-// own) and its reports' nonterminal ids, which are local to the run that
-// computed them.
+// its wall-clock time, its probes and its budget use (each check reports
+// its own).
 func Answer(r *Result) Result {
 	a := *r
 	a.CheckTime, a.Memo, a.Disk, a.BudgetSteps, a.BudgetMemHigh = 0, NotProbed, NotProbed, 0, 0
-	a.Reports = nil
-	for _, rep := range r.Reports {
-		rep.NT = 0
-		a.Reports = append(a.Reports, rep)
-	}
 	return a
 }

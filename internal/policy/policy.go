@@ -106,7 +106,6 @@ func (v Verdict) String() string {
 
 // Report is one potential SQLCIV.
 type Report struct {
-	NT      grammar.Sym
 	Label   grammar.Label
 	Check   Check
 	Witness string
@@ -587,7 +586,7 @@ func (c *Checker) check(s *slice, b *budget.Budget, sp *obs.Span) *Result {
 		if !ok {
 			for _, x := range undecided {
 				w, _ := s.scratch.WitnessString(x)
-				res.Reports = append(res.Reports, Report{NT: x, Label: s.scratch.LabelOf(x), Check: CheckNotDerivable, Witness: w, Source: s.scratch.RawName(x)})
+				res.Reports = append(res.Reports, Report{Label: s.scratch.LabelOf(x), Check: CheckNotDerivable, Witness: w, Source: s.scratch.RawName(x)})
 			}
 		}
 	}
@@ -626,10 +625,9 @@ func ToRecord(res *Result) vcache.VerdictRecord {
 }
 
 // FromRecord rebuilds a Result from a persisted verdict record; the caller
-// fills the census from the record beside it. Report.NT is left zero — the
-// nonterminal id was local to the run that stored the record and no
-// consumer reads it (core keys findings on file/line/label); the
-// human-readable name travels in Source.
+// fills the census from the record beside it. A report names its
+// nonterminal by Source, so a rebuilt Result's reports equal the computed
+// ones.
 func FromRecord(v *vcache.VerdictRecord) *Result {
 	res := &Result{LabeledNTs: v.LabeledNTs}
 	for _, r := range v.Reports {
@@ -663,7 +661,7 @@ func (t *tables) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, v
 
 		// Check 1: odd number of unescaped quotes.
 		if w, ok := grammar.IntersectWitnessT(scratch, x, t.oddQuotes, b, sp); ok {
-			res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckUnconfinableQuotes, Witness: w, Source: scratch.RawName(x)})
+			res.Reports = append(res.Reports, Report{Label: label, Check: CheckUnconfinableQuotes, Witness: w, Source: scratch.RawName(x)})
 			continue
 		}
 
@@ -674,7 +672,7 @@ func (t *tables) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, v
 		}
 		if grammar.IntersectEmptyT(rt, rt.Start(), t.evenCtx, b, sp) {
 			if w, ok := grammar.IntersectWitnessT(scratch, x, t.unescQuote, b, sp); ok {
-				res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckLiteralEscape, Witness: w, Source: scratch.RawName(x)})
+				res.Reports = append(res.Reports, Report{Label: label, Check: CheckLiteralEscape, Witness: w, Source: scratch.RawName(x)})
 			}
 			continue
 		}
@@ -688,7 +686,7 @@ func (t *tables) cascadeReference(scratch *grammar.Grammar, sroot grammar.Sym, v
 		attacked := false
 		for _, atk := range t.attacks {
 			if w, ok := grammar.IntersectWitnessT(scratch, x, atk.dfa, b, sp); ok {
-				res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckAttackString, Witness: w, Source: scratch.RawName(x)})
+				res.Reports = append(res.Reports, Report{Label: label, Check: CheckAttackString, Witness: w, Source: scratch.RawName(x)})
 				attacked = true
 				break
 			}
@@ -769,7 +767,7 @@ func (t *tables) cascadeFast(s *slice, res *Result, b *budget.Budget, hsp *obs.S
 		// Check 1: odd number of unescaped quotes.
 		if nonempty(oddRel, t.oddQuotes, cx) {
 			w := witness(CheckUnconfinableQuotes, x, t.oddQuotes)
-			res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckUnconfinableQuotes, Witness: w, Source: scratch.RawName(x)})
+			res.Reports = append(res.Reports, Report{Label: label, Check: CheckUnconfinableQuotes, Witness: w, Source: scratch.RawName(x)})
 			continue
 		}
 
@@ -781,7 +779,7 @@ func (t *tables) cascadeFast(s *slice, res *Result, b *budget.Budget, hsp *obs.S
 		if literalOnly {
 			if nonempty(unescRel, t.unescQuote, cx) {
 				w := witness(CheckLiteralEscape, x, t.unescQuote)
-				res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckLiteralEscape, Witness: w, Source: scratch.RawName(x)})
+				res.Reports = append(res.Reports, Report{Label: label, Check: CheckLiteralEscape, Witness: w, Source: scratch.RawName(x)})
 			}
 			continue
 		}
@@ -797,7 +795,7 @@ func (t *tables) cascadeFast(s *slice, res *Result, b *budget.Budget, hsp *obs.S
 			for i, atk := range t.attacks {
 				if nonempty(attackRel(i), atk.dfa, cx) {
 					w := witness(CheckAttackString, x, atk.dfa)
-					res.Reports = append(res.Reports, Report{NT: x, Label: label, Check: CheckAttackString, Witness: w, Source: scratch.RawName(x)})
+					res.Reports = append(res.Reports, Report{Label: label, Check: CheckAttackString, Witness: w, Source: scratch.RawName(x)})
 					attacked = true
 					break
 				}

@@ -203,8 +203,8 @@ func TestMultipleLabeledNTs(t *testing.T) {
 	if len(res.Reports) != 1 {
 		t.Fatalf("want exactly one report, got %v", res.Reports)
 	}
-	if res.Reports[0].NT == safe {
-		t.Fatal("reported the safe NT")
+	if res.Reports[0].Source != "badX" {
+		t.Fatalf("reported %q, want badX", res.Reports[0].Source)
 	}
 }
 

@@ -19,7 +19,8 @@
 //	GET  /healthz        liveness probe
 //	GET  /metrics        Prometheus text exposition of the daemon's series
 //	GET  /debug/server   queue depth, per-tenant budget trips, verdict-
-//	                     cache hit rates, arena/intern census
+//	                     cache hit rates, arena/intern and lowering-memo
+//	                     census
 //	GET  /debug/flight   flight recorder: recent request summaries and the
 //	                     retained span traces of bad requests
 //	GET  /debug/pprof/   the standard pprof handlers
@@ -27,9 +28,10 @@
 // What makes the daemon worth running is the state it keeps resident: one
 // shared policy.Checker whose in-memory memo, keyed by slice key, stays
 // warm across requests, one persistent vcache store flushed after
-// every job, the process-global DFA/terminal-run interns, and the byte-
-// class partition cache — so repeat submissions of unchanged apps answer
-// mostly from cache hits. Admission is bounded (fixed workers, fixed
+// every job, the process-global DFA/terminal-run interns, the lowering
+// memo (a resubmitted page replays its FST images and guard intersections)
+// and the byte-class partition cache — so repeat submissions of unchanged
+// apps answer mostly from cache hits. Admission is bounded (fixed workers, fixed
 // queue depth, 429 + Retry-After on overflow) and tenant-isolated (per-
 // tenant in-flight caps and budget ceilings; an abusive tenant's oversized
 // jobs degrade soundly to VerdictUnknown inside its own allowance).
@@ -48,6 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sqlciv/internal/analysis"
 	"sqlciv/internal/grammar"
 	"sqlciv/internal/obs"
 	"sqlciv/internal/obs/metrics"
@@ -167,12 +170,17 @@ type StatsSnapshot struct {
 	// cache tier instead of running the cascade: (disk hits + memo hits) /
 	// (disk hits + memo hits + full computes). A warm daemon serving
 	// repeat submissions should sit near 100.
-	WarmHitPct   float64                `json:"warm_hit_pct"`
-	InternHits   int64                  `json:"intern_hits"`
-	InternMisses int64                  `json:"intern_misses"`
-	InternRuns   int64                  `json:"intern_runs"`
-	InternSyms   int64                  `json:"intern_syms"`
-	Tenants      map[string]TenantStats `json:"tenants"`
+	WarmHitPct   float64 `json:"warm_hit_pct"`
+	InternHits   int64   `json:"intern_hits"`
+	InternMisses int64   `json:"intern_misses"`
+	InternRuns   int64   `json:"intern_runs"`
+	InternSyms   int64   `json:"intern_syms"`
+	// LowerMemoEntries / LowerMemoBytes size the process-wide lowering
+	// memo (analysis.LowerMemoStats): constructions seen or recorded, and
+	// the bytes they count against its cap.
+	LowerMemoEntries int                    `json:"lower_memo_entries"`
+	LowerMemoBytes   int64                  `json:"lower_memo_bytes"`
+	Tenants          map[string]TenantStats `json:"tenants"`
 	// Latency is the served request-latency distribution by endpoint,
 	// read back from the same histograms /metrics exposes.
 	Latency map[string]LatencyQuantiles `json:"latency,omitempty"`
@@ -314,6 +322,7 @@ func (s *Server) Close() error {
 func (s *Server) Stats() StatsSnapshot {
 	t := &s.totals
 	arena := grammar.ArenaStatsSnapshot()
+	memoEntries, memoBytes := analysis.LowerMemoStats()
 	s.jobsMu.Lock()
 	retained := len(s.jobs)
 	s.jobsMu.Unlock()
@@ -337,6 +346,8 @@ func (s *Server) Stats() StatsSnapshot {
 		InternMisses:       arena.InternMisses,
 		InternRuns:         arena.InternRuns,
 		InternSyms:         arena.InternSyms,
+		LowerMemoEntries:   memoEntries,
+		LowerMemoBytes:     memoBytes,
 		Tenants:            s.tenants.snapshot(),
 		Latency:            s.latency(),
 		Incremental:        s.incrementalStats(),
